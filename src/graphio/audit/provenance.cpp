@@ -1,33 +1,15 @@
 #include "graphio/audit/provenance.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <fstream>
 #include <utility>
 
 #include "graphio/engine/fingerprint.hpp"
-#include "graphio/faults/fault_injection.hpp"
 #include "graphio/support/contracts.hpp"
-#include "graphio/support/durability.hpp"
-#include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::audit {
 
 namespace {
-
-std::uint64_t parse_hex_fingerprint(const std::string& hex) {
-  std::uint64_t value = 0;
-  GIO_EXPECTS_MSG(!hex.empty() && hex.size() <= 16,
-                  "malformed fingerprint '" + hex + "'");
-  for (char c : hex) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') value |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      GIO_EXPECTS_MSG(false, "malformed fingerprint '" + hex + "'");
-  }
-  return value;
-}
 
 void append_component_json(io::JsonWriter& w, const ComponentProvenance& c) {
   w.begin_object();
@@ -49,7 +31,7 @@ void append_component_json(io::JsonWriter& w, const ComponentProvenance& c) {
 ComponentProvenance parse_component(const io::JsonValue& v) {
   ComponentProvenance c;
   if (const io::JsonValue* fp = v.get("fp")) {
-    c.fingerprint = parse_hex_fingerprint(fp->as_string());
+    c.fingerprint = engine::parse_fingerprint_hex(fp->as_string());
     c.fingerprinted = true;
   }
   c.vertices = v.at("vertices").as_int();
@@ -62,7 +44,7 @@ ComponentProvenance parse_component(const io::JsonValue& v) {
   c.residual = v.at("residual").as_double();
   c.certified_floor = v.at("floor").as_double();
   if (const io::JsonValue* pred = v.get("pred"))
-    c.warm_predecessor = parse_hex_fingerprint(pred->as_string());
+    c.warm_predecessor = engine::parse_fingerprint_hex(pred->as_string());
   c.converged = v.at("converged").as_bool();
   return c;
 }
@@ -203,7 +185,7 @@ ProvenanceRecord parse_record(const io::JsonValue& v) {
   r.kind = v.at("kind").as_string();
   r.graph = v.at("graph").as_string();
   if (const io::JsonValue* fp = v.get("fp"))
-    r.fingerprint = parse_hex_fingerprint(fp->as_string());
+    r.fingerprint = engine::parse_fingerprint_hex(fp->as_string());
   if (const io::JsonValue* dirty = v.get("dirty")) r.dirty = dirty->as_int();
   if (const io::JsonValue* clean = v.get("clean")) r.clean = clean->as_int();
   if (const io::JsonValue* req = v.get("request"))
@@ -307,53 +289,14 @@ std::vector<std::string> check_record(const ProvenanceRecord& record) {
   return issues;
 }
 
-ProvenanceLog::ProvenanceLog(const std::filesystem::path& dir) {
-  GIO_EXPECTS_MSG(!dir.empty(), "provenance directory must not be empty");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  GIO_EXPECTS_MSG(!ec, "cannot create provenance directory '" +
-                           dir.string() + "': " + ec.message());
-  path_ = dir / "provenance.jsonl";
-  out_.open(path_, std::ios::app);
-  GIO_EXPECTS_MSG(out_.good(), "cannot append to provenance log '" +
-                                   path_.string() + "'");
-}
+ProvenanceLog::ProvenanceLog(const std::filesystem::path& dir)
+    : log_(dir, {"provenance.jsonl", "provenance", "provenance",
+                 "provenance trail", "bounds unaffected"}) {}
 
 void ProvenanceLog::append(const ProvenanceRecord& record) {
-  const std::string line = record.to_json();
-  const std::scoped_lock lock(mutex_);
-  if (demoted_) return;
-  try {
-    faults::inject("provenance.append");
-    out_ << line << '\n';
-    out_.flush();
-    if (!out_.good())
-      throw std::runtime_error("write failed on '" + path_.string() + "'");
-    ++appended_;
-  } catch (const std::exception& e) {
-    demote_locked(e.what());
-  }
+  log_.append(record.to_json());
 }
 
-void ProvenanceLog::demote_locked(const std::string& why) {
-  demoted_ = true;
-  telemetry::MetricsRegistry::global().counter("provenance.demoted")
-      .increment();
-  out_.close();
-  std::fprintf(stderr,
-               "graphio: provenance trail disabled (%s); bounds unaffected\n",
-               why.c_str());
-}
-
-void ProvenanceLog::sync() {
-  const std::scoped_lock lock(mutex_);
-  if (demoted_) return;
-  out_.flush();
-  if (!out_.good()) {
-    demote_locked("flush failed on '" + path_.string() + "'");
-    return;
-  }
-  fsync_path(path_.string());
-}
+void ProvenanceLog::sync() { log_.sync(); }
 
 }  // namespace graphio::audit

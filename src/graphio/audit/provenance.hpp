@@ -24,14 +24,13 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "graphio/core/spectral_pipeline.hpp"
 #include "graphio/io/json.hpp"
+#include "graphio/support/jsonl_log.hpp"
 #include "graphio/support/table.hpp"
 
 namespace graphio::audit {
@@ -161,8 +160,10 @@ struct ProvenanceRecord {
     const ProvenanceRecord& record);
 
 /// Append-only provenance JSONL next to a ResultStore: one record per
-/// line in `<dir>/provenance.jsonl`. Thread-safe; lines are flushed as
-/// written so a crashed run leaves a replayable prefix.
+/// line in `<dir>/provenance.jsonl`, written through a JsonlLog
+/// (support/jsonl_log.hpp). Thread-safe; lines are flushed as written so a
+/// crashed run leaves a replayable prefix, and a torn final line is
+/// terminated before the next record.
 class ProvenanceLog {
  public:
   explicit ProvenanceLog(const std::filesystem::path& dir);
@@ -178,18 +179,14 @@ class ProvenanceLog {
   void sync();
 
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return path_;
+    return log_.path();
   }
-  [[nodiscard]] std::int64_t appended() const noexcept { return appended_; }
+  [[nodiscard]] std::int64_t appended() const noexcept {
+    return log_.appended();
+  }
 
  private:
-  void demote_locked(const std::string& why);
-
-  std::mutex mutex_;
-  std::filesystem::path path_;
-  std::ofstream out_;
-  std::int64_t appended_ = 0;
-  bool demoted_ = false;
+  JsonlLog log_;
 };
 
 }  // namespace graphio::audit

@@ -1,5 +1,9 @@
 #include "graphio/engine/fingerprint.hpp"
 
+#include <charconv>
+
+#include "graphio/support/contracts.hpp"
+
 namespace graphio::engine {
 
 std::uint64_t graph_fingerprint(const Digraph& g) noexcept {
@@ -43,6 +47,15 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
     fingerprint >>= 4;
   }
   return out;
+}
+
+std::uint64_t parse_fingerprint_hex(std::string_view hex) {
+  std::uint64_t fp = 0;
+  const char* end = hex.data() + hex.size();
+  const auto [p, ec] = std::from_chars(hex.data(), end, fp, 16);
+  GIO_EXPECTS_MSG(hex.size() == 16 && ec == std::errc() && p == end,
+                  "bad fingerprint '" + std::string(hex) + "'");
+  return fp;
 }
 
 }  // namespace graphio::engine

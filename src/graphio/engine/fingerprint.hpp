@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "graphio/graph/components.hpp"
 #include "graphio/graph/digraph.hpp"
@@ -52,5 +53,10 @@ namespace graphio::engine {
 /// Fixed-width lowercase hex rendering ("00af3b…", 16 chars) — the form
 /// used in result-store keys and JSONL records.
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t fingerprint);
+
+/// Inverse of fingerprint_hex: exactly 16 hex digits. Throws
+/// contract_error on anything else, which the JSONL replays count as a
+/// corrupt line.
+[[nodiscard]] std::uint64_t parse_fingerprint_hex(std::string_view hex);
 
 }  // namespace graphio::engine

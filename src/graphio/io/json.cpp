@@ -90,12 +90,7 @@ JsonWriter& JsonWriter::value(double v) {
   expect_value_allowed();
   comma_if_needed();
   if (std::isfinite(v)) {
-    char buf[32];
-    const auto [end, ec] =
-        std::to_chars(buf, buf + sizeof buf, v,
-                      std::chars_format::general, 17);
-    GIO_ASSERT(ec == std::errc());
-    out_ << std::string_view(buf, static_cast<std::size_t>(end - buf));
+    out_ << format_double_exact(v);
   } else {
     out_ << "null";  // JSON has no inf/nan
   }
@@ -139,6 +134,14 @@ std::string JsonWriter::str() const {
   GIO_EXPECTS_MSG(done_ && stack_.empty(),
                   "document incomplete (open containers)");
   return out_.str();
+}
+
+std::string format_double_exact(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::general, 17);
+  GIO_ASSERT(ec == std::errc());
+  return std::string(buf, static_cast<std::size_t>(end - buf));
 }
 
 std::string json_escape(std::string_view s) {

@@ -62,6 +62,12 @@ class JsonWriter {
 /// Escapes a string per RFC 8259 (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);
 
+/// Exact text for a finite double: 17 significant digits, which parse back
+/// to the same binary64. JsonWriter renders doubles with it, and the
+/// stores' key encoders use it so a value always looks up the way it was
+/// written.
+std::string format_double_exact(double v);
+
 /// A parsed JSON document: one immutable tree of values. Object member
 /// order is preserved; duplicate keys keep the first occurrence (lookups
 /// are front-to-back). Accessors throw contract_error on type mismatches

@@ -1,14 +1,10 @@
 #include "graphio/serve/result_store.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <utility>
 
 #include "graphio/engine/fingerprint.hpp"
-#include "graphio/faults/fault_injection.hpp"
 #include "graphio/io/json.hpp"
 #include "graphio/support/contracts.hpp"
-#include "graphio/support/durability.hpp"
 #include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::serve {
@@ -23,7 +19,7 @@ struct ResultStoreMetrics {
   telemetry::Counter& loaded;
   telemetry::Counter& corrupt;
   telemetry::Counter& appended;
-  telemetry::Counter& demoted;
+  telemetry::Counter& demoted;  ///< incremented by the JsonlLog on demotion
 };
 
 ResultStoreMetrics& result_store_metrics() {
@@ -35,16 +31,6 @@ ResultStoreMetrics& result_store_metrics() {
                                     reg.counter("result_store.appended"),
                                     reg.counter("result_store.demoted")};
   return metrics;
-}
-
-/// Round-trippable double rendering, shared by the key encoding and the
-/// log records so a value always looks up the way it was written.
-std::string format_double_exact(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
-                                       std::chars_format::general, 17);
-  GIO_ASSERT(ec == std::errc());
-  return std::string(buf, static_cast<std::size_t>(end - buf));
 }
 
 engine::BoundKind kind_from_string(const std::string& s) {
@@ -86,14 +72,8 @@ std::pair<ResultStore::Key, engine::MethodRow> parse_record(
     const std::string& line) {
   const io::JsonValue v = io::JsonValue::parse(line);
   ResultStore::Key key;
-  const std::string& hex = v.at("graph").as_string();
-  GIO_EXPECTS_MSG(hex.size() == 16, "bad fingerprint");
-  std::uint64_t fp = 0;
-  const auto [p, ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), fp, 16);
-  GIO_EXPECTS_MSG(ec == std::errc() && p == hex.data() + hex.size(),
-                  "bad fingerprint");
-  key.graph_fingerprint = fp;
+  key.graph_fingerprint =
+      engine::parse_fingerprint_hex(v.at("graph").as_string());
   key.method = v.at("method").as_string();
   key.memory = v.at("memory").as_double();
   key.processors = v.at("processors").as_int();
@@ -134,7 +114,7 @@ std::string ResultStore::encode_key(const Key& key) {
   out += '|';
   out += key.method;
   out += '|';
-  out += format_double_exact(key.memory);
+  out += io::format_double_exact(key.memory);
   out += '|';
   out += std::to_string(key.processors);
   out += '|';
@@ -145,43 +125,15 @@ std::string ResultStore::encode_key(const Key& key) {
   return out;
 }
 
-ResultStore::ResultStore(const std::filesystem::path& dir) {
-  // A store that cannot be created or opened must be a hard error: a
-  // silent cache-less run would recompute every eigensolve while the
-  // caller believes results are being persisted. create_directories is
-  // not required to report a pre-existing non-directory on every
-  // implementation, so check both ways.
-  GIO_EXPECTS_MSG(!dir.empty(), "store directory must not be empty");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  GIO_EXPECTS_MSG(!ec, "cannot create store directory '" + dir.string() +
-                           "': " + ec.message());
-  GIO_EXPECTS_MSG(std::filesystem::is_directory(dir, ec) && !ec,
-                  "store path '" + dir.string() + "' is not a directory");
-  log_path_ = dir / "results.jsonl";
-
-  if (std::filesystem::exists(log_path_)) {
-    std::ifstream in(log_path_);
-    GIO_EXPECTS_MSG(in.good(),
-                    "cannot read store log '" + log_path_.string() + "'");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        auto [key, row] = parse_record(line);
-        if (rows_.emplace(encode_key(key), std::move(row)).second)
-          ++stats_.loaded;
-      } catch (const std::exception&) {
-        ++stats_.corrupt;  // torn/garbage line; keep replaying
-      }
-    }
-    result_store_metrics().loaded.add(stats_.loaded);
-    result_store_metrics().corrupt.add(stats_.corrupt);
-  }
-
-  log_.open(log_path_, std::ios::app);
-  GIO_EXPECTS_MSG(log_.good(),
-                  "cannot append to store log '" + log_path_.string() + "'");
+ResultStore::ResultStore(const std::filesystem::path& dir)
+    : log_(dir, {"results.jsonl", "store", "result_store",
+                 "result store disk tier", "continuing memory-only"}) {
+  stats_.corrupt = log_.replay([this](const std::string& line) {
+    auto [key, row] = parse_record(line);
+    if (rows_.emplace(encode_key(key), std::move(row)).second) ++stats_.loaded;
+  });
+  result_store_metrics().loaded.add(stats_.loaded);
+  result_store_metrics().corrupt.add(stats_.corrupt);
 }
 
 std::optional<engine::MethodRow> ResultStore::lookup(const Key& key) {
@@ -200,46 +152,18 @@ std::optional<engine::MethodRow> ResultStore::lookup(const Key& key) {
 void ResultStore::insert(const Key& key, const engine::MethodRow& row) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!rows_.emplace(encode_key(key), row).second) return;
-  if (demoted_) return;
-  try {
-    faults::inject("result_store.append");
-    log_ << record_line(key, row) << '\n';
-    log_.flush();
-    if (!log_.good())
-      throw std::runtime_error("write failed on '" + log_path_.string() +
-                               "'");
-    ++stats_.appended;
+  if (log_.append(record_line(key, row)))
     result_store_metrics().appended.increment();
-  } catch (const std::exception& e) {
-    demote_locked(e.what());
-  }
 }
 
-void ResultStore::demote_locked(const std::string& why) {
-  demoted_ = true;
-  stats_.demoted = true;
-  result_store_metrics().demoted.increment();
-  log_.close();
-  std::fprintf(stderr,
-               "graphio: result store disk tier disabled (%s); "
-               "continuing memory-only\n",
-               why.c_str());
-}
-
-void ResultStore::sync() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (demoted_) return;
-  log_.flush();
-  if (!log_.good()) {
-    demote_locked("flush failed on '" + log_path_.string() + "'");
-    return;
-  }
-  fsync_path(log_path_.string());
-}
+void ResultStore::sync() { log_.sync(); }
 
 ResultStore::Stats ResultStore::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats out = stats_;
+  out.appended = log_.appended();
+  out.demoted = log_.demoted();
+  return out;
 }
 
 std::size_t ResultStore::size() const {

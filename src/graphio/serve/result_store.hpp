@@ -14,20 +14,22 @@
 // layer always evaluates those with defaults; drivers tuning them should
 // point each configuration at its own store directory.
 //
-// The log is append-only and crash-tolerant: unparseable lines (e.g. a
-// torn final line after a crash) are counted and skipped on load, and the
-// next insert simply appends after them.
+// The store is a key/row codec over a JsonlLog (support/jsonl_log.hpp):
+// append-only and crash-tolerant. Unparseable lines are counted and
+// skipped on load; a torn final line left by a crash is terminated before
+// the next insert, so that row lands on a line of its own and survives
+// the following restart.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "graphio/engine/method.hpp"
+#include "graphio/support/jsonl_log.hpp"
 
 namespace graphio::serve {
 
@@ -77,19 +79,16 @@ class ResultStore {
   [[nodiscard]] std::size_t size() const;
 
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return log_path_;
+    return log_.path();
   }
 
  private:
   static std::string encode_key(const Key& key);
-  void demote_locked(const std::string& why);
 
+  JsonlLog log_;
   mutable std::mutex mutex_;
-  std::filesystem::path log_path_;
-  std::ofstream log_;
   std::unordered_map<std::string, engine::MethodRow> rows_;
-  Stats stats_;
-  bool demoted_ = false;
+  Stats stats_;  ///< appended/demoted are read from log_
 };
 
 }  // namespace graphio::serve

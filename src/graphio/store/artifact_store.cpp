@@ -1,21 +1,30 @@
 #include "graphio/store/artifact_store.hpp"
 
-#include <charconv>
-#include <limits>
-
-#include <cstdio>
+#include <array>
+#include <iterator>
+#include <type_traits>
 
 #include "graphio/engine/fingerprint.hpp"
-#include "graphio/faults/fault_injection.hpp"
 #include "graphio/io/json.hpp"
 #include "graphio/support/contracts.hpp"
-#include "graphio/support/durability.hpp"
 #include "graphio/telemetry/metrics.hpp"
 #include "graphio/telemetry/trace.hpp"
 
 namespace graphio::store {
 
 namespace {
+
+/// Per-kind names — the `kind` of a log line, the `store.<kind>.*`
+/// registry counters and the trace attribute — indexed by ArtifactKind.
+constexpr std::array<const char*, 6> kKindNames = {
+    "spectrum", "topo", "mincut", "memsim", "partition", "eigenbasis"};
+
+static_assert(static_cast<std::size_t>(ArtifactKind::kEigenbasis) + 1 ==
+              kKindNames.size());
+
+const char* kind_name(ArtifactKind kind) {
+  return kKindNames[static_cast<std::size_t>(kind)];
+}
 
 // Registry mirrors of the per-kind Stats counters plus disk-tier events.
 // Process-wide lifetime totals; the struct Stats stays the per-instance
@@ -27,67 +36,57 @@ struct KindMetrics {
 };
 
 struct StoreMetrics {
-  KindMetrics spectrum;
-  KindMetrics topo;
-  KindMetrics mincut;
-  KindMetrics memsim;
-  KindMetrics partition;
-  KindMetrics eigenbasis;
+  std::array<KindMetrics, kKindNames.size()> kinds;  ///< by ArtifactKind
   telemetry::Counter& loaded;
   telemetry::Counter& corrupt;
   telemetry::Counter& appended;
-  telemetry::Counter& demoted;
+  telemetry::Counter& demoted;  ///< incremented by the JsonlLog on demotion
 };
 
 StoreMetrics& store_metrics() {
   auto& reg = telemetry::MetricsRegistry::global();
-  auto kind = [&reg](const char* name) {
-    const std::string prefix = std::string("store.") + name;
+  auto kind = [&reg](ArtifactKind k) {
+    const std::string prefix = std::string("store.") + kind_name(k);
     return KindMetrics{reg.counter(prefix + ".hits"),
                        reg.counter(prefix + ".misses"),
                        reg.counter(prefix + ".evicted")};
   };
-  static StoreMetrics metrics{kind("spectrum"),
-                              kind("topo"),
-                              kind("mincut"),
-                              kind("memsim"),
-                              kind("partition"),
-                              kind("eigenbasis"),
-                              reg.counter("store.disk.loaded"),
-                              reg.counter("store.disk.corrupt"),
-                              reg.counter("store.disk.appended"),
-                              reg.counter("store.disk.demoted")};
+  static StoreMetrics metrics{
+      {kind(ArtifactKind::kSpectrum), kind(ArtifactKind::kTopoOrder),
+       kind(ArtifactKind::kMincutSweep), kind(ArtifactKind::kMemsimRow),
+       kind(ArtifactKind::kPartitionRow), kind(ArtifactKind::kEigenbasis)},
+      reg.counter("store.disk.loaded"),
+      reg.counter("store.disk.corrupt"),
+      reg.counter("store.disk.appended"),
+      reg.counter("store.disk.demoted")};
   return metrics;
 }
 
-// Marker event under the current span (a method or stream query span)
-// when tracing is on — the hit/miss attribution per lookup the counters
-// cannot give.
-void trace_lookup(const char* kind, bool hit) {
+KindMetrics& kind_metrics(ArtifactKind kind) {
+  return store_metrics().kinds[static_cast<std::size_t>(kind)];
+}
+
+/// Counts one lookup in the per-instance stats and the registry, plus a
+/// marker event under the current span (a method or stream query span)
+/// when tracing is on — the hit/miss attribution per lookup the counters
+/// cannot give.
+void count_lookup(ArtifactStore::KindStats& stats, ArtifactKind kind,
+                  bool hit) {
+  ++(hit ? stats.hits : stats.misses);
+  KindMetrics& metrics = kind_metrics(kind);
+  (hit ? metrics.hits : metrics.misses).increment();
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   if (!tracer.enabled()) return;
   tracer.instant(hit ? "store.hit" : "store.miss",
-                 {telemetry::Attr::str("kind", kind)});
+                 {telemetry::Attr::str("kind", kind_name(kind))});
 }
 
-/// Round-trippable double rendering (same contract as the ResultStore's):
-/// a value always looks up the way it was written.
-std::string format_double_exact(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
-                                       std::chars_format::general, 17);
-  GIO_ASSERT(ec == std::errc());
-  return std::string(buf, static_cast<std::size_t>(end - buf));
-}
-
-std::uint64_t parse_fingerprint(const std::string& hex) {
-  GIO_EXPECTS_MSG(hex.size() == 16, "bad fingerprint");
-  std::uint64_t fp = 0;
-  const auto [p, ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), fp, 16);
-  GIO_EXPECTS_MSG(ec == std::errc() && p == hex.data() + hex.size(),
-                  "bad fingerprint");
-  return fp;
+/// Counts `n` entries dropped from the memory tier.
+void count_evicted(ArtifactStore::KindStats& stats, ArtifactKind kind,
+                   std::int64_t n) {
+  stats.entries -= n;
+  stats.evicted += n;
+  kind_metrics(kind).evicted.add(n);
 }
 
 std::string_view lap_name(LaplacianKind kind) {
@@ -152,57 +151,137 @@ std::string spectrum_line(std::uint64_t fp, LaplacianKind kind,
   return w.str();
 }
 
-std::string topo_line(std::uint64_t fp, const TopoOrderArtifact& topo) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("topo");
-  w.key("fp").value(engine::fingerprint_hex(fp));
+ComponentSolve spectrum_from(const io::JsonValue& v) {
+  ComponentSolve solve;
+  solve.vertices = v.at("vertices").as_int();
+  solve.edges = v.at("edges").as_int();
+  solve.solver = solver_from(v.at("solver").as_string());
+  solve.converged = v.at("converged").as_bool();
+  // Optional provenance keys (absent in logs written before they
+  // existed — defaults are the cold-solve values).
+  if (const io::JsonValue* it = v.get("iterations"))
+    solve.iterations = static_cast<int>(it->as_int());
+  if (const io::JsonValue* warm = v.get("warm"))
+    solve.warm_started = warm->as_bool();
+  if (const io::JsonValue* refresh = v.get("refresh"))
+    solve.refresh = refresh->as_bool();
+  if (const io::JsonValue* residual = v.get("residual"))
+    solve.max_residual = residual->as_double();
+  if (const io::JsonValue* pred = v.get("pred"))
+    solve.warm_predecessor = engine::parse_fingerprint_hex(pred->as_string());
+  if (const io::JsonValue* reason = v.get("reason"))
+    solve.solver_reason = reason->as_string();
+  solve.from_disk = true;  // this entry's values crossed a process restart
+  for (const io::JsonValue& item : v.at("values").items())
+    solve.values.push_back(item.as_double());
+  return solve;
+}
+
+// ------------------------------------------------ uniform-kind codecs
+// A table line is {"kind": …, "fp": …, <fields>}; each kind writes and
+// reads its key options and value fields here.
+
+void encode_fields(io::JsonWriter& w, const std::tuple<std::uint64_t>&,
+                   const TopoOrderArtifact& topo) {
   w.key("order").begin_array();
-  for (VertexId v : topo.order) w.value(static_cast<std::int64_t>(v));
+  for (VertexId v : topo.order) w.value(v);
   w.end_array();
-  w.end_object();
-  return w.str();
 }
 
-std::string mincut_line(std::uint64_t fp, flow::FlowEngine engine,
-                        const MincutSweepArtifact& sweep) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("mincut");
-  w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("engine").value(flow_name(engine));
+void decode_fields(const io::JsonValue& v, std::tuple<std::uint64_t>&,
+                   TopoOrderArtifact& topo) {
+  for (const io::JsonValue& item : v.at("order").items())
+    topo.order.push_back(item.as_int());
+}
+
+void encode_fields(io::JsonWriter& w,
+                   const std::tuple<std::uint64_t, flow::FlowEngine>& key,
+                   const MincutSweepArtifact& sweep) {
+  w.key("engine").value(flow_name(std::get<1>(key)));
   w.key("best_cut").value(sweep.best_cut);
-  w.key("best_vertex").value(static_cast<std::int64_t>(sweep.best_vertex));
+  w.key("best_vertex").value(sweep.best_vertex);
   w.key("vertices_processed").value(sweep.vertices_processed);
-  w.end_object();
-  return w.str();
 }
 
-std::string memsim_line(std::uint64_t fp, std::int64_t memory,
-                        int random_orders, const MemsimRowArtifact& row) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("memsim");
-  w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("memory").value(memory);
-  w.key("orders").value(random_orders);
+void decode_fields(const io::JsonValue& v,
+                   std::tuple<std::uint64_t, flow::FlowEngine>& key,
+                   MincutSweepArtifact& sweep) {
+  std::get<1>(key) = flow_from(v.at("engine").as_string());
+  sweep.best_cut = v.at("best_cut").as_int();
+  sweep.best_vertex = v.at("best_vertex").as_int();
+  sweep.vertices_processed = v.at("vertices_processed").as_int();
+  // `completed` keeps its default: only completed sweeps are persisted.
+}
+
+void encode_fields(io::JsonWriter& w,
+                   const std::tuple<std::uint64_t, std::int64_t, int>& key,
+                   const MemsimRowArtifact& row) {
+  w.key("memory").value(std::get<1>(key));
+  w.key("orders").value(std::get<2>(key));
   w.key("reads").value(row.reads);
   w.key("writes").value(row.writes);
+}
+
+void decode_fields(const io::JsonValue& v,
+                   std::tuple<std::uint64_t, std::int64_t, int>& key,
+                   MemsimRowArtifact& row) {
+  std::get<1>(key) = v.at("memory").as_int();
+  std::get<2>(key) = static_cast<int>(v.at("orders").as_int());
+  row.reads = v.at("reads").as_int();
+  row.writes = v.at("writes").as_int();
+}
+
+void encode_fields(io::JsonWriter& w,
+                   const std::tuple<std::uint64_t, double>& key,
+                   const PartitionRowArtifact& row) {
+  w.key("memory").value(std::get<1>(key));
+  w.key("objective").value(row.objective);
+  w.key("segments").value(row.segments);
+}
+
+void decode_fields(const io::JsonValue& v,
+                   std::tuple<std::uint64_t, double>& key,
+                   PartitionRowArtifact& row) {
+  std::get<1>(key) = v.at("memory").as_double();
+  row.objective = v.at("objective").as_double();
+  row.segments = v.at("segments").as_int();
+}
+
+/// Whether an entry may reach the disk tier: a time-budget-cut min-cut
+/// sweep is a valid but degraded bound that must not be served forever.
+template <class Value>
+bool persisted(const Value&) {
+  return true;
+}
+bool persisted(const MincutSweepArtifact& sweep) { return sweep.completed; }
+
+template <class T>
+std::string table_line(const T&, const typename T::Key& key,
+                       const typename T::Value& value) {
+  io::JsonWriter w;
+  w.begin_object();
+  w.key("kind").value(kind_name(T::kind));
+  w.key("fp").value(engine::fingerprint_hex(std::get<0>(key)));
+  encode_fields(w, key, value);
   w.end_object();
   return w.str();
 }
 
-std::string partition_line(std::uint64_t fp, double memory,
-                           const PartitionRowArtifact& row) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("partition");
-  w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("memory").value(memory);
-  w.key("objective").value(row.objective);
-  w.key("segments").value(row.segments);
-  w.end_object();
-  return w.str();
+/// First write wins; returns true when the entry is new.
+template <class T>
+bool put(T& table, const typename T::Key& key,
+         const typename T::Value& value) {
+  if (!table.map.emplace(key, value).second) return false;
+  ++table.stats.entries;
+  return true;
+}
+
+template <class T>
+std::optional<typename T::Value> find(T& table, const typename T::Key& key) {
+  const auto it = table.map.find(key);
+  count_lookup(table.stats, T::kind, it != table.map.end());
+  if (it == table.map.end()) return std::nullopt;
+  return it->second;
 }
 
 }  // namespace
@@ -215,9 +294,9 @@ std::string ArtifactStore::spectral_options_key(
   out += '|';
   out += options.solver;
   out += options.decompose ? "|1|" : "|0|";
-  out += format_double_exact(options.eig_rel_tol);
+  out += io::format_double_exact(options.eig_rel_tol);
   out += '|';
-  out += format_double_exact(options.warm_refresh_rel_tol);
+  out += io::format_double_exact(options.warm_refresh_rel_tol);
   out += '|';
   out += std::to_string(options.dense_threshold);
   out += '|';
@@ -234,139 +313,63 @@ std::string ArtifactStore::spectral_options_key(
 }
 
 ArtifactStore::ArtifactStore(const std::filesystem::path& dir) {
-  GIO_EXPECTS_MSG(!dir.empty(), "artifact store directory must not be empty");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  GIO_EXPECTS_MSG(!ec, "cannot create artifact store directory '" +
-                           dir.string() + "': " + ec.message());
-  GIO_EXPECTS_MSG(std::filesystem::is_directory(dir, ec) && !ec,
-                  "artifact store path '" + dir.string() +
-                      "' is not a directory");
-  log_path_ = dir / "artifacts.jsonl";
-
-  if (std::filesystem::exists(log_path_)) {
-    std::ifstream in(log_path_);
-    GIO_EXPECTS_MSG(in.good(), "cannot read artifact store log '" +
-                                   log_path_.string() + "'");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        replay_line_locked(line);
-        ++stats_.loaded;
-      } catch (const std::exception&) {
-        ++stats_.corrupt;  // torn/garbage line; keep replaying
-      }
-    }
-    store_metrics().loaded.add(stats_.loaded);
-    store_metrics().corrupt.add(stats_.corrupt);
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant("store.replay",
-                     {telemetry::Attr::integer("loaded", stats_.loaded),
-                      telemetry::Attr::integer("corrupt", stats_.corrupt)});
-    }
+  log_.emplace(dir, JsonlLog::Spec{"artifacts.jsonl", "artifact store",
+                                   "store.disk", "artifact store disk tier",
+                                   "continuing memory-only"});
+  stats_.corrupt = log_->replay([this](const std::string& line) {
+    replay_line_locked(line);
+    ++stats_.loaded;
+  });
+  store_metrics().loaded.add(stats_.loaded);
+  store_metrics().corrupt.add(stats_.corrupt);
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  if (tracer.enabled()) {
+    tracer.instant("store.replay",
+                   {telemetry::Attr::integer("loaded", stats_.loaded),
+                    telemetry::Attr::integer("corrupt", stats_.corrupt)});
   }
-
-  log_.open(log_path_, std::ios::app);
-  GIO_EXPECTS_MSG(log_.good(), "cannot append to artifact store log '" +
-                                   log_path_.string() + "'");
 }
 
 void ArtifactStore::replay_line_locked(const std::string& line) {
   const io::JsonValue v = io::JsonValue::parse(line);
   const std::string& kind = v.at("kind").as_string();
-  const std::uint64_t fp = parse_fingerprint(v.at("fp").as_string());
+  const std::uint64_t fp =
+      engine::parse_fingerprint_hex(v.at("fp").as_string());
   if (kind == "spectrum") {
-    ComponentSolve solve;
-    solve.vertices = v.at("vertices").as_int();
-    solve.edges = v.at("edges").as_int();
-    solve.solver = solver_from(v.at("solver").as_string());
-    solve.converged = v.at("converged").as_bool();
-    // Optional provenance keys (absent in logs written before they
-    // existed — defaults are the cold-solve values).
-    if (const io::JsonValue* it = v.get("iterations"))
-      solve.iterations = static_cast<int>(it->as_int());
-    if (const io::JsonValue* warm = v.get("warm"))
-      solve.warm_started = warm->as_bool();
-    if (const io::JsonValue* refresh = v.get("refresh"))
-      solve.refresh = refresh->as_bool();
-    if (const io::JsonValue* residual = v.get("residual"))
-      solve.max_residual = residual->as_double();
-    if (const io::JsonValue* pred = v.get("pred"))
-      solve.warm_predecessor = parse_fingerprint(pred->as_string());
-    if (const io::JsonValue* reason = v.get("reason"))
-      solve.solver_reason = reason->as_string();
-    solve.from_disk = true;  // this entry's values crossed a process restart
-    for (const io::JsonValue& item : v.at("values").items())
-      solve.values.push_back(item.as_double());
     put_spectrum_locked(fp, lap_from(v.at("lap").as_string()),
                         static_cast<int>(v.at("requested").as_int()),
-                        v.at("opts").as_string(), solve);
+                        v.at("opts").as_string(), spectrum_from(v));
     return;
   }
-  if (kind == "topo") {
-    TopoOrderArtifact topo;
-    for (const io::JsonValue& item : v.at("order").items())
-      topo.order.push_back(static_cast<VertexId>(item.as_int()));
-    put_topo_locked(fp, topo);
-    return;
-  }
-  if (kind == "mincut") {
-    MincutSweepArtifact sweep;
-    sweep.best_cut = v.at("best_cut").as_int();
-    sweep.best_vertex = static_cast<VertexId>(v.at("best_vertex").as_int());
-    sweep.vertices_processed = v.at("vertices_processed").as_int();
-    sweep.completed = true;  // only completed sweeps are persisted
-    put_mincut_locked(fp, flow_from(v.at("engine").as_string()), sweep);
-    return;
-  }
-  if (kind == "memsim") {
-    MemsimRowArtifact row;
-    row.reads = v.at("reads").as_int();
-    row.writes = v.at("writes").as_int();
-    put_memsim_locked(fp, v.at("memory").as_int(),
-                      static_cast<int>(v.at("orders").as_int()), row);
-    return;
-  }
-  if (kind == "partition") {
-    PartitionRowArtifact row;
-    row.objective = v.at("objective").as_double();
-    row.segments = v.at("segments").as_int();
-    put_partition_locked(fp, v.at("memory").as_double(), row);
-    return;
-  }
-  GIO_EXPECTS_MSG(false, "unknown artifact kind '" + kind + "'");
+  bool known = false;
+  for_each_table([&](auto& table) {
+    using T = std::decay_t<decltype(table)>;
+    if (known || kind != kind_name(T::kind)) return;
+    known = true;
+    typename T::Key key;
+    std::get<0>(key) = fp;
+    typename T::Value value;
+    decode_fields(v, key, value);
+    put(table, key, value);
+  });
+  GIO_EXPECTS_MSG(known, "unknown artifact kind '" + kind + "'");
 }
 
 void ArtifactStore::append_locked(const std::string& line) {
-  if (demoted_) return;
-  try {
-    faults::inject("store.disk.append");
-    log_ << line << '\n';
-    log_.flush();
-    // A failed flush (ENOSPC, short write) sets badbit; the line may be
-    // torn on disk, which replay tolerates. Never keep writing into a
-    // failed stream — that is how logs corrupt.
-    if (!log_.good())
-      throw std::runtime_error("write failed on '" + log_path_.string() +
-                               "'");
-    ++stats_.appended;
-    store_metrics().appended.increment();
-  } catch (const std::exception& e) {
-    demote_locked(e.what());
-  }
+  if (log_->append(line)) store_metrics().appended.increment();
 }
 
-void ArtifactStore::demote_locked(const std::string& why) {
-  demoted_ = true;
-  stats_.demoted = true;
-  store_metrics().demoted.increment();
-  log_.close();
-  std::fprintf(stderr,
-               "graphio: artifact store disk tier disabled (%s); "
-               "continuing memory-only\n",
-               why.c_str());
+template <class T>
+void ArtifactStore::insert_locked(T& table, const typename T::Key& key,
+                                  const typename T::Value& value) {
+  if (!put(table, key, value)) return;
+  if (durable() && persisted(value))
+    append_locked(table_line(table, key, value));
+}
+
+const std::filesystem::path& ArtifactStore::path() const noexcept {
+  static const std::filesystem::path none;
+  return log_ ? log_->path() : none;
 }
 
 // ------------------------------------------------------------- spectrum
@@ -380,9 +383,7 @@ std::optional<ComponentSolve> ArtifactStore::lookup_spectrum(
   if (it != spectra_.end()) {
     for (const SpectrumEntry& entry : it->second) {
       if (entry.requested < count || entry.options_key != key) continue;
-      ++stats_.spectrum.hits;
-      store_metrics().spectrum.hits.increment();
-      trace_lookup("spectrum", true);
+      count_lookup(stats_.spectrum, ArtifactKind::kSpectrum, true);
       ComponentSolve solve = entry.solve;
       // Truncate to the request (values are ascending, so the prefix IS
       // the smallest `count`) — equal-count requests then see one
@@ -395,9 +396,7 @@ std::optional<ComponentSolve> ArtifactStore::lookup_spectrum(
       return solve;
     }
   }
-  ++stats_.spectrum.misses;
-  store_metrics().spectrum.misses.increment();
-  trace_lookup("spectrum", false);
+  count_lookup(stats_.spectrum, ArtifactKind::kSpectrum, false);
   return std::nullopt;
 }
 
@@ -437,144 +436,56 @@ void ArtifactStore::store_spectrum(std::uint64_t fingerprint,
     append_locked(spectrum_line(fingerprint, kind, requested, key, solve));
 }
 
-// ----------------------------------------------------------- topo order
+// ---------------------------------------------------- uniform kinds
 
 std::optional<TopoOrderArtifact> ArtifactStore::lookup_topo(
     std::uint64_t fingerprint) {
   const std::scoped_lock lock(mutex_);
-  const auto it = topo_.find(fingerprint);
-  if (it == topo_.end()) {
-    ++stats_.topo.misses;
-    store_metrics().topo.misses.increment();
-    trace_lookup("topo", false);
-    return std::nullopt;
-  }
-  ++stats_.topo.hits;
-  store_metrics().topo.hits.increment();
-  trace_lookup("topo", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_topo_locked(std::uint64_t fingerprint,
-                                    const TopoOrderArtifact& topo) {
-  if (!topo_.emplace(fingerprint, topo).second) return false;
-  ++stats_.topo.entries;
-  return true;
+  return find(topo_, {fingerprint});
 }
 
 void ArtifactStore::store_topo(std::uint64_t fingerprint,
                                const TopoOrderArtifact& topo) {
   const std::scoped_lock lock(mutex_);
-  if (!put_topo_locked(fingerprint, topo)) return;
-  if (durable()) append_locked(topo_line(fingerprint, topo));
+  insert_locked(topo_, {fingerprint}, topo);
 }
-
-// -------------------------------------------------------- min-cut sweep
 
 std::optional<MincutSweepArtifact> ArtifactStore::lookup_mincut(
     std::uint64_t fingerprint, flow::FlowEngine engine) {
   const std::scoped_lock lock(mutex_);
-  const auto it = mincut_.find({fingerprint, engine});
-  if (it == mincut_.end()) {
-    ++stats_.mincut.misses;
-    store_metrics().mincut.misses.increment();
-    trace_lookup("mincut", false);
-    return std::nullopt;
-  }
-  ++stats_.mincut.hits;
-  store_metrics().mincut.hits.increment();
-  trace_lookup("mincut", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_mincut_locked(std::uint64_t fingerprint,
-                                      flow::FlowEngine engine,
-                                      const MincutSweepArtifact& sweep) {
-  if (!mincut_.emplace(std::make_pair(fingerprint, engine), sweep).second)
-    return false;
-  ++stats_.mincut.entries;
-  return true;
+  return find(mincut_, {fingerprint, engine});
 }
 
 void ArtifactStore::store_mincut(std::uint64_t fingerprint,
                                  flow::FlowEngine engine,
                                  const MincutSweepArtifact& sweep) {
   const std::scoped_lock lock(mutex_);
-  if (!put_mincut_locked(fingerprint, engine, sweep)) return;
-  if (durable() && sweep.completed)
-    append_locked(mincut_line(fingerprint, engine, sweep));
+  insert_locked(mincut_, {fingerprint, engine}, sweep);
 }
-
-// ----------------------------------------------------------- memsim row
 
 std::optional<MemsimRowArtifact> ArtifactStore::lookup_memsim(
     std::uint64_t fingerprint, std::int64_t memory, int random_orders) {
   const std::scoped_lock lock(mutex_);
-  const auto it = memsim_.find({fingerprint, memory, random_orders});
-  if (it == memsim_.end()) {
-    ++stats_.memsim.misses;
-    store_metrics().memsim.misses.increment();
-    trace_lookup("memsim", false);
-    return std::nullopt;
-  }
-  ++stats_.memsim.hits;
-  store_metrics().memsim.hits.increment();
-  trace_lookup("memsim", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_memsim_locked(std::uint64_t fingerprint,
-                                      std::int64_t memory, int random_orders,
-                                      const MemsimRowArtifact& row) {
-  if (!memsim_
-           .emplace(std::make_tuple(fingerprint, memory, random_orders), row)
-           .second)
-    return false;
-  ++stats_.memsim.entries;
-  return true;
+  return find(memsim_, {fingerprint, memory, random_orders});
 }
 
 void ArtifactStore::store_memsim(std::uint64_t fingerprint,
                                  std::int64_t memory, int random_orders,
                                  const MemsimRowArtifact& row) {
   const std::scoped_lock lock(mutex_);
-  if (!put_memsim_locked(fingerprint, memory, random_orders, row)) return;
-  if (durable())
-    append_locked(memsim_line(fingerprint, memory, random_orders, row));
+  insert_locked(memsim_, {fingerprint, memory, random_orders}, row);
 }
-
-// -------------------------------------------------------- partition row
 
 std::optional<PartitionRowArtifact> ArtifactStore::lookup_partition(
     std::uint64_t fingerprint, double memory) {
   const std::scoped_lock lock(mutex_);
-  const auto it = partition_.find({fingerprint, memory});
-  if (it == partition_.end()) {
-    ++stats_.partition.misses;
-    store_metrics().partition.misses.increment();
-    trace_lookup("partition", false);
-    return std::nullopt;
-  }
-  ++stats_.partition.hits;
-  store_metrics().partition.hits.increment();
-  trace_lookup("partition", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_partition_locked(std::uint64_t fingerprint,
-                                         double memory,
-                                         const PartitionRowArtifact& row) {
-  if (!partition_.emplace(std::make_pair(fingerprint, memory), row).second)
-    return false;
-  ++stats_.partition.entries;
-  return true;
+  return find(partition_, {fingerprint, memory});
 }
 
 void ArtifactStore::store_partition(std::uint64_t fingerprint, double memory,
                                     const PartitionRowArtifact& row) {
   const std::scoped_lock lock(mutex_);
-  if (!put_partition_locked(fingerprint, memory, row)) return;
-  if (durable()) append_locked(partition_line(fingerprint, memory, row));
+  insert_locked(partition_, {fingerprint, memory}, row);
 }
 
 // ----------------------------------------------------------- eigenbasis
@@ -586,15 +497,11 @@ std::optional<Eigenbasis> ArtifactStore::lookup_eigenbasis(
     const auto it = bases_.find({fingerprint, kind});
     if (it != bases_.end()) {
       it->second.last_used = ++basis_tick_;
-      ++stats_.eigenbasis.hits;
-      store_metrics().eigenbasis.hits.increment();
-      trace_lookup("eigenbasis", true);
+      count_lookup(stats_.eigenbasis, ArtifactKind::kEigenbasis, true);
       return it->second.basis;
     }
   }
-  ++stats_.eigenbasis.misses;
-  store_metrics().eigenbasis.misses.increment();
-  trace_lookup("eigenbasis", false);
+  count_lookup(stats_.eigenbasis, ArtifactKind::kEigenbasis, false);
   return std::nullopt;
 }
 
@@ -640,9 +547,7 @@ void ArtifactStore::evict_eigenbases_locked() {
       if (it->second.last_used < victim->second.last_used) victim = it;
     basis_bytes_ -= static_cast<std::int64_t>(victim->second.bytes);
     bases_.erase(victim);
-    --stats_.eigenbasis.entries;
-    ++stats_.eigenbasis.evicted;
-    store_metrics().eigenbasis.evicted.increment();
+    count_evicted(stats_.eigenbasis, ArtifactKind::kEigenbasis, 1);
   }
 }
 
@@ -673,68 +578,29 @@ std::int64_t ArtifactStore::eigenbasis_bytes() const {
 std::int64_t ArtifactStore::erase(std::uint64_t fingerprint) {
   const std::scoped_lock lock(mutex_);
   std::int64_t removed = 0;
-  // Each map's keys sort by fingerprint first, so a fingerprint's entries
-  // form one contiguous range starting at the smallest secondary key.
-  {
-    auto it = spectra_.lower_bound({fingerprint, LaplacianKind{}});
-    while (it != spectra_.end() && it->first.first == fingerprint) {
-      const auto n = static_cast<std::int64_t>(it->second.size());
-      stats_.spectrum.entries -= n;
-      stats_.spectrum.evicted += n;
-      store_metrics().spectrum.evicted.add(n);
-      removed += n;
-      it = spectra_.erase(it);
-    }
+  // The spectrum and basis maps key by (fingerprint, Laplacian kind), so a
+  // fingerprint's entries form one contiguous range from the smallest kind.
+  for (auto it = spectra_.lower_bound({fingerprint, LaplacianKind{}});
+       it != spectra_.end() && it->first.first == fingerprint;
+       it = spectra_.erase(it)) {
+    const auto n = static_cast<std::int64_t>(it->second.size());
+    count_evicted(stats_.spectrum, ArtifactKind::kSpectrum, n);
+    removed += n;
   }
-  if (topo_.erase(fingerprint) > 0) {
-    --stats_.topo.entries;
-    ++stats_.topo.evicted;
-    store_metrics().topo.evicted.increment();
+  for_each_table([&](auto& table) {
+    const auto [first, last] = table.map.equal_range(fingerprint);
+    const auto n = static_cast<std::int64_t>(std::distance(first, last));
+    if (n == 0) return;
+    table.map.erase(first, last);
+    count_evicted(table.stats, std::decay_t<decltype(table)>::kind, n);
+    removed += n;
+  });
+  for (auto it = bases_.lower_bound({fingerprint, LaplacianKind{}});
+       it != bases_.end() && it->first.first == fingerprint;
+       it = bases_.erase(it)) {
+    basis_bytes_ -= static_cast<std::int64_t>(it->second.bytes);
+    count_evicted(stats_.eigenbasis, ArtifactKind::kEigenbasis, 1);
     ++removed;
-  }
-  {
-    auto it = mincut_.lower_bound({fingerprint, flow::FlowEngine{}});
-    while (it != mincut_.end() && it->first.first == fingerprint) {
-      --stats_.mincut.entries;
-      ++stats_.mincut.evicted;
-      store_metrics().mincut.evicted.increment();
-      ++removed;
-      it = mincut_.erase(it);
-    }
-  }
-  {
-    auto it = memsim_.lower_bound(std::make_tuple(
-        fingerprint, std::numeric_limits<std::int64_t>::min(),
-        std::numeric_limits<int>::min()));
-    while (it != memsim_.end() && std::get<0>(it->first) == fingerprint) {
-      --stats_.memsim.entries;
-      ++stats_.memsim.evicted;
-      store_metrics().memsim.evicted.increment();
-      ++removed;
-      it = memsim_.erase(it);
-    }
-  }
-  {
-    auto it = partition_.lower_bound(
-        {fingerprint, -std::numeric_limits<double>::infinity()});
-    while (it != partition_.end() && it->first.first == fingerprint) {
-      --stats_.partition.entries;
-      ++stats_.partition.evicted;
-      store_metrics().partition.evicted.increment();
-      ++removed;
-      it = partition_.erase(it);
-    }
-  }
-  {
-    auto it = bases_.lower_bound({fingerprint, LaplacianKind{}});
-    while (it != bases_.end() && it->first.first == fingerprint) {
-      basis_bytes_ -= static_cast<std::int64_t>(it->second.bytes);
-      --stats_.eigenbasis.entries;
-      ++stats_.eigenbasis.evicted;
-      store_metrics().eigenbasis.evicted.increment();
-      ++removed;
-      it = bases_.erase(it);
-    }
   }
   return removed;
 }
@@ -742,30 +608,21 @@ std::int64_t ArtifactStore::erase(std::uint64_t fingerprint) {
 void ArtifactStore::clear() {
   const std::scoped_lock lock(mutex_);
   spectra_.clear();
-  topo_.clear();
-  mincut_.clear();
-  memsim_.clear();
-  partition_.clear();
   bases_.clear();
   basis_bytes_ = 0;
   stats_.spectrum.entries = 0;
-  stats_.topo.entries = 0;
-  stats_.mincut.entries = 0;
-  stats_.memsim.entries = 0;
-  stats_.partition.entries = 0;
   stats_.eigenbasis.entries = 0;
+  for_each_table([](auto& table) {
+    table.map.clear();
+    table.stats.entries = 0;
+  });
 }
 
 std::int64_t ArtifactStore::compact() {
   const std::scoped_lock lock(mutex_);
   GIO_EXPECTS_MSG(durable(), "artifact store has no disk tier to compact");
-  std::filesystem::path tmp = log_path_;
-  tmp += ".tmp";
-  std::int64_t written = 0;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    GIO_EXPECTS_MSG(out.good(), "cannot write compacted artifact log '" +
-                                    tmp.string() + "'");
+  return log_->compact([this](std::ostream& out) {
+    std::int64_t written = 0;
     for (const auto& [key, slots] : spectra_)
       for (const SpectrumEntry& entry : slots) {
         if (!entry.solve.converged) continue;  // never persisted
@@ -774,69 +631,34 @@ std::int64_t ArtifactStore::compact() {
             << '\n';
         ++written;
       }
-    for (const auto& [fp, topo] : topo_) {
-      out << topo_line(fp, topo) << '\n';
-      ++written;
-    }
-    for (const auto& [key, sweep] : mincut_) {
-      if (!sweep.completed) continue;
-      out << mincut_line(key.first, key.second, sweep) << '\n';
-      ++written;
-    }
-    for (const auto& [key, row] : memsim_) {
-      out << memsim_line(std::get<0>(key), std::get<1>(key),
-                         std::get<2>(key), row)
-          << '\n';
-      ++written;
-    }
-    for (const auto& [key, row] : partition_) {
-      out << partition_line(key.first, key.second, row) << '\n';
-      ++written;
-    }
-    out.flush();
-    GIO_EXPECTS_MSG(out.good(), "error writing compacted artifact log '" +
-                                    tmp.string() + "'");
-  }
-  log_.close();
-  std::error_code ec;
-  const bool injected = faults::trip("store.disk.compact");
-  if (!injected) std::filesystem::rename(tmp, log_path_, ec);
-  if (injected || ec) {
-    // The original log is untouched by a failed rename: drop the stale
-    // .tmp, resume appending to the original, and surface the failure.
-    std::error_code rm;
-    std::filesystem::remove(tmp, rm);
-    log_.open(log_path_, std::ios::app);
-    if (injected)
-      throw faults::FaultInjected("store.disk.compact", "io", false);
-    GIO_EXPECTS_MSG(false, "cannot replace artifact log '" +
-                               log_path_.string() + "': " + ec.message());
-  }
-  // Make the rename itself durable: without a directory fsync a crash can
-  // resurface the old inode — or nothing at all.
-  fsync_path(log_path_.string());
-  fsync_parent_dir(log_path_.string());
-  log_.open(log_path_, std::ios::app);
-  GIO_EXPECTS_MSG(log_.good(), "cannot reopen artifact store log '" +
-                                   log_path_.string() + "'");
-  return written;
+    for_each_table([&](const auto& table) {
+      for (const auto& [key, value] : table.map) {
+        if (!persisted(value)) continue;
+        out << table_line(table, key, value) << '\n';
+        ++written;
+      }
+    });
+    return written;
+  });
 }
 
 void ArtifactStore::sync() {
   const std::scoped_lock lock(mutex_);
-  if (!durable()) return;
-  log_.flush();
-  if (!log_.good()) {
-    demote_locked("flush failed on '" + log_path_.string() + "'");
-    return;
-  }
-  fsync_path(log_path_.string());
+  if (durable()) log_->sync();
 }
 
 ArtifactStore::Stats ArtifactStore::stats() const {
   const std::scoped_lock lock(mutex_);
   Stats out = stats_;
+  out.topo = topo_.stats;
+  out.mincut = mincut_.stats;
+  out.memsim = memsim_.stats;
+  out.partition = partition_.stats;
   out.eigenbasis_bytes = basis_bytes_;
+  if (log_) {
+    out.appended = log_->appended();
+    out.demoted = log_->demoted();
+  }
   return out;
 }
 

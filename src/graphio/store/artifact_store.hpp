@@ -14,12 +14,18 @@
 //   memory tier   mutex-guarded maps, refcount-evicted by the stream
 //                 session via erase(fingerprint) — subsumes the former
 //                 ComponentSpectrumCache with identical hit semantics;
-//   disk tier     append-only JSONL (`<dir>/artifacts.jsonl`), mirroring
-//                 serve/ResultStore: replayed on startup, torn/garbage
-//                 lines counted and skipped, inserts appended and
-//                 flushed. erase() never touches disk — a cold restart
-//                 against a warm directory answers every method with
-//                 zero eigensolves and zero topo recomputes.
+//   disk tier     a JsonlLog (`<dir>/artifacts.jsonl`, see
+//                 support/jsonl_log.hpp — the same log behind
+//                 serve/ResultStore and the provenance trail): replayed
+//                 on startup, torn/garbage lines counted and skipped,
+//                 inserts appended and flushed. erase() never touches
+//                 disk — a cold restart against a warm directory answers
+//                 every method with zero eigensolves and zero topo
+//                 recomputes.
+//
+// The four uniform kinds (topo, mincut, memsim, partition) share one
+// templated per-kind table; spectrum (options-keyed slots) and eigenbasis
+// (memory-only LRU) keep their own code.
 //
 // One instance is shared by every ArtifactCache of an Engine, every
 // worker Engine of a serve Scheduler, and every stream session of a
@@ -28,7 +34,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -40,6 +45,7 @@
 #include "graphio/core/spectral_pipeline.hpp"
 #include "graphio/flow/convex_mincut.hpp"
 #include "graphio/graph/laplacian.hpp"
+#include "graphio/support/jsonl_log.hpp"
 
 namespace graphio::store {
 
@@ -243,11 +249,10 @@ class ArtifactStore {
   /// and inserts keep working, and the incident is surfaced once on
   /// stderr plus the `store.disk.demoted` counter.
   [[nodiscard]] bool durable() const noexcept {
-    return !log_path_.empty() && !demoted_;
+    return log_.has_value() && !log_->demoted();
   }
-  [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return log_path_;
-  }
+  /// The disk-tier log file (empty without a disk tier).
+  [[nodiscard]] const std::filesystem::path& path() const noexcept;
 
   /// Canonical encoding of exactly the solver-relevant option fields
   /// (core/spectral_bound.hpp solver_options_equal): two options compare
@@ -263,24 +268,52 @@ class ArtifactStore {
     ComponentSolve solve;
   };
 
+  /// One uniform artifact kind: a first-write-wins map keyed by
+  /// (fingerprint, kind options...) and its stats; the .cpp finds its
+  /// registry counters and line codec by `kind` and value type. The
+  /// comparator also takes a bare fingerprint, so one equal_range finds
+  /// every entry of a component.
+  template <ArtifactKind K, class V, class... Options>
+  struct Table {
+    static constexpr ArtifactKind kind = K;
+    using Key = std::tuple<std::uint64_t, Options...>;
+    using Value = V;
+    struct Less {
+      using is_transparent = void;
+      bool operator()(const Key& a, const Key& b) const { return a < b; }
+      bool operator()(const Key& a, std::uint64_t fp) const {
+        return std::get<0>(a) < fp;
+      }
+      bool operator()(std::uint64_t fp, const Key& b) const {
+        return fp < std::get<0>(b);
+      }
+    };
+    std::map<Key, Value, Less> map;
+    KindStats stats;
+  };
+  template <class F>
+  void for_each_table(F&& f) {
+    f(topo_);
+    f(mincut_);
+    f(memsim_);
+    f(partition_);
+  }
+
+  /// Inserts into a table (first write wins) and, when the entry is new
+  /// and persistable, appends it to the disk tier. Caller holds the mutex.
+  template <class T>
+  void insert_locked(T& table, const typename T::Key& key,
+                     const typename T::Value& value);
   /// Inserts without counting hits/misses; returns true when the memory
   /// tier changed (new entry, or an existing one improved) — the signal
   /// that a non-replay insert should also append to disk.
   bool put_spectrum_locked(std::uint64_t fingerprint, LaplacianKind kind,
                            int requested, const std::string& options_key,
                            const ComponentSolve& solve);
-  bool put_topo_locked(std::uint64_t fingerprint,
-                       const TopoOrderArtifact& topo);
-  bool put_mincut_locked(std::uint64_t fingerprint, flow::FlowEngine engine,
-                         const MincutSweepArtifact& sweep);
-  bool put_memsim_locked(std::uint64_t fingerprint, std::int64_t memory,
-                         int random_orders, const MemsimRowArtifact& row);
-  bool put_partition_locked(std::uint64_t fingerprint, double memory,
-                            const PartitionRowArtifact& row);
+  /// Decodes one log line into the memory tier; throws on a line it
+  /// cannot decode.
   void replay_line_locked(const std::string& line);
   void append_locked(const std::string& line);
-  /// Disables the disk tier after a write failure. Caller holds the mutex.
-  void demote_locked(const std::string& why);
 
   struct BasisEntry {
     Eigenbasis basis;
@@ -295,20 +328,20 @@ class ArtifactStore {
   std::map<std::pair<std::uint64_t, LaplacianKind>,
            std::vector<SpectrumEntry>>
       spectra_;
-  std::map<std::uint64_t, TopoOrderArtifact> topo_;
-  std::map<std::pair<std::uint64_t, flow::FlowEngine>, MincutSweepArtifact>
+  Table<ArtifactKind::kTopoOrder, TopoOrderArtifact> topo_;
+  Table<ArtifactKind::kMincutSweep, MincutSweepArtifact, flow::FlowEngine>
       mincut_;
-  std::map<std::tuple<std::uint64_t, std::int64_t, int>, MemsimRowArtifact>
+  Table<ArtifactKind::kMemsimRow, MemsimRowArtifact, std::int64_t, int>
       memsim_;
-  std::map<std::pair<std::uint64_t, double>, PartitionRowArtifact> partition_;
+  Table<ArtifactKind::kPartitionRow, PartitionRowArtifact, double> partition_;
   std::map<std::pair<std::uint64_t, LaplacianKind>, BasisEntry> bases_;
   std::int64_t basis_budget_ = 0;
   std::int64_t basis_bytes_ = 0;
   std::uint64_t basis_tick_ = 0;
+  /// Spectrum, eigenbasis and disk-tier counters (the tables hold their
+  /// own KindStats; appended/demoted are read from log_).
   Stats stats_;
-  std::filesystem::path log_path_;
-  std::ofstream log_;
-  bool demoted_ = false;
+  std::optional<JsonlLog> log_;
 };
 
 }  // namespace graphio::store

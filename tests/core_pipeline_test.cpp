@@ -290,9 +290,11 @@ TEST(SpectralPipeline, TrivialPlannedComponentsSkipEverything) {
 // Satellite (ISSUE 5): lookup-then-extract bounds equal the pre-plan
 // extract-then-lookup path to 1e-8 across specs × every solver policy.
 // The reference reproduces the PR 3/4 control flow literally: extract the
-// subgraph first, hash it, then consult the same cache type.
+// subgraph first, hash it, then consult the same cache type. The parameters
+// are std::string so gtest prints their text rather than their addresses,
+// which keeps the discovered ctest names identical across builds.
 class PlanPathParity
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(PlanPathParity, LookupFirstEqualsExtractFirst) {

@@ -107,6 +107,12 @@ struct ParityCase {
   double memory;
 };
 
+// Without this gtest prints the raw bytes of `spec` — a pointer, so the
+// discovered ctest names would change with every build.
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << c.spec << " at M=" << c.memory;
+}
+
 class EngineParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(EngineParity, SpectralMatchesDirectCall) {

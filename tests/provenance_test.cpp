@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -124,6 +125,31 @@ TEST(ProvenanceLogTest, AppendsReplayableJsonl) {
       load_provenance(dir.path / "provenance.jsonl");
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].to_json(), sample_record().to_json());
+}
+
+TEST(ProvenanceLogTest, AppendAfterTornTailStartsOnItsOwnLine) {
+  TempDir dir("graphio_provenance_torn_tail");
+  {
+    ProvenanceLog log(dir.path);
+    log.append(sample_record());
+  }
+  const std::filesystem::path file = dir.path / "provenance.jsonl";
+  {
+    // A crash mid-append: the fragment has no trailing newline.
+    std::ofstream out(file, std::ios::app);
+    out << "{\"schema\":1,\"kind";
+  }
+  {
+    ProvenanceLog log(dir.path);
+    log.append(sample_record());
+    EXPECT_EQ(log.appended(), 1);
+  }
+  std::ifstream in(file);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1], "{\"schema\":1,\"kind");
+  EXPECT_EQ(lines[2], sample_record().to_json());
 }
 
 TEST(ProvenanceEngineTest, EvaluationAssemblesLineage) {

@@ -389,6 +389,39 @@ TEST(ResultStore, SkipsCorruptLinesOnLoad) {
   EXPECT_EQ(store.stats().corrupt, 1);
 }
 
+TEST(ResultStore, TornTailWithoutNewlineKeepsTheNextInsert) {
+  const TempDir dir("graphio_store_torn_tail");
+  ResultStore::Key first;
+  first.graph_fingerprint = 1;
+  first.method = "spectral";
+  first.memory = 4.0;
+  engine::MethodRow row;
+  row.method = "spectral";
+  row.memory = 4.0;
+  row.value = 2.5;
+  { ResultStore(dir.path).insert(first, row); }
+  {
+    // A crash mid-append: the fragment has no trailing newline.
+    std::ofstream log(dir.path / "results.jsonl", std::ios::app);
+    log << "{\"graph\":\"0000";
+  }
+  ResultStore::Key second = first;
+  second.memory = 8.0;
+  {
+    ResultStore store(dir.path);
+    EXPECT_EQ(store.stats().corrupt, 1);
+    store.insert(second, row);
+    EXPECT_EQ(store.stats().appended, 1);
+  }
+  // The new row landed on its own line: it survives the next restart.
+  ResultStore store(dir.path);
+  EXPECT_EQ(store.stats().loaded, 2);
+  EXPECT_EQ(store.stats().corrupt, 1);
+  const auto back = store.lookup(second);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->value, 2.5);
+}
+
 TEST(ResultStore, WarmRerunHitsDiskAndSkipsEigensolves) {
   const TempDir dir("graphio_store_warm");
   std::string cold_output;

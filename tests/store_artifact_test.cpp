@@ -212,6 +212,30 @@ TEST(ArtifactStore, SkipsCorruptLinesOnLoad) {
   EXPECT_EQ(m->reads, 3);
 }
 
+TEST(ArtifactStore, TornTailWithoutNewlineKeepsTheNextArtifact) {
+  const TempDir dir("graphio_artifacts_torn_tail");
+  { ArtifactStore(dir.path).store_topo(1, TopoOrderArtifact{{0, 1}}); }
+  {
+    // A crash mid-append: the fragment has no trailing newline.
+    std::ofstream log(dir.path / "artifacts.jsonl", std::ios::app);
+    log << "{\"kind\":\"topo\",\"fp\":\"00";
+  }
+  {
+    ArtifactStore a(dir.path);
+    EXPECT_EQ(a.stats().corrupt, 1);
+    a.store_memsim(2, 4, 0, MemsimRowArtifact{5, 6});
+    EXPECT_EQ(a.stats().appended, 1);
+  }
+  // The new artifact landed on its own line: it survives the next restart.
+  ArtifactStore b(dir.path);
+  EXPECT_EQ(b.stats().loaded, 2);
+  EXPECT_EQ(b.stats().corrupt, 1);
+  const auto m = b.lookup_memsim(2, 4, 0);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->reads, 5);
+  EXPECT_EQ(m->writes, 6);
+}
+
 TEST(ArtifactStoreStream, CorruptedLogNeverPoisonsBounds) {
   const TempDir dir("graphio_artifacts_poison");
   {

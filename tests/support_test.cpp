@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -195,7 +196,9 @@ TEST(Parallel, DynamicScheduleCoversEveryIndexOnce) {
 }
 
 TEST(Parallel, HandlesSmallAndEmptyRanges) {
-  int calls = 0;
+  // Atomic: OpenMP has no spawn threshold, so even n = 3 may run on
+  // several threads at once.
+  std::atomic<int> calls{0};
   parallel_for(0, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   parallel_for(3, [&](std::int64_t) { ++calls; });  // below threshold
