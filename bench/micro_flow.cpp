@@ -1,10 +1,10 @@
-// Microbenchmarks: max-flow substrate and the per-vertex wavefront cut
-// that the convex min-cut baseline runs n times (google-benchmark).
+// Microbenchmarks: max-flow substrate, the per-vertex wavefront cut the
+// convex min-cut sweep runs for every unpruned vertex, and the free upper
+// bound it prunes with (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include "graphio/flow/convex_mincut.hpp"
 #include "graphio/flow/dinic.hpp"
-#include "graphio/flow/push_relabel.hpp"
 #include "graphio/graph/builders.hpp"
 
 namespace {
@@ -28,23 +28,6 @@ void BM_DinicUnitBipartite(benchmark::State& state) {
 }
 BENCHMARK(BM_DinicUnitBipartite)->Arg(32)->Arg(128);
 
-void BM_PushRelabelUnitBipartite(benchmark::State& state) {
-  // Same shape as BM_DinicUnitBipartite for a direct engine comparison.
-  const std::int64_t k = state.range(0);
-  for (auto _ : state) {
-    flow::PushRelabel net(2 * k + 2);
-    const std::int64_t s = 2 * k;
-    const std::int64_t t = 2 * k + 1;
-    for (std::int64_t i = 0; i < k; ++i) {
-      net.add_edge(s, i, 1);
-      net.add_edge(k + i, t, 1);
-      for (std::int64_t j = 0; j < k; ++j) net.add_edge(i, k + j, 1);
-    }
-    benchmark::DoNotOptimize(net.max_flow(s, t));
-  }
-}
-BENCHMARK(BM_PushRelabelUnitBipartite)->Arg(32)->Arg(128);
-
 void BM_WavefrontSingleVertex(benchmark::State& state) {
   const int l = static_cast<int>(state.range(0));
   const Digraph g = builders::fft(l);
@@ -55,15 +38,14 @@ void BM_WavefrontSingleVertex(benchmark::State& state) {
 }
 BENCHMARK(BM_WavefrontSingleVertex)->Arg(5)->Arg(7);
 
-void BM_WavefrontSingleVertexPushRelabel(benchmark::State& state) {
+void BM_WavefrontUpperBound(benchmark::State& state) {
   const int l = static_cast<int>(state.range(0));
   const Digraph g = builders::fft(l);
   const VertexId v = g.num_vertices() / 2;
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        flow::wavefront_mincut(g, v, flow::FlowEngine::kPushRelabel));
+    benchmark::DoNotOptimize(flow::wavefront_cut_upper_bound(g, v));
 }
-BENCHMARK(BM_WavefrontSingleVertexPushRelabel)->Arg(5)->Arg(7);
+BENCHMARK(BM_WavefrontUpperBound)->Arg(5)->Arg(7);
 
 void BM_ConvexMinCutFullSweep(benchmark::State& state) {
   const int l = static_cast<int>(state.range(0));

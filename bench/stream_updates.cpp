@@ -43,7 +43,10 @@
 //                      "kind": "partition"|"mincut"|"memsim",
 //                      "computes": 1, "scratch_computes": C,
 //                      "fingerprint_computes": 0,
-//                      "speedup": ..., "max_abs_diff": 0}, ...],
+//                      "speedup": ..., "max_abs_diff": 0,
+//                      mincut only: "incremental_flows": ...,
+//                      "scratch_flows": ...,
+//                      "scratch_vertices_with_children": ...}, ...],
 //    "restart": {"artifacts_loaded": ..., "cold_seconds": ...,
 //                "warm_seconds": ..., "warm_eigensolves": 0, ...,
 //                "warm_partition_runs": 0,
@@ -132,6 +135,11 @@ struct MethodCase {
   double scratch_seconds = 0.0;
   double speedup = 0.0;
   double max_abs_diff = 0.0;
+  // mincut only: max-flows run per side (the `mincut.flows` counter) and
+  // the scratch graph's vertices with a child, the unpruned flow count.
+  std::int64_t inc_flows = 0;
+  std::int64_t scratch_flows = 0;
+  std::int64_t scratch_vertices_with_children = 0;
 };
 
 /// Cold evaluation into a disk-backed artifact store vs a process
@@ -368,9 +376,13 @@ int main(int argc, char** argv) {
     patch.mutations.push_back(stream::Mutation::add_edge(jitter, jitter + 1));
     const stream::PatchReport applied = session.apply(patch);
 
+    telemetry::Counter& flows =
+        telemetry::MetricsRegistry::global().counter("mincut.flows");
+    const std::int64_t inc_flows_before = flows.value();
     WallTimer inc_timer;
     const engine::BoundReport inc = session.evaluate(req);
     mc.inc_seconds = inc_timer.seconds();
+    mc.inc_flows = flows.value() - inc_flows_before;
     mc.dirty = applied.dirty_components;
     mc.components = applied.components;
     mc.computes = kind_computes(mc.kind, inc.cache);
@@ -381,9 +393,14 @@ int main(int argc, char** argv) {
     scratch_req.graph = session.graph();
     scratch_req.name = "scratch";
     engine::Engine scratch_engine;
+    const std::int64_t scratch_flows_before = flows.value();
     WallTimer scratch_timer;
     const engine::BoundReport scratch = scratch_engine.evaluate(scratch_req);
     mc.scratch_seconds = scratch_timer.seconds();
+    mc.scratch_flows = flows.value() - scratch_flows_before;
+    const Digraph& final_graph = *scratch_req.graph;
+    for (VertexId v = 0; v < final_graph.num_vertices(); ++v)
+      if (final_graph.out_degree(v) > 0) ++mc.scratch_vertices_with_children;
     mc.scratch_computes = kind_computes(mc.kind, scratch.cache);
     mc.speedup =
         mc.inc_seconds > 0.0 ? mc.scratch_seconds / mc.inc_seconds : 0.0;
@@ -404,6 +421,11 @@ int main(int argc, char** argv) {
     if (mc.kind == "partition")
       require(mc.speedup > 1.0,
               "partition-dp incremental query beats from-scratch");
+    // The branch-and-bound sweep flows only the vertices whose free upper
+    // bound can still beat the best cut: a count, so immune to timing noise.
+    if (mc.kind == "mincut")
+      require(10 * mc.scratch_flows <= mc.scratch_vertices_with_children,
+              "mincut scratch sweep flows <= 10% of vertices with a child");
 
     mtable.add_row({mc.method, mc.kind, format_int(mc.dirty),
                     format_int(mc.computes),
@@ -414,6 +436,12 @@ int main(int argc, char** argv) {
                     format_double(mc.max_abs_diff, 12)});
   }
   mtable.print(std::cout);
+  for (const MethodCase& mc : method_cases)
+    if (mc.kind == "mincut")
+      std::cout << "mincut flows: incremental " << mc.inc_flows
+                << ", scratch " << mc.scratch_flows << " of "
+                << mc.scratch_vertices_with_children
+                << " vertices with a child\n";
 
   // --------------------------------------------- cold vs warm restart
   // Evaluate the store-backed methods into a disk tier, then "restart the
@@ -626,6 +654,12 @@ int main(int argc, char** argv) {
     w.key("scratch_seconds").value(mc.scratch_seconds);
     w.key("speedup").value(mc.speedup);
     w.key("max_abs_diff").value(mc.max_abs_diff);
+    if (mc.kind == "mincut") {
+      w.key("incremental_flows").value(mc.inc_flows);
+      w.key("scratch_flows").value(mc.scratch_flows);
+      w.key("scratch_vertices_with_children")
+          .value(mc.scratch_vertices_with_children);
+    }
     w.end_object();
   }
   w.end_array();

@@ -19,7 +19,8 @@ namespace graphio::engine {
 
 namespace {
 
-// Process-wide lifetime counters mirroring Stats. Resolved once (registry
+// Process-wide lifetime counters mirroring Stats (the mincut.* sweep
+// counters live in the registry only). Resolved once (registry
 // lookup takes a mutex), then every dual-write is a single relaxed atomic
 // add. The registry totals are monotone — they survive cache destruction
 // and graph reinstalls, which the per-instance Stats do not.
@@ -28,6 +29,8 @@ struct CacheMetrics {
   telemetry::Counter& misses;
   telemetry::Counter& eigensolves;
   telemetry::Counter& mincut_sweeps;
+  telemetry::Counter& mincut_flows;
+  telemetry::Counter& mincut_pruned;
   telemetry::Counter& topo_computes;
   telemetry::Counter& memsim_runs;
   telemetry::Counter& partition_runs;
@@ -46,6 +49,8 @@ CacheMetrics& cache_metrics() {
                               reg.counter("cache.misses"),
                               reg.counter("cache.eigensolves"),
                               reg.counter("cache.mincut_sweeps"),
+                              reg.counter("mincut.flows"),
+                              reg.counter("mincut.pruned"),
                               reg.counter("cache.topo_computes"),
                               reg.counter("cache.memsim_runs"),
                               reg.counter("cache.partition_runs"),
@@ -493,11 +498,10 @@ std::int64_t ArtifactCache::cached_spectrum_values(
 
 const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
     const flow::ConvexMinCutOptions& options) {
-  const auto it = max_cuts_.find(options.engine);
-  if (it != max_cuts_.end()) {
+  if (max_cut_) {
     ++stats_.hits;
     cache_metrics().hits.increment();
-    return it->second;
+    return *max_cut_;
   }
   ++stats_.misses;
   cache_metrics().misses.increment();
@@ -510,7 +514,7 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
     const auto i = static_cast<std::size_t>(c);
     if (d.edges[i] == 0) continue;  // no descendants anywhere: C(v) = 0
     const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_mincut(fp, options.engine)) {
+    if (auto cached = store_->lookup_mincut(fp)) {
       artifact.cuts[i] = cached->best_cut;
       if (cached->best_cut > artifact.best_cut) {
         artifact.best_cut = cached->best_cut;
@@ -539,13 +543,15 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
         .attr("edges", sub->num_edges());
     const flow::ConvexMinCutResult result =
         flow::convex_mincut_bound(*sub, 0.0, options);
+    cache_metrics().mincut_flows.add(result.flows);
+    cache_metrics().mincut_pruned.add(result.pruned);
+    mincut_span.attr("flows", result.flows).attr("pruned", result.pruned);
     mincut_span.end();
     artifact.cuts[i] = result.best_cut;
     artifact.completed = artifact.completed && result.completed;
     if (result.completed)
-      store_->store_mincut(fp, options.engine,
-                           {result.best_cut, result.best_vertex,
-                            result.vertices_processed, result.completed});
+      store_->store_mincut(fp, {result.best_cut, result.best_vertex,
+                                result.vertices_processed, result.completed});
     if (result.best_cut > artifact.best_cut) {
       artifact.best_cut = result.best_cut;
       artifact.best_vertex =
@@ -555,8 +561,7 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
               : VertexId{-1};
     }
   }
-  return max_cuts_.emplace(options.engine, std::move(artifact))
-      .first->second;
+  return max_cut_.emplace(std::move(artifact));
 }
 
 const ArtifactCache::MemsimArtifact& ArtifactCache::memsim_row(

@@ -206,8 +206,10 @@ class ArtifactCache {
   /// — equal to the classical whole-graph bound on connected graphs and
   /// at least as strong on disjoint unions. Each component's sweep
   /// resolves from the ArtifactStore by content fingerprint or computes
-  /// (and, when completed, publishes). Cached per flow engine; a finite
+  /// (and, when completed, publishes). Computed once per cache; a finite
   /// time budget applies per component on the first (computing) call.
+  /// Each computing sweep adds its max-flows and pruned vertices to the
+  /// `mincut.flows` / `mincut.pruned` counters and `mincut` span.
   struct WavefrontArtifact {
     std::vector<std::int64_t> cuts;  ///< per component, component order
     std::int64_t best_cut = 0;       ///< max over components
@@ -414,7 +416,7 @@ class ArtifactCache {
   std::uint64_t spectrum_touches_ = 0;
   std::vector<SpectrumRun> spectrum_runs_;
   std::map<LaplacianKind, std::int64_t> eigensolves_by_kind_;
-  std::map<flow::FlowEngine, WavefrontArtifact> max_cuts_;
+  std::optional<WavefrontArtifact> max_cut_;
   std::map<std::pair<std::int64_t, int>, MemsimArtifact> memsims_;
   std::map<double, PartitionArtifact> partitions_;
 };

@@ -16,6 +16,21 @@
 // structural ∞ arcs u_out → w_in (if u ∈ S and w ∉ S, u must pay) and
 // w_in → u_in (down-closure); connect s → v_in and every strict descendant
 // of v to t. Vertices with no descendants yield C(v) = 0 and are skipped.
+//
+// The sweep needs only max_v C(v) and its lowest-index argmax, so it runs
+// as a certified branch-and-bound. Any feasible S gives C(v) ≤ |W(S)|, and
+// two feasible sets come free with the descendant walk:
+//   - S = V ∖ desc(v). A parent of a non-descendant is a non-descendant,
+//     so S is down-closed; W(S) is the non-descendants with a child in
+//     desc(v).
+//   - S = anc(v) ∪ {v}. Ancestors of ancestors are ancestors, so S is
+//     down-closed, and in a DAG it misses desc(v); W(S) is its members
+//     with a child outside S.
+// UB(v) is the smaller of the two. Vertices are visited in descending UB
+// (ties by ascending index), and v's max-flow runs only when (UB(v), −v)
+// is lexicographically at least the best (C, −vertex) found so far: a
+// skipped vertex can neither beat the best cut nor tie it at a lower
+// index, so the answer equals the exhaustive sweep's at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +41,13 @@
 
 namespace graphio::flow {
 
-/// Max-flow engine used for the wavefront cuts; the two implementations
-/// are interchangeable (tests cross-certify them) and differ only in
-/// speed per network shape (bench/micro_flow).
-enum class FlowEngine { kDinic, kPushRelabel };
-
 /// C(v, G): the minimum wavefront size over down-closed sets containing v
 /// and excluding v's strict descendants. Returns 0 when v has none.
-std::int64_t wavefront_mincut(const Digraph& g, VertexId v,
-                              FlowEngine engine = FlowEngine::kDinic);
+std::int64_t wavefront_mincut(const Digraph& g, VertexId v);
+
+/// UB(v) ≥ C(v, G): the smaller wavefront of S = V ∖ desc(v) and
+/// S = anc(v) ∪ {v}. Returns 0 when v has no descendants.
+std::int64_t wavefront_cut_upper_bound(const Digraph& g, VertexId v);
 
 struct ConvexMinCutOptions {
   /// Wall-clock cutoff; when exceeded the sweep stops early and the result
@@ -42,15 +55,17 @@ struct ConvexMinCutOptions {
   double time_budget_seconds = std::numeric_limits<double>::infinity();
   /// Sweep vertices in parallel (OpenMP).
   bool parallel = true;
-  FlowEngine engine = FlowEngine::kDinic;
 };
 
 struct ConvexMinCutResult {
   double bound = 0.0;               ///< max_v 2·max(0, C(v) − M)
-  VertexId best_vertex = -1;        ///< argmax vertex (-1 if none positive)
+  VertexId best_vertex = -1;        ///< argmax vertex (-1 if none settled)
   std::int64_t best_cut = 0;        ///< C(best_vertex)
   bool completed = true;            ///< false when the time budget expired
+  /// Settled vertices: flowed, pruned by their upper bound, or childless.
   std::int64_t vertices_processed = 0;
+  std::int64_t flows = 0;           ///< max-flows run
+  std::int64_t pruned = 0;          ///< vertices skipped by the bound
   double seconds = 0.0;
 };
 

@@ -98,7 +98,6 @@
 #include "graphio/flow/convex_mincut.hpp"
 #include "graphio/flow/dinic.hpp"
 #include "graphio/flow/partitioner.hpp"
-#include "graphio/flow/push_relabel.hpp"
 
 // Execution simulator (upper bounds) and schedules.
 #include "graphio/sim/anneal.hpp"

@@ -100,17 +100,6 @@ LaplacianKind lap_from(const std::string& s) {
   return LaplacianKind::kPlain;  // unreachable
 }
 
-std::string_view flow_name(flow::FlowEngine engine) {
-  return engine == flow::FlowEngine::kDinic ? "dinic" : "push-relabel";
-}
-
-flow::FlowEngine flow_from(const std::string& s) {
-  if (s == "dinic") return flow::FlowEngine::kDinic;
-  if (s == "push-relabel") return flow::FlowEngine::kPushRelabel;
-  GIO_EXPECTS_MSG(false, "unknown flow engine '" + s + "'");
-  return flow::FlowEngine::kDinic;  // unreachable
-}
-
 la::SolverKind solver_from(const std::string& s) {
   if (s == "dense") return la::SolverKind::kDense;
   if (s == "lanczos") return la::SolverKind::kLanczos;
@@ -194,19 +183,20 @@ void decode_fields(const io::JsonValue& v, std::tuple<std::uint64_t>&,
     topo.order.push_back(item.as_int());
 }
 
-void encode_fields(io::JsonWriter& w,
-                   const std::tuple<std::uint64_t, flow::FlowEngine>& key,
+// Every mincut line names the "dinic" engine so existing logs replay
+// byte-for-byte; a line naming any other engine replays as corrupt.
+void encode_fields(io::JsonWriter& w, const std::tuple<std::uint64_t>&,
                    const MincutSweepArtifact& sweep) {
-  w.key("engine").value(flow_name(std::get<1>(key)));
+  w.key("engine").value("dinic");
   w.key("best_cut").value(sweep.best_cut);
   w.key("best_vertex").value(sweep.best_vertex);
   w.key("vertices_processed").value(sweep.vertices_processed);
 }
 
-void decode_fields(const io::JsonValue& v,
-                   std::tuple<std::uint64_t, flow::FlowEngine>& key,
+void decode_fields(const io::JsonValue& v, std::tuple<std::uint64_t>&,
                    MincutSweepArtifact& sweep) {
-  std::get<1>(key) = flow_from(v.at("engine").as_string());
+  const std::string& engine = v.at("engine").as_string();
+  GIO_EXPECTS_MSG(engine == "dinic", "unknown flow engine '" + engine + "'");
   sweep.best_cut = v.at("best_cut").as_int();
   sweep.best_vertex = v.at("best_vertex").as_int();
   sweep.vertices_processed = v.at("vertices_processed").as_int();
@@ -451,16 +441,15 @@ void ArtifactStore::store_topo(std::uint64_t fingerprint,
 }
 
 std::optional<MincutSweepArtifact> ArtifactStore::lookup_mincut(
-    std::uint64_t fingerprint, flow::FlowEngine engine) {
+    std::uint64_t fingerprint) {
   const std::scoped_lock lock(mutex_);
-  return find(mincut_, {fingerprint, engine});
+  return find(mincut_, {fingerprint});
 }
 
 void ArtifactStore::store_mincut(std::uint64_t fingerprint,
-                                 flow::FlowEngine engine,
                                  const MincutSweepArtifact& sweep) {
   const std::scoped_lock lock(mutex_);
-  insert_locked(mincut_, {fingerprint, engine}, sweep);
+  insert_locked(mincut_, {fingerprint}, sweep);
 }
 
 std::optional<MemsimRowArtifact> ArtifactStore::lookup_memsim(

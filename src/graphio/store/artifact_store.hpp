@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "graphio/core/spectral_pipeline.hpp"
-#include "graphio/flow/convex_mincut.hpp"
 #include "graphio/graph/laplacian.hpp"
 #include "graphio/support/jsonl_log.hpp"
 
@@ -134,11 +133,10 @@ class ArtifactStore {
   void store_topo(std::uint64_t fingerprint, const TopoOrderArtifact& topo);
 
   // ------------------------------------------------------ min-cut sweep
-  std::optional<MincutSweepArtifact> lookup_mincut(std::uint64_t fingerprint,
-                                                   flow::FlowEngine engine);
+  std::optional<MincutSweepArtifact> lookup_mincut(std::uint64_t fingerprint);
   /// Only completed sweeps reach the disk tier — a time-budget-cut sweep
   /// is a valid but degraded bound that must not be served forever.
-  void store_mincut(std::uint64_t fingerprint, flow::FlowEngine engine,
+  void store_mincut(std::uint64_t fingerprint,
                     const MincutSweepArtifact& sweep);
 
   // --------------------------------------------------------- memsim row
@@ -329,8 +327,7 @@ class ArtifactStore {
            std::vector<SpectrumEntry>>
       spectra_;
   Table<ArtifactKind::kTopoOrder, TopoOrderArtifact> topo_;
-  Table<ArtifactKind::kMincutSweep, MincutSweepArtifact, flow::FlowEngine>
-      mincut_;
+  Table<ArtifactKind::kMincutSweep, MincutSweepArtifact> mincut_;
   Table<ArtifactKind::kMemsimRow, MemsimRowArtifact, std::int64_t, int>
       memsim_;
   Table<ArtifactKind::kPartitionRow, PartitionRowArtifact, double> partition_;

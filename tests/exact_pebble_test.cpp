@@ -184,21 +184,34 @@ TEST(Enumerate, VisitSeesValidOrders) {
 // --- brute-force wavefront vs the Dinic reduction ------------------------
 
 class WavefrontAgreement
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  static Digraph graph() {
+    const auto [kind, size] = GetParam();
+    switch (kind) {
+      case 0: return builders::fft(size);
+      case 1: return builders::bhk_hypercube(size);
+      case 2: return builders::inner_product(size);
+      case 3: return builders::binary_tree(size);
+      default: return builders::grid(size, size);
+    }
+  }
+};
 
 TEST_P(WavefrontAgreement, BruteForceMatchesMaxFlow) {
-  const auto [kind, size] = GetParam();
-  Digraph g;
-  switch (kind) {
-    case 0: g = builders::fft(size); break;
-    case 1: g = builders::bhk_hypercube(size); break;
-    case 2: g = builders::inner_product(size); break;
-    case 3: g = builders::binary_tree(size); break;
-    default: g = builders::grid(size, size); break;
-  }
+  const Digraph g = graph();
   ASSERT_LE(g.num_vertices(), 24);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(flow::wavefront_mincut(g, v), brute_force_wavefront(g, v))
+        << "vertex " << v;
+  }
+}
+
+TEST_P(WavefrontAgreement, UpperBoundCoversBruteForce) {
+  const Digraph g = graph();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_LE(brute_force_wavefront(g, v),
+              flow::wavefront_cut_upper_bound(g, v))
         << "vertex " << v;
   }
 }

@@ -6,9 +6,13 @@
 #include "graphio/flow/partitioner.hpp"
 #include "graphio/graph/builders.hpp"
 #include "graphio/support/contracts.hpp"
+#include "mincut_reference.hpp"
 
 namespace graphio::flow {
 namespace {
+
+using testing_support::exhaustive_sweep;
+using testing_support::FourThreadTeam;
 
 TEST(WavefrontMinCut, PathGraphHasUnitWavefronts) {
   const Digraph g = builders::path(4);
@@ -98,6 +102,77 @@ TEST(ConvexMinCut, TimeBudgetStopsEarlyButStaysValid) {
   EXPECT_LT(result.vertices_processed, g.num_vertices());
   // Whatever was processed still yields a valid (possibly zero) bound.
   EXPECT_GE(result.bound, 0.0);
+}
+
+TEST(ConvexMinCut, UpperBoundIsAFeasibleWavefront) {
+  // Diamond 0 -> {1, 2} -> 3: at v = 1 both free wavefronts have two
+  // members ({1, 2} and {0, 1}).
+  Digraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  EXPECT_EQ(wavefront_cut_upper_bound(g, 0), 1);
+  EXPECT_EQ(wavefront_cut_upper_bound(g, 1), 2);
+  EXPECT_EQ(wavefront_cut_upper_bound(g, 3), 0);  // sink
+  EXPECT_THROW(wavefront_cut_upper_bound(g, 4), contract_error);
+  // Broadcast-gather 0 -> {1..4} -> 5 at v = 1: S = V ∖ {5} pays all four
+  // middles plus nothing else, S = {0, 1} pays two; the minimum is kept.
+  Digraph fan(6);
+  for (VertexId mid = 1; mid <= 4; ++mid) {
+    fan.add_edge(0, mid);
+    fan.add_edge(mid, 5);
+  }
+  EXPECT_EQ(wavefront_cut_upper_bound(fan, 1), 2);
+  EXPECT_EQ(wavefront_mincut(fan, 1), 2);
+}
+
+TEST(ConvexMinCut, PrunedSweepMatchesExhaustiveOnBoundColdFamilies) {
+  // Small instances of every family the bound-cold workload sweeps.
+  for (const Digraph& g :
+       {builders::fft(4), builders::bhk_hypercube(5),
+        builders::naive_matmul(3), builders::strassen_matmul(4),
+        builders::stencil2d(3, 3, 3), builders::erdos_renyi_dag(60, 0.05, 9),
+        builders::erdos_renyi_dag(90, 0.03, 10)}) {
+    const auto reference = exhaustive_sweep(g);
+    ConvexMinCutOptions serial;
+    serial.parallel = false;
+    const auto a = convex_mincut_bound(g, 0.0, serial);
+    ConvexMinCutResult b;
+    {
+      const FourThreadTeam team;
+      b = convex_mincut_bound(g, 0.0);
+    }
+    for (const ConvexMinCutResult& r : {a, b}) {
+      EXPECT_TRUE(r.completed);
+      EXPECT_EQ(r.best_cut, reference.best_cut) << "n=" << g.num_vertices();
+      EXPECT_EQ(r.best_vertex, reference.best_vertex)
+          << "n=" << g.num_vertices();
+      EXPECT_EQ(r.vertices_processed, g.num_vertices());
+      EXPECT_GE(r.flows, 1);
+    }
+  }
+}
+
+TEST(ConvexMinCut, PrunesOnFft5) {
+  const Digraph g = builders::fft(5);
+  ConvexMinCutOptions serial;
+  serial.parallel = false;
+  const auto r = convex_mincut_bound(g, 4.0, serial);
+  const auto sinks = static_cast<std::int64_t>(g.sinks().size());
+  EXPECT_GT(r.pruned, 0);
+  EXPECT_EQ(r.flows + r.pruned + sinks, g.num_vertices());
+  EXPECT_EQ(r.vertices_processed, g.num_vertices());
+}
+
+TEST(ConvexMinCut, EdgelessGraphKeepsVertexZero) {
+  const auto r = convex_mincut_bound(Digraph(5), 1.0);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.best_vertex, 0);
+  EXPECT_EQ(r.best_cut, 0);
+  EXPECT_EQ(r.vertices_processed, 5);
+  EXPECT_EQ(r.flows, 0);
+  EXPECT_EQ(convex_mincut_bound(Digraph(0), 1.0).best_vertex, -1);
 }
 
 TEST(ConvexMinCut, RejectsNegativeMemory) {

@@ -144,18 +144,5 @@ TEST(ExtendedIntegration, HierarchyProfileAgreesWithSandwich) {
   }
 }
 
-TEST(ExtendedIntegration, MincutEnginesAgreeOnExtendedKernels) {
-  for (Kernel k : {Kernel::kScan, Kernel::kTrisolve, Kernel::kStencil1d}) {
-    const Digraph g = build(k, 2);
-    flow::ConvexMinCutOptions dinic;
-    dinic.engine = flow::FlowEngine::kDinic;
-    flow::ConvexMinCutOptions pr;
-    pr.engine = flow::FlowEngine::kPushRelabel;
-    EXPECT_DOUBLE_EQ(flow::convex_mincut_bound(g, 4.0, dinic).bound,
-                     flow::convex_mincut_bound(g, 4.0, pr).bound)
-        << kernel_name(k);
-  }
-}
-
 }  // namespace
 }  // namespace graphio

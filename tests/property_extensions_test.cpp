@@ -1,14 +1,13 @@
 // Randomized property sweeps for the modules added on top of the paper
-// reproduction: schedule annealing, the p-processor simulator, the
-// push-relabel engine, and graph transforms. Random Erdős–Rényi DAGs
-// exercise shapes no hand-picked family covers.
+// reproduction: schedule annealing, the p-processor simulator, and graph
+// transforms. Random Erdős–Rényi DAGs exercise shapes no hand-picked
+// family covers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "graphio/core/spectral_bound.hpp"
-#include "graphio/flow/convex_mincut.hpp"
 #include "graphio/graph/builders.hpp"
 #include "graphio/graph/topo.hpp"
 #include "graphio/graph/transforms.hpp"
@@ -92,18 +91,6 @@ TEST_P(RandomExtensions, SerialAndParallelSimulatorsAgreeAtPEqualsOne) {
   EXPECT_EQ(parallel.per_processor[0].reads, serial.reads);
   EXPECT_EQ(parallel.per_processor[0].writes, serial.writes);
   EXPECT_EQ(parallel.per_processor[0].sends, 0);
-}
-
-TEST_P(RandomExtensions, FlowEnginesAgreeOnWavefronts) {
-  const Digraph g = graph();
-  Prng rng(GetParam().seed ^ 0x5A5A);
-  for (int i = 0; i < 6; ++i) {
-    const auto v = static_cast<VertexId>(
-        rng.below(static_cast<std::uint64_t>(g.num_vertices())));
-    EXPECT_EQ(flow::wavefront_mincut(g, v, flow::FlowEngine::kDinic),
-              flow::wavefront_mincut(g, v, flow::FlowEngine::kPushRelabel))
-        << "v=" << v;
-  }
 }
 
 TEST_P(RandomExtensions, TransitiveReductionInvariants) {

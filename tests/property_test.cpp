@@ -13,6 +13,7 @@
 #include "graphio/graph/topo.hpp"
 #include "graphio/la/symmetric_eigen.hpp"
 #include "graphio/sim/memsim.hpp"
+#include "mincut_reference.hpp"
 
 namespace graphio {
 namespace {
@@ -68,6 +69,34 @@ TEST_P(RandomGraphProperty, BoundsSandwichSimulatedIo) {
   EXPECT_LE(thm4, static_cast<double>(upper.total()) + 1e-6);
   EXPECT_LE(thm5, thm4 + 1e-9);
   EXPECT_LE(mincut, static_cast<double>(upper.total()) + 1e-6);
+}
+
+TEST_P(RandomGraphProperty, WavefrontCutsStayBelowUpperBound) {
+  const auto [n, p, seed] = GetParam();
+  const Digraph g = builders::erdos_renyi_dag(n, p, seed);
+  for (VertexId v = 0; v < n; ++v)
+    EXPECT_LE(flow::wavefront_mincut(g, v),
+              flow::wavefront_cut_upper_bound(g, v))
+        << "v=" << v;
+}
+
+TEST_P(RandomGraphProperty, PrunedSweepMatchesExhaustiveReference) {
+  const auto [n, p, seed] = GetParam();
+  const Digraph g = builders::erdos_renyi_dag(n, p, seed);
+  const auto reference = testing_support::exhaustive_sweep(g);
+  flow::ConvexMinCutOptions serial;
+  serial.parallel = false;
+  const auto a = flow::convex_mincut_bound(g, 0.0, serial);
+  flow::ConvexMinCutResult b;
+  {
+    const testing_support::FourThreadTeam team;
+    b = flow::convex_mincut_bound(g, 0.0);
+  }
+  for (const flow::ConvexMinCutResult& r : {a, b}) {
+    EXPECT_EQ(r.best_cut, reference.best_cut);
+    EXPECT_EQ(r.best_vertex, reference.best_vertex);
+    EXPECT_EQ(r.vertices_processed, n);
+  }
 }
 
 TEST_P(RandomGraphProperty, SimulatorInvariants) {

@@ -142,7 +142,7 @@ TEST(ArtifactStore, TopoMincutMemsimRoundTripAcrossRestart) {
   {
     ArtifactStore a(dir.path);
     a.store_topo(11, topo);
-    a.store_mincut(11, flow::FlowEngine::kDinic, sweep);
+    a.store_mincut(11, sweep);
     a.store_memsim(11, /*memory=*/8, /*random_orders=*/3, row);
     EXPECT_EQ(a.stats().appended, 3);
   }
@@ -151,7 +151,7 @@ TEST(ArtifactStore, TopoMincutMemsimRoundTripAcrossRestart) {
   const auto t = b.lookup_topo(11);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->order, topo.order);
-  const auto c = b.lookup_mincut(11, flow::FlowEngine::kDinic);
+  const auto c = b.lookup_mincut(11);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->best_cut, sweep.best_cut);
   EXPECT_EQ(c->best_vertex, sweep.best_vertex);
@@ -161,8 +161,7 @@ TEST(ArtifactStore, TopoMincutMemsimRoundTripAcrossRestart) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->reads, row.reads);
   EXPECT_EQ(m->writes, row.writes);
-  // Key dimensions are honored: other engine / memory / orders miss.
-  EXPECT_FALSE(b.lookup_mincut(11, flow::FlowEngine::kPushRelabel));
+  // Key dimensions are honored: other memory / orders miss.
   EXPECT_FALSE(b.lookup_memsim(11, 16, 3));
   EXPECT_FALSE(b.lookup_memsim(11, 8, 4));
 }
@@ -174,11 +173,39 @@ TEST(ArtifactStore, IncompleteMincutSweepsStayMemoryOnly) {
   partial.completed = false;
   {
     ArtifactStore a(dir.path);
-    a.store_mincut(5, flow::FlowEngine::kDinic, partial);
+    a.store_mincut(5, partial);
     EXPECT_EQ(a.stats().appended, 0);
   }
   ArtifactStore b(dir.path);
-  EXPECT_FALSE(b.lookup_mincut(5, flow::FlowEngine::kDinic));
+  EXPECT_FALSE(b.lookup_mincut(5));
+}
+
+TEST(ArtifactStore, MincutLineBytesAndUnknownEngineReplay) {
+  const TempDir dir("graphio_artifacts_mincut_line");
+  {
+    ArtifactStore a(dir.path);
+    a.store_mincut(0xAB, MincutSweepArtifact{7, 3, 12});
+  }
+  std::ifstream in(dir.path / "artifacts.jsonl");
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line,
+            "{\"kind\":\"mincut\",\"fp\":\"00000000000000ab\","
+            "\"engine\":\"dinic\",\"best_cut\":7,\"best_vertex\":3,"
+            "\"vertices_processed\":12}");
+  in.close();
+  {
+    // Lines naming any engine but dinic are corrupt on replay.
+    std::ofstream log(dir.path / "artifacts.jsonl", std::ios::app);
+    log << "{\"kind\":\"mincut\",\"fp\":\"00000000000000cd\","
+           "\"engine\":\"push-relabel\",\"best_cut\":7,"
+           "\"best_vertex\":3,\"vertices_processed\":12}\n";
+  }
+  ArtifactStore b(dir.path);
+  EXPECT_EQ(b.stats().loaded, 1);
+  EXPECT_EQ(b.stats().corrupt, 1);
+  EXPECT_TRUE(b.lookup_mincut(0xAB));
+  EXPECT_FALSE(b.lookup_mincut(0xCD));
 }
 
 // ------------------------------------------------- corruption tolerance
@@ -275,7 +302,7 @@ TEST(ArtifactStore, EraseDropsMemoryTierOnly) {
     a.store_spectrum(9, LaplacianKind::kOutDegreeNormalized, 2, lanczos_options(),
                      sample_solve());
     a.store_topo(9, TopoOrderArtifact{{0}});
-    a.store_mincut(9, flow::FlowEngine::kDinic, MincutSweepArtifact{1, 0, 1});
+    a.store_mincut(9, MincutSweepArtifact{1, 0, 1});
     a.store_memsim(9, 4, 0, MemsimRowArtifact{1, 1});
     a.store_topo(10, TopoOrderArtifact{{0}});  // unrelated fingerprint
     EXPECT_EQ(a.stats().entries(), 5);
@@ -319,7 +346,7 @@ TEST(ArtifactStore, PerKindStatsCountHitsAndMisses) {
   EXPECT_FALSE(store.lookup_topo(1));
   store.store_topo(1, TopoOrderArtifact{{0}});
   EXPECT_TRUE(store.lookup_topo(1));
-  EXPECT_FALSE(store.lookup_mincut(1, flow::FlowEngine::kDinic));
+  EXPECT_FALSE(store.lookup_mincut(1));
   EXPECT_FALSE(store.lookup_memsim(1, 4, 0));
   const ArtifactStore::Stats s = store.stats();
   EXPECT_EQ(s.topo.hits, 1);

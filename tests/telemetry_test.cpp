@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graphio/engine/engine.hpp"
+#include "graphio/graph/builders.hpp"
 #include "graphio/io/json.hpp"
 #include "graphio/serve/batch_session.hpp"
 #include "graphio/serve/job.hpp"
@@ -344,6 +345,50 @@ TEST(TelemetryIntegrationTest, CacheStatsEqualRegistryDelta) {
   EXPECT_EQ(reg.counter("cache.eigensolves").value() - solves_before,
             stats.eigensolves);
   EXPECT_GT(stats.eigensolves, 0);
+}
+
+// Every computing min-cut sweep reports its flows and pruned vertices on
+// the `mincut` span and in the registry; together with the childless
+// vertices they settle the whole component.
+TEST(TelemetryIntegrationTest, MincutSweepCountsFlowsAndPruned) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const std::int64_t flows_before = reg.counter("mincut.flows").value();
+  const std::int64_t pruned_before = reg.counter("mincut.pruned").value();
+  const std::int64_t sweeps_before =
+      reg.counter("cache.mincut_sweeps").value();
+  Tracer& tracer = Tracer::global();
+  tracer.enable();
+  engine::Engine eng;
+  engine::BoundRequest req;
+  req.spec = "fft:5";
+  req.memories = {4};
+  req.methods = {"mincut"};
+  (void)eng.evaluate(req);
+  tracer.disable();
+
+  std::int64_t span_flows = 0;
+  std::int64_t span_pruned = 0;
+  int sweeps = 0;
+  for (const SpanRecord& r : tracer.snapshot()) {
+    if (r.name != "mincut") continue;
+    ++sweeps;
+    for (const auto& a : r.attrs) {
+      if (a.key == "flows") span_flows += a.int_value;
+      if (a.key == "pruned") span_pruned += a.int_value;
+    }
+  }
+  tracer.clear();
+  EXPECT_EQ(sweeps, 1);
+  EXPECT_EQ(reg.counter("cache.mincut_sweeps").value() - sweeps_before, 1);
+  EXPECT_EQ(reg.counter("mincut.flows").value() - flows_before, span_flows);
+  EXPECT_EQ(reg.counter("mincut.pruned").value() - pruned_before,
+            span_pruned);
+  const Digraph g = builders::fft(5);
+  EXPECT_GE(span_flows, 1);
+  EXPECT_GT(span_pruned, 0);
+  EXPECT_EQ(span_flows + span_pruned +
+                static_cast<std::int64_t>(g.sinks().size()),
+            g.num_vertices());
 }
 
 // Reinstalling a graph under the same name (what every stream patch does)
