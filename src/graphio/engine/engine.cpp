@@ -221,15 +221,10 @@ ArtifactCache::Stats Engine::stats() const {
 }
 
 std::vector<BoundReport> Engine::evaluate_batch(
-    std::span<const BoundRequest> requests, bool parallel) {
+    std::span<const BoundRequest> requests) {
   std::vector<BoundReport> reports(requests.size());
-  if (!parallel) {
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      reports[i] = evaluate(requests[i]);
-    return reports;
-  }
-  // Parallel path: private caches per request keep the fan-out race-free
-  // without locking the persistent cache map.
+  // Private caches per request keep the fan-out race-free without locking
+  // the persistent cache map.
   std::vector<std::string> errors(requests.size());
   parallel_for_dynamic(static_cast<std::int64_t>(requests.size()),
                        [&](std::int64_t i) {

@@ -55,11 +55,11 @@ class Engine {
   BoundReport evaluate(const BoundRequest& request);
 
   /// Evaluates many requests, fanning out through support/parallel.hpp.
-  /// Each parallel request uses a private ArtifactCache (the persistent
-  /// per-spec caches are only read by the serial path), so results match
-  /// sequential evaluation exactly.
+  /// Each request uses a private ArtifactCache (the persistent per-spec
+  /// caches stay untouched), so results match sequential evaluate() calls
+  /// exactly.
   std::vector<BoundReport> evaluate_batch(
-      std::span<const BoundRequest> requests, bool parallel = true);
+      std::span<const BoundRequest> requests);
 
   /// Builds (or fetches from cache) the graph a spec resolves to without
   /// evaluating anything — for callers that need structural facts (vertex

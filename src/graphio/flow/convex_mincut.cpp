@@ -153,11 +153,7 @@ ConvexMinCutResult convex_mincut_bound(const Digraph& g, double memory,
       if (timer.seconds() > options.time_budget_seconds)
         expired.store(true, std::memory_order_relaxed);
     };
-    if (options.parallel && last - first > 1) {
-      parallel_for_dynamic(last - first, guarded);
-    } else {
-      for (std::int64_t i = 0; first + i < last && !expired; ++i) guarded(i);
-    }
+    parallel_for_dynamic(last - first, guarded);
   };
 
   std::vector<std::int64_t> upper(static_cast<std::size_t>(n), 0);

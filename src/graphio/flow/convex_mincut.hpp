@@ -53,8 +53,6 @@ struct ConvexMinCutOptions {
   /// Wall-clock cutoff; when exceeded the sweep stops early and the result
   /// is marked incomplete (the partial maximum is still a valid bound).
   double time_budget_seconds = std::numeric_limits<double>::infinity();
-  /// Sweep vertices in parallel (OpenMP).
-  bool parallel = true;
 };
 
 struct ConvexMinCutResult {

@@ -55,6 +55,10 @@
 
 namespace graphio::serve {
 
+/// Eigenbasis budget in MiB that `graphio stream` and audit::replay()
+/// default to when replaying an updates file.
+inline constexpr std::int64_t kStreamWarmBasisMb = 64;
+
 struct BatchOptions {
   /// Worker threads; 0 means hardware_threads().
   int threads = 0;

@@ -2,16 +2,13 @@
 //
 // The library parallelizes its hot loops (CSR matvec, reorthogonalization,
 // the per-vertex min-cut sweep) with OpenMP when available. Builds without
-// OpenMP (e.g. the ThreadSanitizer CI job) fall back to a std::thread
-// implementation with the same contract instead of silently going serial:
-// parallel_for chunks statically, parallel_for_dynamic hands out indices
-// through an atomic counter. Both fallbacks run serially when the loop is
-// too small to amortize thread spawns, when the machine has one hardware
-// thread, or when called from inside another parallel region (OpenMP's
-// default no-nesting behavior).
+// OpenMP (e.g. the ThreadSanitizer CI job) run parallel_for serially, since
+// its fine-grained bodies do not pay for a thread spawn per call, and
+// parallel_for_dynamic, whose bodies are heavyweight (a max-flow per index),
+// on std::threads that take indices from an atomic counter.
 //
 // Threads that are themselves one lane of an outer pool — the serve
-// scheduler's workers — hold a SerialRegion so every parallel_for they
+// scheduler's workers — hold a SerialRegion so every parallel loop they
 // reach degrades to serial in both build flavors; without it, N workers
 // concurrently eigensolving would each spawn hardware_threads() more
 // threads (N× oversubscription).
@@ -30,8 +27,7 @@
 
 namespace graphio {
 
-/// Number of worker threads a parallel_for may use (1 without any
-/// parallelism support).
+/// Number of worker threads a parallel loop may use.
 inline int hardware_threads() noexcept {
 #if defined(GRAPHIO_HAS_OPENMP)
   return omp_get_max_threads();
@@ -68,51 +64,10 @@ class SerialRegion {
   bool previous_;
 };
 
-#if !defined(GRAPHIO_HAS_OPENMP)
-namespace detail {
-
-/// Spawn threshold for the static schedule: below this many indices a
-/// uniform body (one matvec row, one axpy element) finishes faster than
-/// the threads start.
-constexpr std::int64_t kMinStaticParallel = 2048;
-
-template <typename Body>
-void run_threaded(std::int64_t n, std::int64_t grain, const Body& body) {
-  const int threads = static_cast<int>(
-      std::min<std::int64_t>(hardware_threads(), (n + grain - 1) / grain));
-  std::atomic<std::int64_t> next{0};
-  auto worker = [&]() noexcept {
-    const SerialRegion nested_guard;
-    for (;;) {
-      const std::int64_t begin = next.fetch_add(grain);
-      if (begin >= n) break;
-      const std::int64_t end = std::min(n, begin + grain);
-      for (std::int64_t i = begin; i < end; ++i) body(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads - 1));
-  for (int t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();  // the calling thread participates
-  for (std::thread& t : pool) t.join();
-}
-
-template <typename Body>
-bool run_serial_if_small(std::int64_t n, std::int64_t threshold,
-                         const Body& body) {
-  if (n >= threshold && hardware_threads() > 1 && !serial_override())
-    return false;
-  for (std::int64_t i = 0; i < n; ++i) body(i);
-  return true;
-}
-
-}  // namespace detail
-#endif
-
-/// Runs body(i) for i in [0, n) — in parallel when possible.
-/// The body must write to disjoint state per index (no synchronization is
-/// provided; C++ Core Guidelines CP.2: avoid data races by construction)
-/// and must not throw.
+/// Runs body(i) for i in [0, n) — in parallel under OpenMP, serially
+/// otherwise. The body must write to disjoint state per index (no
+/// synchronization is provided; C++ Core Guidelines CP.2: avoid data races
+/// by construction) and must not throw.
 template <typename Body>
 void parallel_for(std::int64_t n, const Body& body) {
 #if defined(GRAPHIO_HAS_OPENMP)
@@ -123,30 +78,39 @@ void parallel_for(std::int64_t n, const Body& body) {
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < n; ++i) body(i);
 #else
-  if (detail::run_serial_if_small(n, detail::kMinStaticParallel, body))
-    return;
-  const std::int64_t chunk =
-      (n + hardware_threads() - 1) / hardware_threads();
-  detail::run_threaded(n, chunk, body);
+  for (std::int64_t i = 0; i < n; ++i) body(i);
 #endif
 }
 
 /// Same but with a dynamic schedule; used when per-index work is skewed
 /// (e.g. the convex min-cut sweep where max-flow cost varies per vertex).
+/// Fewer than two indices run serially, without a thread team.
 template <typename Body>
 void parallel_for_dynamic(std::int64_t n, const Body& body) {
 #if defined(GRAPHIO_HAS_OPENMP)
-  if (detail::serial_override()) {
+  if (n < 2 || detail::serial_override()) {
     for (std::int64_t i = 0; i < n; ++i) body(i);
     return;
   }
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::int64_t i = 0; i < n; ++i) body(i);
 #else
-  // Dynamic callers have heavyweight bodies (a max-flow per index), so
-  // any n >= 2 is worth distributing.
-  if (detail::run_serial_if_small(n, 2, body)) return;
-  detail::run_threaded(n, 1, body);
+  const int threads =
+      static_cast<int>(std::min<std::int64_t>(hardware_threads(), n));
+  if (threads < 2 || detail::serial_override()) {
+    for (std::int64_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  std::atomic<std::int64_t> next{0};
+  auto worker = [&]() noexcept {
+    const SerialRegion nested_guard;
+    for (std::int64_t i = next++; i < n; i = next++) body(i);
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads - 1));
+  for (int t = 1; t < threads; ++t) pool.emplace_back(worker);
+  worker();  // the calling thread participates
+  for (std::thread& t : pool) t.join();
 #endif
 }
 

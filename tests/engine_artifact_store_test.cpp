@@ -255,7 +255,7 @@ TEST(ArtifactStoreEngine, BatchFanOutSharesComponents) {
     requests[i].memories = {static_cast<double>(4 << i)};
     requests[i].methods = {"spectral"};
   }
-  engine.evaluate_batch(requests, /*parallel=*/true);
+  engine.evaluate_batch(requests);
   const store::ArtifactStore::Stats stats = engine.artifact_store()->stats();
   // Workers race, so up to hardware-parallelism requests may miss before
   // the first store lands; the store still converges to one entry and

@@ -351,11 +351,11 @@ TEST(EngineBatch, MatchesSequentialEvaluation) {
     r.spectral = exact_options();
   }
   Engine parallel_engine;
-  const auto parallel =
-      parallel_engine.evaluate_batch(requests, /*parallel=*/true);
+  const auto parallel = parallel_engine.evaluate_batch(requests);
   Engine serial_engine;
-  const auto serial =
-      serial_engine.evaluate_batch(requests, /*parallel=*/false);
+  std::vector<BoundReport> serial;
+  for (const BoundRequest& request : requests)
+    serial.push_back(serial_engine.evaluate(request));
 
   ASSERT_EQ(parallel.size(), 3u);
   ASSERT_EQ(serial.size(), 3u);

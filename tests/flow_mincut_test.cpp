@@ -6,6 +6,7 @@
 #include "graphio/flow/partitioner.hpp"
 #include "graphio/graph/builders.hpp"
 #include "graphio/support/contracts.hpp"
+#include "graphio/support/parallel.hpp"
 #include "mincut_reference.hpp"
 
 namespace graphio::flow {
@@ -85,9 +86,11 @@ TEST(ConvexMinCut, HypercubeGivesPositiveBoundForSmallMemory) {
 
 TEST(ConvexMinCut, SerialAndParallelAgree) {
   const Digraph g = builders::fft(4);
-  ConvexMinCutOptions serial;
-  serial.parallel = false;
-  const auto a = convex_mincut_bound(g, 4.0, serial);
+  ConvexMinCutResult a;
+  {
+    const SerialRegion serial;
+    a = convex_mincut_bound(g, 4.0);
+  }
   const auto b = convex_mincut_bound(g, 4.0);
   EXPECT_DOUBLE_EQ(a.bound, b.bound);
   EXPECT_EQ(a.best_cut, b.best_cut);
@@ -135,9 +138,11 @@ TEST(ConvexMinCut, PrunedSweepMatchesExhaustiveOnBoundColdFamilies) {
         builders::stencil2d(3, 3, 3), builders::erdos_renyi_dag(60, 0.05, 9),
         builders::erdos_renyi_dag(90, 0.03, 10)}) {
     const auto reference = exhaustive_sweep(g);
-    ConvexMinCutOptions serial;
-    serial.parallel = false;
-    const auto a = convex_mincut_bound(g, 0.0, serial);
+    ConvexMinCutResult a;
+    {
+      const SerialRegion serial;
+      a = convex_mincut_bound(g, 0.0);
+    }
     ConvexMinCutResult b;
     {
       const FourThreadTeam team;
@@ -156,9 +161,8 @@ TEST(ConvexMinCut, PrunedSweepMatchesExhaustiveOnBoundColdFamilies) {
 
 TEST(ConvexMinCut, PrunesOnFft5) {
   const Digraph g = builders::fft(5);
-  ConvexMinCutOptions serial;
-  serial.parallel = false;
-  const auto r = convex_mincut_bound(g, 4.0, serial);
+  const SerialRegion serial;
+  const auto r = convex_mincut_bound(g, 4.0);
   const auto sinks = static_cast<std::int64_t>(g.sinks().size());
   EXPECT_GT(r.pruned, 0);
   EXPECT_EQ(r.flows + r.pruned + sinks, g.num_vertices());

@@ -13,6 +13,7 @@
 #include "graphio/graph/topo.hpp"
 #include "graphio/la/symmetric_eigen.hpp"
 #include "graphio/sim/memsim.hpp"
+#include "graphio/support/parallel.hpp"
 #include "mincut_reference.hpp"
 
 namespace graphio {
@@ -84,9 +85,11 @@ TEST_P(RandomGraphProperty, PrunedSweepMatchesExhaustiveReference) {
   const auto [n, p, seed] = GetParam();
   const Digraph g = builders::erdos_renyi_dag(n, p, seed);
   const auto reference = testing_support::exhaustive_sweep(g);
-  flow::ConvexMinCutOptions serial;
-  serial.parallel = false;
-  const auto a = flow::convex_mincut_bound(g, 0.0, serial);
+  flow::ConvexMinCutResult a;
+  {
+    const SerialRegion serial;
+    a = flow::convex_mincut_bound(g, 0.0);
+  }
   flow::ConvexMinCutResult b;
   {
     const testing_support::FourThreadTeam team;

@@ -164,18 +164,17 @@ TEST(Env, ReadsIntegers) {
 }
 
 // parallel_for / parallel_for_dynamic must produce the same result as a
-// serial loop in every build flavor: OpenMP, the std::thread fallback,
-// and the degraded serial paths (small n, nested regions). The bodies
-// write disjoint slots per CP.2, so these also serve as the
-// ThreadSanitizer CI job's data-race probes.
+// serial loop in every build flavor: OpenMP, the no-OpenMP build (serial
+// parallel_for, std::thread parallel_for_dynamic), and the degraded serial
+// paths (n < 2, nested regions). The bodies write disjoint slots per CP.2,
+// so these also serve as the ThreadSanitizer CI job's data-race probes.
 
 TEST(Parallel, HardwareThreadsIsPositive) {
   EXPECT_GE(hardware_threads(), 1);
 }
 
 TEST(Parallel, StaticScheduleCoversEveryIndexOnce) {
-  // Above the fallback's spawn threshold so the threaded path runs when
-  // hardware allows.
+  // Large enough that an OpenMP team splits it across every thread.
   const std::int64_t n = 10000;
   std::vector<int> touched(static_cast<std::size_t>(n), 0);
   parallel_for(n, [&](std::int64_t i) {
@@ -196,12 +195,12 @@ TEST(Parallel, DynamicScheduleCoversEveryIndexOnce) {
 }
 
 TEST(Parallel, HandlesSmallAndEmptyRanges) {
-  // Atomic: OpenMP has no spawn threshold, so even n = 3 may run on
-  // several threads at once.
+  // Atomic: both loops may split even n = 3 across several threads
+  // (OpenMP always, the no-OpenMP parallel_for_dynamic from n = 2).
   std::atomic<int> calls{0};
   parallel_for(0, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallel_for(3, [&](std::int64_t) { ++calls; });  // below threshold
+  parallel_for(3, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 3);
   parallel_for_dynamic(0, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 3);
@@ -225,9 +224,9 @@ TEST(Parallel, SerialRegionForcesSerialExecutionInEveryBuild) {
 
 TEST(Parallel, NestedRegionsStaySafe) {
   // An outer dynamic loop whose body runs an inner parallel_for: the
-  // fallback must serialize the inner loop instead of oversubscribing
-  // (OpenMP does the same with nesting disabled). Totals must match the
-  // doubly-serial result either way.
+  // inner loop must run serially instead of oversubscribing (the
+  // std::thread workers hold a SerialRegion; OpenMP has nesting
+  // disabled). Totals must match the doubly-serial result either way.
   const std::int64_t outer = 8;
   const std::int64_t inner = 5000;
   std::vector<std::int64_t> sums(static_cast<std::size_t>(outer), 0);

@@ -27,13 +27,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "graphio/audit/provenance.hpp"
+#include "graphio/audit/replay.hpp"
 #include "graphio/core/hierarchy.hpp"
 #include "graphio/core/spectral_bound.hpp"
 #include "graphio/engine/engine.hpp"
@@ -52,7 +51,6 @@
 #include "graphio/sim/parallel_memsim.hpp"
 #include "graphio/sim/schedule.hpp"
 #include "graphio/store/artifact_store.hpp"
-#include "graphio/stream/session.hpp"
 #include "graphio/support/table.hpp"
 #include "graphio/telemetry/metrics.hpp"
 #include "graphio/telemetry/trace.hpp"
@@ -681,9 +679,9 @@ int cmd_stream(const Args& a) {
   std::ifstream updates(a.graphs.front());
   if (!updates.good())
     usage("cannot open updates file '" + a.graphs.front() + "'");
-  // Warm-started solves default ON for stream replay (64 MiB of retained
-  // eigenbases); --warm-basis-mb 0 turns the layer off.
-  serve::BatchSession session(batch_options(a, /*default_warm_mb=*/64));
+  // Warm-started solves default ON for stream replay; --warm-basis-mb 0
+  // turns the layer off.
+  serve::BatchSession session(batch_options(a, serve::kStreamWarmBasisMb));
   // serve(): the ordered single-lane loop — every query sees exactly the
   // patches above it, and results stream out as they complete.
   const serve::BatchSummary summary = session.serve(updates, std::cout);
@@ -819,13 +817,8 @@ void finish_telemetry(const Args& a) {
 }
 
 /// `graphio audit DIR|FILE [updates.jsonl]`: loads a recorded provenance
-/// trail, checks every record's internal tier/certificate consistency,
-/// then replays the recorded work from scratch — bound records through a
-/// fresh Engine via their recorded request, stream records by re-running
-/// the updates file through fresh StreamSessions — and verifies the
-/// bounds come out bit-identical. Solver *tiers* may legitimately differ
-/// between recording and replay (a warm recorded run replays cold), so
-/// replayed records are checked for internal consistency, not equality.
+/// trail and replays it from scratch through audit::replay (stream records
+/// through their updates file); exits 1 on any issue or mismatch.
 int cmd_audit(const Args& a) {
   if (a.graphs.empty() || a.graphs.size() > 2)
     usage("audit needs a provenance dir/file and an optional updates file: "
@@ -834,192 +827,33 @@ int cmd_audit(const Args& a) {
   if (std::filesystem::is_directory(trail)) trail /= "provenance.jsonl";
   const std::vector<audit::ProvenanceRecord> records =
       audit::load_provenance(trail);
-
-  std::int64_t issues = 0;
-  const auto report_issues = [&issues](const std::vector<std::string>& found,
-                                       std::int64_t record_no,
-                                       const char* which) {
-    for (const std::string& issue : found) {
-      std::cerr << "audit: record " << record_no << " (" << which
-                << "): " << issue << "\n";
-      ++issues;
-    }
-  };
-  for (std::size_t i = 0; i < records.size(); ++i)
-    report_issues(audit::check_record(records[i]),
-                  static_cast<std::int64_t>(i) + 1, "recorded");
-
-  std::int64_t replayed = 0;
-  std::int64_t mismatches = 0;
-  const auto compare = [&replayed, &mismatches](
-                           const audit::ProvenanceRecord& recorded,
-                           const engine::BoundReport& fresh,
-                           std::int64_t record_no) {
-    ++replayed;
-    const auto flag = [&mismatches, &recorded,
-                       record_no](const std::string& what) {
-      std::cerr << "audit: record " << record_no << " ('" << recorded.graph
-                << "'): " << what << "\n";
-      ++mismatches;
-    };
-    if (recorded.rows.size() != fresh.rows.size()) {
-      flag("replay produced " + std::to_string(fresh.rows.size()) +
-           " rows, recorded " + std::to_string(recorded.rows.size()));
-      return;
-    }
-    for (std::size_t r = 0; r < recorded.rows.size(); ++r) {
-      const audit::RowLineage& want = recorded.rows[r];
-      const engine::MethodRow& got = fresh.rows[r];
-      const std::string where = "row " + std::to_string(r + 1) + " (" +
-                                want.method + ", M=" +
-                                format_double(want.memory, 0) + ")";
-      if (want.method != got.method || want.memory != got.memory) {
-        flag(where + " replayed as (" + got.method + ", M=" +
-             format_double(got.memory, 0) + ")");
-        continue;
-      }
-      if (want.applicable != got.applicable) {
-        flag(where + " applicability changed on replay");
-        continue;
-      }
-      if (!want.applicable) continue;
-      if (want.degraded) {
-        // A degraded recorded bound (deadline- or fault-skipped solves)
-        // is sound but weaker than a full evaluation, so replay verifies
-        // *dominance* instead of bit-equality: the fresh full-strength
-        // bound must be at least the recorded one. This is what separates
-        // "sound but degraded" from an actual mismatch.
-        if (want.bound > got.value)
-          flag(where + " degraded bound " + format_double(want.bound, 12) +
-               " exceeds fresh bound " + format_double(got.value, 12));
-        continue;
-      }
-      if (want.bound != got.value)  // bit-identical, not approximate
-        flag(where + " bound " + format_double(got.value, 12) +
-             " != recorded " + format_double(want.bound, 12));
-      if (want.best_k != got.best_k)
-        flag(where + " best_k " + std::to_string(got.best_k) +
-             " != recorded " + std::to_string(want.best_k));
-      if (want.converged != got.converged)
-        flag(where + " convergence changed on replay");
-    }
-  };
-
-  // Bound records: re-evaluate the recorded request on a fresh Engine.
-  engine::Engine eng;
-  std::map<std::string, std::vector<std::pair<
-                            std::int64_t, const audit::ProvenanceRecord*>>>
-      stream_records;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const audit::ProvenanceRecord& record = records[i];
-    const auto record_no = static_cast<std::int64_t>(i) + 1;
-    if (record.kind == "stream") {
-      stream_records[record.graph].emplace_back(record_no, &record);
-      continue;
-    }
-    if (record.request.empty()) {
-      std::cerr << "audit: record " << record_no
-                << " carries no request — cannot replay\n";
-      ++mismatches;
-      continue;
-    }
-    const engine::BoundRequest request =
-        serve::request_from_json_line(record.request);
-    const engine::BoundReport fresh = eng.evaluate(request);
-    compare(record, fresh, record_no);
-    report_issues(audit::check_record(fresh.provenance), record_no,
-                  "replayed");
-  }
-
-  // Stream records: the mutations matter, not just the final queries, so
-  // they replay by re-running the updates file in order, mirroring
-  // `graphio stream` (fresh artifact store, same warm-basis default).
-  std::map<std::string, std::size_t> cursor;
-  if (!stream_records.empty() && a.graphs.size() < 2) {
-    std::int64_t pending = 0;
-    for (const auto& [name, queue] : stream_records)
-      pending += static_cast<std::int64_t>(queue.size());
-    std::cerr << "audit: " << pending << " stream record(s) need the "
-              << "updates file to replay: graphio audit DIR updates.jsonl\n";
-    mismatches += pending;
-  } else if (!stream_records.empty()) {
-    std::ifstream updates(a.graphs[1]);
-    if (!updates.good())
-      usage("cannot open updates file '" + a.graphs[1] + "'");
-    auto artifacts = std::make_shared<store::ArtifactStore>();
-    const std::int64_t warm_mb =
-        a.warm_basis_mb >= 0 ? a.warm_basis_mb : 64;
-    artifacts->set_eigenbasis_budget(warm_mb << 20);
-    std::map<std::string, std::unique_ptr<stream::StreamSession>> sessions;
-    std::string line;
-    std::int64_t line_no = 0;
-    while (std::getline(updates, line)) {
-      ++line_no;
-      const auto start = line.find_first_not_of(" \t\r");
-      if (start == std::string::npos) continue;
-      if (line[start] == '#') continue;
-      const serve::Job job = serve::job_from_json_line(line);
-      if (!job.is_stream()) continue;  // bound jobs replayed via records
-      auto it = sessions.find(job.graph);
-      if (job.kind == serve::JobKind::kLoad) {
-        if (it == sessions.end())
-          it = sessions
-                   .emplace(job.graph, std::make_unique<stream::StreamSession>(
-                                           job.graph, artifacts))
-                   .first;
-        it->second->load(job.load_spec);
-        continue;
-      }
-      if (it == sessions.end())
-        usage("updates file line " + std::to_string(line_no) +
-              " addresses unloaded graph '" + job.graph + "'");
-      if (job.kind == serve::JobKind::kPatch) {
-        it->second->apply(job.patch);
-        continue;
-      }
-      const engine::BoundReport fresh = it->second->evaluate(job.request);
-      auto& queue = stream_records[job.graph];
-      std::size_t& next = cursor[job.graph];
-      if (next >= queue.size()) {
-        std::cerr << "audit: updates file line " << line_no << " queries '"
-                  << job.graph << "' beyond the recorded trail\n";
-        ++mismatches;
-        continue;
-      }
-      const auto [record_no, record] = queue[next++];
-      compare(*record, fresh, record_no);
-      report_issues(audit::check_record(fresh.provenance), record_no,
-                    "replayed");
-    }
-    for (const auto& [name, queue] : stream_records) {
-      const std::size_t done = cursor[name];
-      if (done < queue.size()) {
-        std::cerr << "audit: " << queue.size() - done
-                  << " recorded quer(ies) for '" << name
-                  << "' never replayed by the updates file\n";
-        mismatches += static_cast<std::int64_t>(queue.size() - done);
-      }
-    }
-  }
-
-  const bool ok = issues == 0 && mismatches == 0;
+  const bool has_updates = a.graphs.size() == 2;
+  std::ifstream updates(has_updates ? a.graphs[1] : std::string());
+  if (has_updates && !updates.good())
+    usage("cannot open updates file '" + a.graphs[1] + "'");
+  const audit::ReplayReport report = audit::replay(
+      records, has_updates ? &updates : nullptr,
+      a.warm_basis_mb >= 0 ? a.warm_basis_mb : serve::kStreamWarmBasisMb);
+  for (const std::string& message : report.messages)
+    std::cerr << "audit: " << message << "\n";
   if (a.json) {
     io::JsonWriter w;
     w.begin_object();
-    w.key("records").value(static_cast<std::int64_t>(records.size()));
-    w.key("replayed").value(replayed);
-    w.key("issues").value(issues);
-    w.key("mismatches").value(mismatches);
-    w.key("ok").value(ok);
+    w.key("records").value(report.records);
+    w.key("replayed").value(report.replayed);
+    w.key("issues").value(report.issues);
+    w.key("mismatches").value(report.mismatches);
+    w.key("ok").value(report.ok());
     w.end_object();
     std::cout << w.str() << "\n";
   } else {
-    std::cout << "audit: " << records.size() << " record(s), " << replayed
-              << " replayed, " << issues << " consistency issue(s), "
-              << mismatches << " replay mismatch(es)"
-              << (ok ? " — trail verified" : "") << "\n";
+    std::cout << "audit: " << report.records << " record(s), "
+              << report.replayed << " replayed, " << report.issues
+              << " consistency issue(s), " << report.mismatches
+              << " replay mismatch(es)"
+              << (report.ok() ? " — trail verified" : "") << "\n";
   }
-  return ok ? 0 : 1;
+  return report.ok() ? 0 : 1;
 }
 
 /// `graphio faults list`: the registered fault-injection sites, with the
