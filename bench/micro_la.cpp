@@ -1,8 +1,12 @@
 // Microbenchmarks: linear-algebra substrate (google-benchmark).
 //
 // These track the primitives the spectral bound's runtime is made of:
-// sparse matvec, dense eigensolve, tridiagonal QL, Sturm bisection,
-// thick-restart Lanczos, and the Jacobi cross-validator.
+// sparse matvec; the dense tier (values only, full eigenpairs, and the
+// Householder reduction alone); tridiagonal QL; Sturm bisection; the
+// iterative tiers (block Lanczos, LOBPCG); and the Jacobi cross-check.
+// Dense sizes cover the Rayleigh–Ritz and Gram solves (n = 100–256) and
+// the largest dense-tier components (n = 448–512). Run one thread:
+// OMP_NUM_THREADS=1 ./bench_micro_la.
 #include <benchmark/benchmark.h>
 
 #include "graphio/graph/builders.hpp"
@@ -44,7 +48,19 @@ void BM_DenseEigenvalues(benchmark::State& state) {
     benchmark::DoNotOptimize(values.data());
   }
 }
-BENCHMARK(BM_DenseEigenvalues)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_DenseEigenvalues)->Arg(128)->Arg(256)->Arg(448)->Arg(512);
+
+void BM_SymmetricEigen(benchmark::State& state) {
+  const auto n = state.range(0);
+  const Digraph g = builders::erdos_renyi_dag(n, 8.0 / static_cast<double>(n),
+                                              1234);
+  const la::DenseMatrix lap = dense_laplacian(g, LaplacianKind::kPlain);
+  for (auto _ : state) {
+    auto eig = la::symmetric_eigen(lap);
+    benchmark::DoNotOptimize(eig.vectors.data().data());
+  }
+}
+BENCHMARK(BM_SymmetricEigen)->Arg(100)->Arg(128)->Arg(200)->Arg(256);
 
 void BM_TridiagonalQl(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

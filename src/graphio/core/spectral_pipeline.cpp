@@ -28,7 +28,8 @@ std::vector<double> dense_smallest(const Digraph& g, LaplacianKind kind,
 
 /// Dense eigenpairs of the component Laplacian: values identical to
 /// dense_smallest (the QL value recurrence does not depend on vector
-/// accumulation), plus the h smallest eigenvectors for retention.
+/// accumulation; SymmetricEigen.ValuesOnlyPathMatchesVectorPath holds it
+/// bitwise), plus the h smallest eigenvectors for retention.
 void dense_smallest_with_vectors(const Digraph& g, LaplacianKind kind, int h,
                                  std::vector<double>& values,
                                  std::vector<std::vector<double>>& vectors) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "graphio/la/householder.hpp"
 #include "graphio/la/tridiagonal.hpp"
@@ -30,26 +30,13 @@ std::vector<double> symmetric_eigenvalues(DenseMatrix a) {
 
 SymmetricEigen symmetric_eigen(DenseMatrix a) {
   check_symmetric(a);
-  const std::size_t n = a.rows();
   SymTridiag t = householder_tridiagonalize(a, /*accumulate=*/true);
-  // `a` now holds the accumulated Q; QL rotates it into the eigenvectors.
-  ql_implicit_shift(t.diag, t.off, &a);
-
-  // Sort pairs ascending.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return t.diag[x] < t.diag[y];
-  });
-
-  SymmetricEigen out;
-  out.values.resize(n);
-  out.vectors = DenseMatrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = t.diag[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = a(i, order[j]);
-  }
-  return out;
+  // `a` now holds the accumulated Q; transposed in place, QL rotates its
+  // rows into the eigenvectors.
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < i; ++j) std::swap(a(i, j), a(j, i));
+  TridiagEigen eig = tridiagonal_eigen(std::move(t), std::move(a));
+  return {std::move(eig.values), std::move(eig.vectors)};
 }
 
 }  // namespace graphio::la

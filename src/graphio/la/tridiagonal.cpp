@@ -22,7 +22,7 @@ void ql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
   const std::size_t n = d.size();
   if (n == 0) return;
   GIO_EXPECTS(e.size() + 1 >= n);
-  if (z != nullptr) GIO_EXPECTS(z->cols() == n);
+  if (z != nullptr) GIO_EXPECTS(z->rows() == n);
 
   // Shift the off-diagonal so that e[i] couples rows i-1 and i (classic
   // tql2 layout), with e[n-1] used as scratch.
@@ -70,10 +70,12 @@ void ql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
           d[i + 1] = g + p;
           g = c * r - b;
           if (z != nullptr) {
-            for (std::size_t k = 0; k < z->rows(); ++k) {
-              f = (*z)(k, i + 1);
-              (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
-              (*z)(k, i) = c * (*z)(k, i) - s * f;
+            double* const zi = z->row(i).data();
+            double* const zi1 = z->row(i + 1).data();
+            for (std::size_t k = 0; k < z->cols(); ++k) {
+              const double t = zi1[k];
+              zi1[k] = s * zi[k] + c * t;
+              zi[k] = c * zi[k] - s * t;
             }
           }
         }
@@ -88,31 +90,6 @@ void ql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
   e.assign(sub.begin(), sub.end() - 1);
 }
 
-namespace {
-
-/// Sorts (values, optional vectors) ascending by value.
-void sort_eigenpairs(std::vector<double>& values, DenseMatrix* vectors) {
-  const std::size_t n = values.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
-
-  std::vector<double> sorted_values(n);
-  for (std::size_t j = 0; j < n; ++j) sorted_values[j] = values[order[j]];
-  values = std::move(sorted_values);
-
-  if (vectors != nullptr) {
-    DenseMatrix sorted(vectors->rows(), vectors->cols());
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i < vectors->rows(); ++i)
-        sorted(i, j) = (*vectors)(i, order[j]);
-    *vectors = std::move(sorted);
-  }
-}
-
-}  // namespace
-
 std::vector<double> tridiagonal_eigenvalues(SymTridiag t) {
   GIO_EXPECTS(t.off.size() + 1 == t.diag.size() || t.diag.empty());
   ql_implicit_shift(t.diag, t.off, nullptr);
@@ -121,13 +98,30 @@ std::vector<double> tridiagonal_eigenvalues(SymTridiag t) {
 }
 
 TridiagEigen tridiagonal_eigen(SymTridiag t) {
+  const std::size_t n = t.diag.size();
+  return tridiagonal_eigen(std::move(t), DenseMatrix::identity(n));
+}
+
+TridiagEigen tridiagonal_eigen(SymTridiag t, DenseMatrix basis_t) {
   GIO_EXPECTS(t.off.size() + 1 == t.diag.size() || t.diag.empty());
   const std::size_t n = t.diag.size();
+  ql_implicit_shift(t.diag, t.off, &basis_t);
+
+  // Sort pairs ascending; row order[j] of the rotated basis becomes
+  // column j of the result.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return t.diag[x] < t.diag[y];
+  });
   TridiagEigen out;
-  out.vectors = DenseMatrix::identity(n);
-  ql_implicit_shift(t.diag, t.off, &out.vectors);
-  out.values = std::move(t.diag);
-  sort_eigenpairs(out.values, &out.vectors);
+  out.values.resize(n);
+  out.vectors = DenseMatrix(basis_t.cols(), n);
+  for (std::size_t j = 0; j < n; ++j) {
+    out.values[j] = t.diag[order[j]];
+    const std::span<const double> v = basis_t.row(order[j]);
+    for (std::size_t i = 0; i < v.size(); ++i) out.vectors(i, j) = v[i];
+  }
   return out;
 }
 

@@ -5,6 +5,12 @@
 // reduction) and the projected problems inside Lanczos. A closed form for
 // tridiagonal Toeplitz matrices is also provided — it is exactly the P''
 // path spectrum of the paper's Lemma 11.
+//
+// Layout: the eigenvector basis is kept transposed while QL runs, so each
+// Givens rotation combines two contiguous rows of Zᵀ rather than two
+// strided columns of Z. The rotation applies tql2's arithmetic to every
+// element unchanged, so values and vectors are bit-identical to the
+// column-rotating tql2 (tests/dense_reference.hpp holds that reference).
 #pragma once
 
 #include <vector>
@@ -31,9 +37,16 @@ struct TridiagEigen {
 /// Eigenvalues and orthonormal eigenvectors of T.
 TridiagEigen tridiagonal_eigen(SymTridiag t);
 
-/// In-place implicit-shift QL on (d, e); if z is non-null its columns are
-/// rotated alongside so that on entry z = Q₀ (accumulated Householder or
-/// identity) yields on exit the eigenvectors of the original matrix.
+/// Eigenpairs of T carried into the basis Q₀ given as its transpose: row k
+/// of `basis_t` is column k of Q₀ (the accumulated Householder transform,
+/// transposed once). Column j of the result is Q₀ times the j-th
+/// eigenvector of T, i.e. an eigenvector of the original matrix.
+TridiagEigen tridiagonal_eigen(SymTridiag t, DenseMatrix basis_t);
+
+/// In-place implicit-shift QL on (d, e); if z is non-null (it must have n
+/// rows) its rows are rotated alongside, so that on entry z = Q₀ᵀ
+/// (accumulated Householder transform, transposed, or identity) yields on
+/// exit row j = the eigenvector of d[j] of the original matrix.
 /// e is laid out with e[i] coupling rows i and i+1; e must have size ≥ n−1.
 /// The results are NOT sorted. Throws on non-convergence (> 64 sweeps).
 void ql_implicit_shift(std::vector<double>& d, std::vector<double>& e,

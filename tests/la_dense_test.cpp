@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "graphio/core/analytic_spectra.hpp"
 #include "graphio/core/spectrum.hpp"
@@ -149,12 +150,28 @@ TEST(SymmetricEigen, ValuesAreAscending) {
     EXPECT_LE(values[i - 1], values[i]);
 }
 
+// Exact, not approximate: incremental stream runs take the vectors path
+// and scratch runs the values path (spectral_pipeline.cpp,
+// dense_smallest_with_vectors), and the stream gates require their bounds
+// to agree with max_abs_diff == 0.
 TEST(SymmetricEigen, ValuesOnlyPathMatchesVectorPath) {
-  const DenseMatrix a = random_symmetric(35, 21);
-  const auto values = symmetric_eigenvalues(a);
-  const SymmetricEigen full = symmetric_eigen(a);
-  for (std::size_t i = 0; i < values.size(); ++i)
-    EXPECT_NEAR(values[i], full.values[i], 1e-9);
+  std::vector<DenseMatrix> matrices;
+  for (std::size_t n : {1, 2, 5, 35, 64, 101})
+    matrices.push_back(random_symmetric(n, 21 + n));
+  for (LaplacianKind kind :
+       {LaplacianKind::kPlain, LaplacianKind::kOutDegreeNormalized}) {
+    matrices.push_back(dense_laplacian(builders::fft(4), kind));
+    matrices.push_back(dense_laplacian(builders::bhk_hypercube(5), kind));
+    matrices.push_back(dense_laplacian(
+        builders::erdos_renyi_dag(150, 0.05, 7), kind));
+  }
+  for (const DenseMatrix& a : matrices) {
+    const auto values = symmetric_eigenvalues(a);
+    const SymmetricEigen full = symmetric_eigen(a);
+    ASSERT_EQ(values.size(), full.values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+      EXPECT_EQ(values[i], full.values[i]) << "n=" << a.rows() << " i=" << i;
+  }
 }
 
 // --- validation against known graph spectra ------------------------------
