@@ -1,29 +1,14 @@
 #include "graphio/sim/memsim.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "graphio/graph/topo.hpp"
+#include "graphio/sim/eviction_heap.hpp"
 #include "graphio/sim/schedule.hpp"
+#include "graphio/sim/use_lists.hpp"
 #include "graphio/support/contracts.hpp"
 
 namespace graphio::sim {
-
-namespace {
-
-/// Per-vertex list of use times (one entry per consuming edge, ascending).
-std::vector<std::vector<std::int64_t>> build_use_lists(
-    const Digraph& g, const std::vector<VertexId>& order) {
-  std::vector<std::vector<std::int64_t>> uses(
-      static_cast<std::size_t>(g.num_vertices()));
-  for (std::size_t t = 0; t < order.size(); ++t)
-    for (VertexId p : g.parents(order[t]))
-      uses[static_cast<std::size_t>(p)].push_back(
-          static_cast<std::int64_t>(t));
-  return uses;
-}
-
-}  // namespace
 
 SimResult simulate_io(const Digraph& g, const std::vector<VertexId>& order,
                       std::int64_t memory, const SimOptions& options) {
@@ -31,70 +16,51 @@ SimResult simulate_io(const Digraph& g, const std::vector<VertexId>& order,
                   "schedule must be a topological order of the graph");
   GIO_EXPECTS(memory >= 1);
 
-  const std::int64_t n = g.num_vertices();
-  auto uses = build_use_lists(g, order);
-  std::vector<std::size_t> next_use(static_cast<std::size_t>(n), 0);
-  std::vector<char> resident(static_cast<std::size_t>(n), 0);
-  std::vector<char> written(static_cast<std::size_t>(n), 0);
-  std::vector<std::int64_t> key(static_cast<std::size_t>(n), 0);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  std::vector<std::size_t> next_use;
+  const UseLists uses =
+      build_use_lists(g, order, 1, [](VertexId) { return 0; }, next_use);
+  std::vector<char> resident(n, 0);
+  std::vector<char> written(n, 0);
+  std::vector<char> pinned(n, 0);
 
-  // Eviction pool ordered by policy key:
-  //   Belady — key is the next use time; victim = largest (farthest).
-  //   LRU    — key is the last use time; victim = smallest (oldest).
-  std::set<std::pair<std::int64_t, VertexId>> pool;
+  // Resident values that may be evicted. The operands of the vertex being
+  // evaluated are pinned and taken out, so the victim is always the top.
   const bool belady = options.policy == EvictionPolicy::kBelady;
+  EvictionHeap pool(n, belady);
 
   SimResult result;
   std::vector<VertexId> distinct_parents;
-  std::vector<char> pinned(static_cast<std::size_t>(n), 0);
   std::int64_t resident_count = 0;
+  std::int64_t sources = 0;
+  std::int64_t sinks = 0;
 
-  auto pool_insert = [&](VertexId v, std::int64_t k) {
-    key[static_cast<std::size_t>(v)] = k;
-    pool.emplace(k, v);
-  };
-  auto pool_erase = [&](VertexId v) {
-    pool.erase({key[static_cast<std::size_t>(v)], v});
-  };
-
-  auto evict = [&](VertexId victim) {
-    if (!written[static_cast<std::size_t>(victim)]) {
-      written[static_cast<std::size_t>(victim)] = 1;
-      ++result.writes;
-    }
-    resident[static_cast<std::size_t>(victim)] = 0;
-    --resident_count;
-  };
-
-  auto evict_one = [&]() {
-    // Choose the victim at the policy end of the pool, skipping pinned
-    // vertices (operands of the vertex currently being evaluated).
-    if (belady) {
-      for (auto it = pool.rbegin(); it != pool.rend(); ++it) {
-        if (pinned[static_cast<std::size_t>(it->second)]) continue;
-        evict(it->second);
-        pool.erase(std::next(it).base());
-        return;
+  auto make_room = [&]() {
+    while (resident_count >= memory) {
+      GIO_EXPECTS_MSG(!pool.empty(),
+                      "fast memory too small for the operand set");
+      const auto victim = static_cast<std::size_t>(pool.pop());
+      if (!written[victim]) {
+        written[victim] = 1;
+        ++result.writes;
       }
-    } else {
-      for (auto it = pool.begin(); it != pool.end(); ++it) {
-        if (pinned[static_cast<std::size_t>(it->second)]) continue;
-        evict(it->second);
-        pool.erase(it);
-        return;
-      }
+      resident[victim] = 0;
+      --resident_count;
     }
-    GIO_EXPECTS_MSG(false, "fast memory too small for the operand set");
   };
 
   for (std::size_t t = 0; t < order.size(); ++t) {
     const VertexId v = order[t];
+    const auto vi = static_cast<std::size_t>(v);
+    const auto now = static_cast<std::int64_t>(t);
 
     distinct_parents.clear();
     for (VertexId p : g.parents(v)) {
-      if (pinned[static_cast<std::size_t>(p)]) continue;
-      pinned[static_cast<std::size_t>(p)] = 1;
+      const auto pi = static_cast<std::size_t>(p);
+      if (pinned[pi]) continue;
+      pinned[pi] = 1;
       distinct_parents.push_back(p);
+      if (resident[pi]) pool.erase(p);
     }
     GIO_EXPECTS_MSG(static_cast<std::int64_t>(distinct_parents.size()) <=
                         memory,
@@ -103,51 +69,49 @@ SimResult simulate_io(const Digraph& g, const std::vector<VertexId>& order,
     // Fault in missing operands (each was written when evicted — the model
     // guarantees needed values are persisted).
     for (VertexId p : distinct_parents) {
-      if (resident[static_cast<std::size_t>(p)]) continue;
-      GIO_ASSERT(written[static_cast<std::size_t>(p)]);
+      const auto pi = static_cast<std::size_t>(p);
+      if (resident[pi]) continue;
+      GIO_ASSERT(written[pi]);
       ++result.reads;
-      while (resident_count >= memory) evict_one();
-      resident[static_cast<std::size_t>(p)] = 1;
+      make_room();
+      resident[pi] = 1;
       ++resident_count;
-      pool_insert(p, belady ? uses[static_cast<std::size_t>(p)]
-                                  [next_use[static_cast<std::size_t>(p)]]
-                            : static_cast<std::int64_t>(t));
     }
 
-    // Consume operands: advance their use cursors, drop dead values.
+    // Consume operands: advance their use cursors, drop dead values and
+    // return live ones to the pool.
     for (VertexId p : distinct_parents) {
-      auto& cursor = next_use[static_cast<std::size_t>(p)];
-      const auto& plist = uses[static_cast<std::size_t>(p)];
-      while (cursor < plist.size() &&
-             plist[cursor] == static_cast<std::int64_t>(t))
-        ++cursor;
-      pool_erase(p);
-      pinned[static_cast<std::size_t>(p)] = 0;
-      if (cursor == plist.size()) {
-        resident[static_cast<std::size_t>(p)] = 0;  // dead: free drop
+      const auto pi = static_cast<std::size_t>(p);
+      std::size_t& cursor = next_use[pi];
+      const std::size_t end = uses.first[pi + 1];
+      while (cursor < end && uses.time[cursor] == now) ++cursor;
+      pinned[pi] = 0;
+      if (cursor == end) {
+        resident[pi] = 0;  // dead: free drop
         --resident_count;
       } else {
-        pool_insert(p, belady ? plist[cursor] : static_cast<std::int64_t>(t));
+        pool.push(p, belady ? uses.time[cursor] : now);
       }
     }
 
     // Place the result. Sinks are reported to the user immediately and
     // never occupy fast memory; dead values cannot exist (no uses).
-    if (!uses[static_cast<std::size_t>(v)].empty()) {
-      while (resident_count >= memory) evict_one();
-      resident[static_cast<std::size_t>(v)] = 1;
+    sources += distinct_parents.empty() ? 1 : 0;
+    if (uses.first[vi] == uses.first[vi + 1]) {
+      ++sinks;
+    } else {
+      make_room();
+      resident[vi] = 1;
       ++resident_count;
-      pool_insert(v, belady ? uses[static_cast<std::size_t>(v)][0]
-                            : static_cast<std::int64_t>(t));
+      pool.push(v, belady ? uses.time[uses.first[vi]] : now);
     }
     result.peak_resident = std::max(result.peak_resident, resident_count);
   }
 
-  result.trivial_io =
-      static_cast<std::int64_t>(g.sources().size() + g.sinks().size());
+  result.trivial_io = sources + sinks;
   if (options.count_trivial) {
-    result.reads += static_cast<std::int64_t>(g.sources().size());
-    result.writes += static_cast<std::int64_t>(g.sinks().size());
+    result.reads += sources;
+    result.writes += sinks;
   }
   return result;
 }

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <set>
 
 #include "graphio/graph/topo.hpp"
+#include "graphio/sim/eviction_heap.hpp"
+#include "graphio/sim/use_lists.hpp"
 #include "graphio/support/contracts.hpp"
 #include "graphio/support/prng.hpp"
 
@@ -14,24 +15,6 @@ namespace graphio::sim {
 namespace {
 
 constexpr std::int64_t kNeverUsed = std::numeric_limits<std::int64_t>::max();
-
-/// For each vertex and each processor, the ascending list of global times
-/// at which that processor consumes the vertex.
-std::vector<std::vector<std::vector<std::int64_t>>> build_local_use_lists(
-    const Digraph& g, const std::vector<VertexId>& order,
-    const std::vector<int>& assignment, int processors) {
-  std::vector<std::vector<std::vector<std::int64_t>>> uses(
-      static_cast<std::size_t>(g.num_vertices()),
-      std::vector<std::vector<std::int64_t>>(
-          static_cast<std::size_t>(processors)));
-  for (std::size_t t = 0; t < order.size(); ++t) {
-    const int owner = assignment[static_cast<std::size_t>(order[t])];
-    for (VertexId p : g.parents(order[t]))
-      uses[static_cast<std::size_t>(p)][static_cast<std::size_t>(owner)]
-          .push_back(static_cast<std::int64_t>(t));
-  }
-  return uses;
-}
 
 }  // namespace
 
@@ -77,108 +60,84 @@ ParallelSimResult simulate_parallel_io(const Digraph& g,
                   "schedule must be a topological order of the graph");
   GIO_EXPECTS(memory >= 1);
   GIO_EXPECTS(assignment.size() == static_cast<std::size_t>(g.num_vertices()));
+  // resident[v] is a bitmask of processors currently holding v, so p ≤ 64.
+  // Checked before anything is sized by p.
   int processors = 1;
   for (int owner : assignment) {
     GIO_EXPECTS_MSG(owner >= 0, "assignment entries must be non-negative");
+    GIO_EXPECTS_MSG(owner < 64,
+                    "simulate_parallel_io supports at most 64 processors");
     processors = std::max(processors, owner + 1);
   }
+  const auto procs = static_cast<std::size_t>(processors);
 
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  const auto uses = build_local_use_lists(g, order, assignment, processors);
-  // Per (vertex, processor) cursor into the local use list.
-  std::vector<std::vector<std::size_t>> next_use(
-      n, std::vector<std::size_t>(static_cast<std::size_t>(processors), 0));
-  // resident[v] is a bitmask of processors currently holding v (p ≤ 64 is
-  // enforced; beyond that the mask would need widening).
-  GIO_EXPECTS_MSG(processors <= 64,
-                  "simulate_parallel_io supports at most 64 processors");
+  // Per (vertex, processor) slot cursor into the local use list.
+  std::vector<std::size_t> next_use;
+  const UseLists uses = build_use_lists(
+      g, order, procs,
+      [&](VertexId c) { return assignment[static_cast<std::size_t>(c)]; },
+      next_use);
   std::vector<std::uint64_t> resident(n, 0);
   std::vector<char> written(n, 0);
   std::vector<std::int64_t> remaining_uses(n, 0);
   for (std::size_t v = 0; v < n; ++v)
-    for (const auto& per_proc : uses[v])
-      remaining_uses[v] += static_cast<std::int64_t>(per_proc.size());
+    remaining_uses[v] = static_cast<std::int64_t>(
+        uses.first[(v + 1) * procs] - uses.first[v * procs]);
 
+  // One eviction pool per processor. The operands of the vertex being
+  // evaluated are pinned and taken out of their processor's pool, so the
+  // victim is always the top.
   const bool belady = options.policy == EvictionPolicy::kBelady;
-
-  struct ProcState {
-    std::set<std::pair<std::int64_t, VertexId>> pool;  // (key, vertex)
-    std::vector<std::int64_t> key;
-    std::int64_t resident_count = 0;
-  };
-  std::vector<ProcState> procs(static_cast<std::size_t>(processors));
-  for (auto& ps : procs) ps.key.assign(n, 0);
+  std::vector<EvictionHeap> pools(procs, EvictionHeap(n, belady));
+  std::vector<std::int64_t> resident_count(procs, 0);
 
   ParallelSimResult result;
-  result.per_processor.assign(static_cast<std::size_t>(processors), {});
+  result.per_processor.assign(procs, {});
 
   std::vector<char> pinned(n, 0);
 
   auto local_key = [&](std::size_t v, int proc,
                        std::int64_t now) -> std::int64_t {
     if (!belady) return now;  // LRU: last-touch time
-    const auto& list = uses[v][static_cast<std::size_t>(proc)];
-    const std::size_t cursor = next_use[v][static_cast<std::size_t>(proc)];
-    return cursor < list.size() ? list[cursor] : kNeverUsed;
+    const std::size_t s = v * procs + static_cast<std::size_t>(proc);
+    return next_use[s] < uses.first[s + 1] ? uses.time[next_use[s]]
+                                           : kNeverUsed;
   };
 
-  auto pool_insert = [&](int proc, VertexId v, std::int64_t k) {
-    auto& ps = procs[static_cast<std::size_t>(proc)];
-    ps.key[static_cast<std::size_t>(v)] = k;
-    ps.pool.emplace(k, v);
-  };
-  auto pool_erase = [&](int proc, VertexId v) {
-    auto& ps = procs[static_cast<std::size_t>(proc)];
-    ps.pool.erase({ps.key[static_cast<std::size_t>(v)], v});
-  };
-
-  auto drop = [&](int proc, VertexId victim) {
-    auto& ps = procs[static_cast<std::size_t>(proc)];
-    const auto vi = static_cast<std::size_t>(victim);
-    if (remaining_uses[vi] > 0 && !written[vi]) {
-      // Live and unpersisted: the no-recomputation rule forces a write.
-      written[vi] = 1;
-      ++result.per_processor[static_cast<std::size_t>(proc)].writes;
-    }
-    resident[vi] &= ~(1ULL << proc);
-    --ps.resident_count;
-  };
-
-  auto evict_one = [&](int proc) {
-    auto& ps = procs[static_cast<std::size_t>(proc)];
-    // Victim at the policy end of the pool, skipping pinned operands.
-    if (belady) {
-      for (auto it = ps.pool.rbegin(); it != ps.pool.rend(); ++it) {
-        if (pinned[static_cast<std::size_t>(it->second)]) continue;
-        drop(proc, it->second);
-        ps.pool.erase(std::next(it).base());
-        return;
+  auto make_room = [&](int proc) {
+    const auto pi = static_cast<std::size_t>(proc);
+    while (resident_count[pi] >= memory) {
+      GIO_EXPECTS_MSG(!pools[pi].empty(),
+                      "fast memory too small for the operand set");
+      const auto victim = static_cast<std::size_t>(pools[pi].pop());
+      if (remaining_uses[victim] > 0 && !written[victim]) {
+        // Live and unpersisted: the no-recomputation rule forces a write.
+        written[victim] = 1;
+        ++result.per_processor[pi].writes;
       }
-    } else {
-      for (auto it = ps.pool.begin(); it != ps.pool.end(); ++it) {
-        if (pinned[static_cast<std::size_t>(it->second)]) continue;
-        drop(proc, it->second);
-        ps.pool.erase(it);
-        return;
-      }
+      resident[victim] &= ~(1ULL << proc);
+      --resident_count[pi];
     }
-    GIO_EXPECTS_MSG(false, "fast memory too small for the operand set");
   };
 
   std::vector<VertexId> distinct_parents;
   for (std::size_t t = 0; t < order.size(); ++t) {
     const VertexId v = order[t];
     const auto vi = static_cast<std::size_t>(v);
+    const auto now = static_cast<std::int64_t>(t);
     const int me = assignment[vi];
-    auto& ps = procs[static_cast<std::size_t>(me)];
-    auto& io = result.per_processor[static_cast<std::size_t>(me)];
+    const auto mi = static_cast<std::size_t>(me);
+    auto& io = result.per_processor[mi];
     ++io.vertices;
 
     distinct_parents.clear();
     for (VertexId p : g.parents(v)) {
-      if (pinned[static_cast<std::size_t>(p)]) continue;
-      pinned[static_cast<std::size_t>(p)] = 1;
+      const auto pi = static_cast<std::size_t>(p);
+      if (pinned[pi]) continue;
+      pinned[pi] = 1;
       distinct_parents.push_back(p);
+      if ((resident[pi] >> me) & 1ULL) pools[mi].erase(p);
     }
     GIO_EXPECTS_MSG(
         static_cast<std::int64_t>(distinct_parents.size()) <= memory,
@@ -196,24 +155,22 @@ ParallelSimResult simulate_parallel_io(const Digraph& g,
         const int holder = std::countr_zero(resident[pi]);
         ++result.per_processor[static_cast<std::size_t>(holder)].sends;
       }
-      while (ps.resident_count >= memory) evict_one(me);
+      make_room(me);
       resident[pi] |= 1ULL << me;
-      ++ps.resident_count;
-      pool_insert(me, p, local_key(pi, me, static_cast<std::int64_t>(t)));
+      ++resident_count[mi];
     }
 
     // Consume operands: advance local cursors, free-drop globally dead
-    // values from every processor holding them.
+    // values from every processor holding them, return live ones to the
+    // pool.
     for (VertexId p : distinct_parents) {
       const auto pi = static_cast<std::size_t>(p);
-      auto& cursor = next_use[pi][static_cast<std::size_t>(me)];
-      const auto& list = uses[pi][static_cast<std::size_t>(me)];
-      while (cursor < list.size() &&
-             list[cursor] == static_cast<std::int64_t>(t)) {
+      std::size_t& cursor = next_use[pi * procs + mi];
+      const std::size_t end = uses.first[pi * procs + mi + 1];
+      while (cursor < end && uses.time[cursor] == now) {
         ++cursor;
         --remaining_uses[pi];
       }
-      pool_erase(me, p);
       pinned[pi] = 0;
       if (remaining_uses[pi] == 0) {
         // Dead everywhere: every copy is dropped for free.
@@ -221,22 +178,22 @@ ParallelSimResult simulate_parallel_io(const Digraph& g,
         while (mask != 0) {
           const int proc = std::countr_zero(mask);
           mask &= mask - 1;
-          if (proc != me) pool_erase(proc, p);
-          --procs[static_cast<std::size_t>(proc)].resident_count;
+          if (proc != me) pools[static_cast<std::size_t>(proc)].erase(p);
+          --resident_count[static_cast<std::size_t>(proc)];
         }
         resident[pi] = 0;
       } else {
-        pool_insert(me, p, local_key(pi, me, static_cast<std::int64_t>(t)));
+        pools[mi].push(p, local_key(pi, me, now));
       }
     }
 
     // Place the result locally; sinks are reported immediately and values
     // nobody consumes do not occupy a slot.
     if (remaining_uses[vi] > 0) {
-      while (ps.resident_count >= memory) evict_one(me);
+      make_room(me);
       resident[vi] |= 1ULL << me;
-      ++ps.resident_count;
-      pool_insert(me, v, local_key(vi, me, static_cast<std::int64_t>(t)));
+      ++resident_count[mi];
+      pools[mi].push(v, local_key(vi, me, now));
     }
   }
 

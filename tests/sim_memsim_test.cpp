@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graphio/graph/builders.hpp"
 #include "graphio/graph/topo.hpp"
 #include "graphio/sim/memsim.hpp"
@@ -121,6 +124,94 @@ TEST(MemSim, BeladyNoWorseThanLruOnFft) {
 TEST(MemSim, FftRequiresIoWithTinyMemory) {
   const Digraph g = builders::fft(4);
   EXPECT_GT(simulate_io(g, natural(g), 2).total(), 0);
+}
+
+Digraph with_edges(std::int64_t n,
+                   const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  Digraph g(n);
+  for (const auto& [u, v] : edges) g.add_edge(u, v);
+  return g;
+}
+
+std::vector<VertexId> identity_order(std::int64_t n) {
+  std::vector<VertexId> order(static_cast<std::size_t>(n));
+  for (std::size_t t = 0; t < order.size(); ++t)
+    order[t] = static_cast<VertexId>(t);
+  return order;
+}
+
+// Evictable values tie on their policy key; the (key, vertex id) order
+// evicts the larger id under Belady and the smaller under LRU. Each case
+// is run twice with the two tied vertices' labels exchanged, and the
+// labelling decides which one is written out.
+
+TEST(MemSim, BeladyTieEvictsTheLargerVertexId) {
+  // Sources `once` and `twice` are both next used by c at t4; `twice` is
+  // used again by d at t8. Source y at t2 needs a slot (M = 2) and the
+  // tie goes to the larger id. u and w later force out `twice` again,
+  // which costs a write only if the tie did not already write it.
+  //   t: 0 once, 1 twice, 2 y, 3 z=f(y), 4 c=f(once,twice), 5 u, 6 w,
+  //      7 v=f(u,w), 8 d=f(twice)
+  auto build = [](VertexId once, VertexId twice) {
+    return with_edges(9, {{2, 3}, {once, 4}, {twice, 4}, {5, 7}, {6, 7},
+                          {twice, 8}});
+  };
+  const SimResult twice_evicted =
+      simulate_io(build(0, 1), identity_order(9), 2);
+  EXPECT_EQ(twice_evicted.reads, 2);
+  EXPECT_EQ(twice_evicted.writes, 1);
+  const SimResult once_evicted =
+      simulate_io(build(1, 0), identity_order(9), 2);
+  EXPECT_EQ(once_evicted.reads, 2);
+  EXPECT_EQ(once_evicted.writes, 2);
+}
+
+TEST(MemSim, LruTieEvictsTheSmallerVertexId) {
+  // `early` and `late` are both last used by c at t2 and stay live; c's
+  // result needs a slot (M = 2) and the tie goes to the smaller id.
+  // `late` is needed again at t3: evicting it costs a second round trip.
+  //   t: 0 early, 1 late, 2 c=f(early,late), 3 d=f(late), 4 e=f(early,c)
+  auto build = [](VertexId early, VertexId late) {
+    return with_edges(5, {{early, 2}, {late, 2}, {late, 3}, {early, 4},
+                          {2, 4}});
+  };
+  SimOptions lru;
+  lru.policy = EvictionPolicy::kLru;
+  const SimResult early_evicted =
+      simulate_io(build(0, 1), identity_order(5), 2, lru);
+  EXPECT_EQ(early_evicted.reads, 1);
+  EXPECT_EQ(early_evicted.writes, 1);
+  const SimResult late_evicted =
+      simulate_io(build(1, 0), identity_order(5), 2, lru);
+  EXPECT_EQ(late_evicted.reads, 2);
+  EXPECT_EQ(late_evicted.writes, 2);
+}
+
+TEST(MemSim, BeladyNeverEvictsAPinnedOperandUsedFarthest) {
+  // At t4, v = f(x, a) faults x back in with M = 2. Of the resident
+  // values, a is used farthest after v (t6), but it is v's operand; the
+  // victim is e (next used at t5).
+  //   t: 0 x, 1 a, 2 d, 3 e=f(a,d), 4 v=f(x,a), 5 u=f(e), 6 w=f(a)
+  const Digraph g =
+      with_edges(7, {{1, 3}, {2, 3}, {0, 4}, {1, 4}, {3, 5}, {1, 6}});
+  const SimResult r = simulate_io(g, identity_order(7), 2);
+  EXPECT_EQ(r.reads, 2);   // x at t4, e at t5
+  EXPECT_EQ(r.writes, 2);  // x at t2, e at t4
+  EXPECT_EQ(r.peak_resident, 2);
+  EXPECT_EQ(r.trivial_io, 6);
+}
+
+TEST(MemSim, LruNeverEvictsAPinnedOperandUsedLeastRecently) {
+  // At t3, v = f(a, x) faults x back in with M = 2. The least recently
+  // used resident is a, but it is v's operand; the victim is b.
+  //   t: 0 x, 1 a, 2 b, 3 v=f(x,a), 4 u=f(b), 5 w=f(a)
+  const Digraph g = with_edges(6, {{0, 3}, {1, 3}, {2, 4}, {1, 5}});
+  SimOptions lru;
+  lru.policy = EvictionPolicy::kLru;
+  const SimResult r = simulate_io(g, identity_order(6), 2, lru);
+  EXPECT_EQ(r.reads, 2);   // x at t3, b at t4
+  EXPECT_EQ(r.writes, 2);  // x at t2, b at t3
+  EXPECT_EQ(r.peak_resident, 2);
 }
 
 TEST(BestScheduleIo, PicksTheCheapestOrder) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "graphio/core/spectral_bound.hpp"
@@ -146,6 +147,24 @@ TEST(ParallelMemsim, RejectsBadInputs) {
   EXPECT_THROW(sim::partition_assignment(g, *order, 0,
                                          sim::PartitionStrategy::kContiguous),
                contract_error);
+}
+
+TEST(ParallelMemsim, RejectsMoreThan64ProcessorsBeforeAllocating) {
+  // The processor count is validated before anything is sized by it: an
+  // owner id of 2^30 must throw, not try to allocate 2^30 use lists per
+  // vertex.
+  const Digraph g = builders::path(4);
+  const auto order = topological_order(g);
+  EXPECT_THROW(sim::simulate_parallel_io(g, *order, {0, 1 << 30, 0, 0}, 2),
+               contract_error);
+  EXPECT_THROW(sim::simulate_parallel_io(
+                   g, *order, {0, std::numeric_limits<int>::max(), 0, 0}, 2),
+               contract_error);
+  EXPECT_THROW(sim::simulate_parallel_io(g, *order, {0, 64, 0, 0}, 2),
+               contract_error);
+  const sim::ParallelSimResult widest =
+      sim::simulate_parallel_io(g, *order, {0, 63, 0, 0}, 2);
+  EXPECT_EQ(widest.per_processor.size(), 64u);
 }
 
 TEST(ParallelMemsim, LruPolicyRunsAndStaysAboveBelady) {
