@@ -467,17 +467,6 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
 
   solve.fingerprint = have_fingerprint ? fingerprint : 0;
   solve.fingerprinted = have_fingerprint;
-  if (solve.warm_started) {
-    ++result.warm_hits;
-    const std::uint64_t pred = warm_basis->predecessor != 0
-                                   ? warm_basis->predecessor
-                                   : (entry.has_predecessor ? entry.predecessor
-                                                            : fingerprint);
-    solve.solver_reason = "warm(pred=" + std::to_string(pred) + ")";
-    solve.warm_predecessor = pred;
-    const int saved = warm_basis->source_iterations - solve.iterations;
-    if (saved > 0) result.warm_iterations_saved += saved;
-  }
   struct WarmCounters {
     telemetry::Counter& hits;
     telemetry::Counter& saved;
@@ -489,9 +478,19 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
           "solver.warm_iterations_saved"),
       telemetry::MetricsRegistry::global().counter("solver.iterations")};
   if (solve.warm_started) {
+    ++result.warm_hits;
     counters.hits.increment();
+    const std::uint64_t pred = warm_basis->predecessor != 0
+                                   ? warm_basis->predecessor
+                                   : (entry.has_predecessor ? entry.predecessor
+                                                            : fingerprint);
+    solve.solver_reason = "warm(pred=" + std::to_string(pred) + ")";
+    solve.warm_predecessor = pred;
     const int saved = warm_basis->source_iterations - solve.iterations;
-    if (saved > 0) counters.saved.add(saved);
+    if (saved > 0) {
+      result.warm_iterations_saved += saved;
+      counters.saved.add(saved);
+    }
   }
   if (solve.iterations > 0) counters.iterations.add(solve.iterations);
 

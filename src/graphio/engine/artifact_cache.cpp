@@ -19,69 +19,50 @@ namespace graphio::engine {
 
 namespace {
 
-// Process-wide lifetime counters mirroring Stats (the mincut.* sweep
-// counters live in the registry only). Resolved once (registry
-// lookup takes a mutex), then every dual-write is a single relaxed atomic
-// add. The registry totals are monotone — they survive cache destruction
-// and graph reinstalls, which the per-instance Stats do not.
-struct CacheMetrics {
-  telemetry::Counter& hits;
-  telemetry::Counter& misses;
-  telemetry::Counter& eigensolves;
-  telemetry::Counter& mincut_sweeps;
-  telemetry::Counter& mincut_flows;
-  telemetry::Counter& mincut_pruned;
-  telemetry::Counter& topo_computes;
-  telemetry::Counter& memsim_runs;
-  telemetry::Counter& partition_runs;
-  telemetry::Counter& component_hits;
-  telemetry::Counter& subgraph_extractions;
-  telemetry::Counter& fingerprint_computes;
-  telemetry::Gauge& fingerprint_seconds;
-  telemetry::Gauge& extract_seconds;
-  telemetry::Gauge& solve_seconds;
-  telemetry::Gauge& merge_seconds;
+// The registry side of Stats (`cache.<key>`, by its counter table) and
+// the min-cut sweep's registry-only counters, resolved together on first
+// use; every event after that is one relaxed atomic add. Registry totals
+// are monotone: they survive cache destruction and graph reinstalls.
+struct Registry {
+  telemetry::Mirror<ArtifactCache::Stats> stats{"cache."};
+  telemetry::Counter& mincut_flows =
+      telemetry::MetricsRegistry::global().counter("mincut.flows");
+  telemetry::Counter& mincut_pruned =
+      telemetry::MetricsRegistry::global().counter("mincut.pruned");
 };
 
-CacheMetrics& cache_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static CacheMetrics metrics{reg.counter("cache.hits"),
-                              reg.counter("cache.misses"),
-                              reg.counter("cache.eigensolves"),
-                              reg.counter("cache.mincut_sweeps"),
-                              reg.counter("mincut.flows"),
-                              reg.counter("mincut.pruned"),
-                              reg.counter("cache.topo_computes"),
-                              reg.counter("cache.memsim_runs"),
-                              reg.counter("cache.partition_runs"),
-                              reg.counter("cache.component_hits"),
-                              reg.counter("cache.subgraph_extractions"),
-                              reg.counter("cache.fingerprint_computes"),
-                              reg.gauge("cache.fingerprint_seconds"),
-                              reg.gauge("cache.extract_seconds"),
-                              reg.gauge("cache.solve_seconds"),
-                              reg.gauge("cache.merge_seconds")};
-  return metrics;
+const Registry& registry() {
+  static const Registry r;
+  return r;
 }
 
 }  // namespace
 
+template <auto Member, class T>
+void ArtifactCache::bump(T delta) {
+  registry().stats.add<Member>(stats_, delta);
+  if (totals_ != nullptr) totals_->add<Member>(delta);
+}
+
 ArtifactCache::ArtifactCache(Digraph graph,
                              std::shared_ptr<store::ArtifactStore> store,
-                             std::optional<ComponentSeed> seed)
+                             std::optional<ComponentSeed> seed,
+                             Totals* totals)
     : graph_(std::move(graph)),
       store_(std::move(store)),
-      seed_(std::move(seed)) {
+      seed_(std::move(seed)),
+      totals_(totals) {
   if (store_ == nullptr) store_ = std::make_shared<store::ArtifactStore>();
 }
 
 ArtifactCache::ArtifactCache(LazyGraph lazy,
                              std::shared_ptr<store::ArtifactStore> store,
-                             ComponentSeed seed)
+                             ComponentSeed seed, Totals* totals)
     : materialized_(false),
       lazy_(std::move(lazy)),
       store_(std::move(store)),
-      seed_(std::move(seed)) {
+      seed_(std::move(seed)),
+      totals_(totals) {
   GIO_EXPECTS_MSG(lazy_->materialize && lazy_->component &&
                       lazy_->max_out_degree && lazy_->max_in_degree,
                   "lazy graph must provide every callback");
@@ -205,18 +186,18 @@ std::uint64_t ArtifactCache::component_fingerprint(int c) {
   // later artifact kind (and the spectral plan) pays zero.
   d.fingerprints[i] = subgraph_fingerprint(graph(), d.wc, c);
   d.known[i] = true;
-  ++stats_.fingerprint_computes;
-  cache_metrics().fingerprint_computes.increment();
+  bump<&Stats::fingerprint_computes>(1);
   return d.fingerprints[i];
 }
 
-Digraph ArtifactCache::component_subgraph(int c) {
+const Digraph& ArtifactCache::component_graph(int c, Digraph& scratch) {
   Decomposition& d = decomposition();
-  ++stats_.subgraph_extractions;
-  cache_metrics().subgraph_extractions.increment();
-  if (lazy_.has_value())
-    return lazy_->component(d.source_index[static_cast<std::size_t>(c)]);
-  return d.wc.subgraph(graph_, c);
+  if (d.wc.count == 1 && materialized_) return graph_;
+  bump<&Stats::subgraph_extractions>(1);
+  scratch = lazy_.has_value()
+                ? lazy_->component(d.source_index[static_cast<std::size_t>(c)])
+                : d.wc.subgraph(graph_, c);
+  return scratch;
 }
 
 ComponentPlan ArtifactCache::build_plan(const SpectralOptions& options) {
@@ -287,24 +268,20 @@ ComponentPlan ArtifactCache::build_plan(const SpectralOptions& options) {
 
 std::uint64_t ArtifactCache::fingerprint() {
   if (fingerprint_.has_value()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>(1);
     return *fingerprint_;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>(1);
   fingerprint_ = graph_fingerprint(graph());
   return *fingerprint_;
 }
 
 const std::vector<VertexId>& ArtifactCache::topo_order() {
   if (topo_.has_value()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>(1);
     return *topo_;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>(1);
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   // Per-component orders in local ids: store hit, trivial, or Kahn run.
@@ -328,20 +305,13 @@ const std::vector<VertexId>& ArtifactCache::topo_order() {
       continue;
     }
     Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
+    const Digraph& sub = component_graph(c, extracted);
     telemetry::Span topo_span("topo");
     topo_span.attr("vertices", n).attr("edges", d.edges[i]);
-    auto order = topological_order(*sub);
+    auto order = topological_order(sub);
     topo_span.end();
     GIO_EXPECTS_MSG(order.has_value(), "graph is cyclic");
-    ++stats_.topo_computes;
-    cache_metrics().topo_computes.increment();
+    bump<&Stats::topo_computes>(1);
     store_->store_topo(fp, {*order});
     orders[i] = std::move(*order);
   }
@@ -379,12 +349,10 @@ const std::vector<VertexId>& ArtifactCache::topo_order() {
 const la::CsrMatrix& ArtifactCache::laplacian(LaplacianKind kind) {
   const auto it = laplacians_.find(kind);
   if (it != laplacians_.end()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>(1);
     return it->second;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>(1);
   return laplacians_.emplace(kind, graphio::laplacian(graph(), kind))
       .first->second;
 }
@@ -399,13 +367,11 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
   // only repeat the most expensive case for the same partial answer.
   if (it != spectra_.end() && it->second.requested >= count &&
       solver_options_equal(spectra_options_.at(kind), options)) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>(1);
     it->second.touched_serial = ++spectrum_touches_;
     return it->second;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>(1);
   WallTimer timer;
 
   // Lookup-then-extract: the plan describes every component without its
@@ -447,12 +413,6 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
   artifact.converged = result.converged;
   artifact.degraded = result.degraded;
   artifact.components = result.components;
-  artifact.eigensolves = result.eigensolves;
-  artifact.component_hits = result.component_cache_hits;
-  artifact.subgraph_extractions = result.subgraph_extractions;
-  artifact.fingerprint_computes = result.fingerprint_computes;
-  artifact.warm_hits = result.warm_hits;
-  artifact.warm_iterations_saved = result.warm_iterations_saved;
   SpectrumRun run;
   run.kind = kind;
   run.requested = count;
@@ -464,25 +424,16 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
     artifact.component_fingerprints = decomp_->fingerprints;
   artifact.seconds = timer.seconds();
   artifact.computed_serial = artifact.touched_serial = ++spectrum_touches_;
-  stats_.eigensolves += result.eigensolves;
-  stats_.component_hits += result.component_cache_hits;
-  stats_.subgraph_extractions += result.subgraph_extractions;
-  stats_.fingerprint_computes += result.fingerprint_computes;
-  stats_.warm_hits += result.warm_hits;
-  stats_.warm_iterations_saved += result.warm_iterations_saved;
-  stats_.fingerprint_seconds += result.phases.fingerprint_seconds;
-  stats_.extract_seconds += result.phases.extract_seconds;
-  stats_.solve_seconds += result.phases.solve_seconds;
-  stats_.merge_seconds += result.phases.merge_seconds;
-  CacheMetrics& metrics = cache_metrics();
-  metrics.eigensolves.add(result.eigensolves);
-  metrics.component_hits.add(result.component_cache_hits);
-  metrics.subgraph_extractions.add(result.subgraph_extractions);
-  metrics.fingerprint_computes.add(result.fingerprint_computes);
-  metrics.fingerprint_seconds.add(result.phases.fingerprint_seconds);
-  metrics.extract_seconds.add(result.phases.extract_seconds);
-  metrics.solve_seconds.add(result.phases.solve_seconds);
-  metrics.merge_seconds.add(result.phases.merge_seconds);
+  bump<&Stats::eigensolves>(result.eigensolves);
+  bump<&Stats::component_hits>(result.component_cache_hits);
+  bump<&Stats::subgraph_extractions>(result.subgraph_extractions);
+  bump<&Stats::fingerprint_computes>(result.fingerprint_computes);
+  bump<&Stats::warm_hits>(result.warm_hits);
+  bump<&Stats::warm_iterations_saved>(result.warm_iterations_saved);
+  bump<&Stats::fingerprint_seconds>(result.phases.fingerprint_seconds);
+  bump<&Stats::extract_seconds>(result.phases.extract_seconds);
+  bump<&Stats::solve_seconds>(result.phases.solve_seconds);
+  bump<&Stats::merge_seconds>(result.phases.merge_seconds);
   eigensolves_by_kind_[kind] += result.eigensolves;
   spectra_options_.insert_or_assign(kind, options);
   return spectra_.insert_or_assign(kind, std::move(artifact)).first->second;
@@ -499,12 +450,10 @@ std::int64_t ArtifactCache::cached_spectrum_values(
 const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
     const flow::ConvexMinCutOptions& options) {
   if (max_cut_) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>(1);
     return *max_cut_;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>(1);
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   WavefrontArtifact artifact;
@@ -527,24 +476,17 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
       continue;
     }
     Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
-    ++stats_.mincut_sweeps;
-    cache_metrics().mincut_sweeps.increment();
+    const Digraph& sub = component_graph(c, extracted);
+    bump<&Stats::mincut_sweeps>(1);
     // Memory 0 keeps every cut relevant; per-M bounds derive from the
     // per-component best cuts.
     telemetry::Span mincut_span("mincut");
-    mincut_span.attr("vertices", sub->num_vertices())
-        .attr("edges", sub->num_edges());
+    mincut_span.attr("vertices", sub.num_vertices())
+        .attr("edges", sub.num_edges());
     const flow::ConvexMinCutResult result =
-        flow::convex_mincut_bound(*sub, 0.0, options);
-    cache_metrics().mincut_flows.add(result.flows);
-    cache_metrics().mincut_pruned.add(result.pruned);
+        flow::convex_mincut_bound(sub, 0.0, options);
+    registry().mincut_flows.add(result.flows);
+    registry().mincut_pruned.add(result.pruned);
     mincut_span.attr("flows", result.flows).attr("pruned", result.pruned);
     mincut_span.end();
     artifact.cuts[i] = result.best_cut;
@@ -569,12 +511,10 @@ const ArtifactCache::MemsimArtifact& ArtifactCache::memsim_row(
   const auto key = std::make_pair(memory, random_orders);
   const auto it = memsims_.find(key);
   if (it != memsims_.end()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>(1);
     return it->second;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>(1);
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   MemsimArtifact artifact;
@@ -591,21 +531,14 @@ const ArtifactCache::MemsimArtifact& ArtifactCache::memsim_row(
       continue;
     }
     Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
-    ++stats_.memsim_runs;
-    cache_metrics().memsim_runs.increment();
+    const Digraph& sub = component_graph(c, extracted);
+    bump<&Stats::memsim_runs>(1);
     telemetry::Span memsim_span("memsim");
-    memsim_span.attr("vertices", sub->num_vertices())
+    memsim_span.attr("vertices", sub.num_vertices())
         .attr("memory", memory)
         .attr("random_orders", random_orders);
     const sim::SimResult result =
-        sim::best_schedule_io(*sub, memory, random_orders);
+        sim::best_schedule_io(sub, memory, random_orders);
     memsim_span.end();
     store_->store_memsim(fp, memory, random_orders,
                          {result.reads, result.writes});
@@ -619,12 +552,10 @@ const ArtifactCache::PartitionArtifact& ArtifactCache::partition_row(
     double memory) {
   const auto it = partitions_.find(memory);
   if (it != partitions_.end()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>(1);
     return it->second;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>(1);
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   PartitionArtifact artifact;
@@ -645,13 +576,7 @@ const ArtifactCache::PartitionArtifact& ArtifactCache::partition_row(
       continue;
     }
     Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
+    const Digraph& sub = component_graph(c, extracted);
     const auto n = static_cast<std::int64_t>(d.wc.vertices[i].size());
     // The DP walks the component's own natural order — the restriction
     // of the merged whole-graph Kahn order, already store-cached by the
@@ -664,20 +589,18 @@ const ArtifactCache::PartitionArtifact& ArtifactCache::partition_row(
     } else {
       telemetry::Span topo_span("topo");
       topo_span.attr("vertices", n).attr("edges", d.edges[i]);
-      auto computed = topological_order(*sub);
+      auto computed = topological_order(sub);
       topo_span.end();
       GIO_EXPECTS_MSG(computed.has_value(), "graph is cyclic");
-      ++stats_.topo_computes;
-      cache_metrics().topo_computes.increment();
+      bump<&Stats::topo_computes>(1);
       store_->store_topo(fp, {*computed});
       order = std::move(*computed);
     }
-    ++stats_.partition_runs;
-    cache_metrics().partition_runs.increment();
+    bump<&Stats::partition_runs>(1);
     telemetry::Span dp_span("partition_dp");
     dp_span.attr("vertices", n).attr("edges", d.edges[i]);
     const OptimalPartitionResult r =
-        optimal_lemma1_bound(*sub, order, memory);
+        optimal_lemma1_bound(sub, order, memory);
     dp_span.end();
     store_->store_partition(fp, memory,
                             {r.objective, r.objective_segments});

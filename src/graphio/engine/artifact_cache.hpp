@@ -15,6 +15,7 @@
 // Laplacian kind.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -30,6 +31,7 @@
 #include "graphio/graph/laplacian.hpp"
 #include "graphio/la/csr_matrix.hpp"
 #include "graphio/store/artifact_store.hpp"
+#include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::engine {
 
@@ -80,6 +82,11 @@ struct LazyGraph {
 
 class ArtifactCache {
  public:
+  struct Stats;  ///< per-instance counters, declared below
+  /// Lifetime totals several caches add into: an Engine's, across every
+  /// cache it creates.
+  using Totals = telemetry::AtomicStats<Stats>;
+
   /// Takes ownership of the graph; artifacts are computed lazily.
   /// Per-component artifacts resolve through `store`, the
   /// fingerprint-keyed content-addressed artifact store — pass an
@@ -89,10 +96,11 @@ class ArtifactCache {
   /// memory-only one (identical components *within* one graph still
   /// dedupe). A `seed` (validated against the graph) pre-installs the
   /// decomposition and per-component fingerprints, so the query path
-  /// skips both.
+  /// skips both. Every count also adds into `totals` when given.
   explicit ArtifactCache(
       Digraph graph, std::shared_ptr<store::ArtifactStore> store = nullptr,
-      std::optional<ComponentSeed> seed = std::nullopt);
+      std::optional<ComponentSeed> seed = std::nullopt,
+      Totals* totals = nullptr);
 
   /// Lazy variant: the graph stays unmaterialized until a whole-graph
   /// consumer (partition-dp's DP, pebble-exact, monolithic spectra) asks
@@ -101,7 +109,7 @@ class ArtifactCache {
   /// without known fingerprints every component would have to
   /// materialize anyway, defeating the point.
   ArtifactCache(LazyGraph lazy, std::shared_ptr<store::ArtifactStore> store,
-                ComponentSeed seed);
+                ComponentSeed seed, Totals* totals = nullptr);
 
   /// The graph, materializing it on first use for lazily-constructed
   /// caches.
@@ -147,23 +155,6 @@ class ArtifactCache {
     double seconds = 0.0;
     /// Weak components the pipeline decomposed the graph into.
     int components = 1;
-    /// Component eigensolves actually run for this artifact (solves
-    /// served by the artifact store or trivially zero are excluded).
-    std::int64_t eigensolves = 0;
-    /// Component solves served by the shared artifact store.
-    std::int64_t component_hits = 0;
-    /// Component subgraphs materialized for this artifact — on the
-    /// fingerprint-first path only resolver misses extract, so for a
-    /// seeded (stream) cache this equals the dirty-component count.
-    std::int64_t subgraph_extractions = 0;
-    /// Component fingerprints computed for this artifact. Zero when the
-    /// cache was seeded or an earlier artifact already hashed them —
-    /// fingerprints are computed once per graph, not once per spectrum.
-    std::int64_t fingerprint_computes = 0;
-    /// Component solves seeded from a retained predecessor eigenbasis.
-    std::int64_t warm_hits = 0;
-    /// Iterations the warm starts avoided versus their producing solves.
-    std::int64_t warm_iterations_saved = 0;
     /// Content fingerprint per component, in component order. Unseeded
     /// caches never hash trivial edgeless components, so those slots
     /// hold 0; seeded (stream) caches carry the seeder's fingerprint for
@@ -287,45 +278,29 @@ class ArtifactCache {
     double solve_seconds = 0.0;
     double merge_seconds = 0.0;
 
-    /// Aggregation across caches/workers and before/after deltas — the
-    /// only two operations consumers perform; keeping them here means a
-    /// new counter cannot be silently dropped at one of the call sites.
-    Stats& operator+=(const Stats& other) noexcept {
-      hits += other.hits;
-      misses += other.misses;
-      eigensolves += other.eigensolves;
-      mincut_sweeps += other.mincut_sweeps;
-      topo_computes += other.topo_computes;
-      memsim_runs += other.memsim_runs;
-      partition_runs += other.partition_runs;
-      component_hits += other.component_hits;
-      subgraph_extractions += other.subgraph_extractions;
-      fingerprint_computes += other.fingerprint_computes;
-      warm_hits += other.warm_hits;
-      warm_iterations_saved += other.warm_iterations_saved;
-      fingerprint_seconds += other.fingerprint_seconds;
-      extract_seconds += other.extract_seconds;
-      solve_seconds += other.solve_seconds;
-      merge_seconds += other.merge_seconds;
-      return *this;
-    }
-    [[nodiscard]] Stats operator-(const Stats& other) const noexcept {
-      return {hits - other.hits,
-              misses - other.misses,
-              eigensolves - other.eigensolves,
-              mincut_sweeps - other.mincut_sweeps,
-              topo_computes - other.topo_computes,
-              memsim_runs - other.memsim_runs,
-              partition_runs - other.partition_runs,
-              component_hits - other.component_hits,
-              subgraph_extractions - other.subgraph_extractions,
-              fingerprint_computes - other.fingerprint_computes,
-              warm_hits - other.warm_hits,
-              warm_iterations_saved - other.warm_iterations_saved,
-              fingerprint_seconds - other.fingerprint_seconds,
-              extract_seconds - other.extract_seconds,
-              solve_seconds - other.solve_seconds,
-              merge_seconds - other.merge_seconds};
+    /// The counter table (telemetry/metrics.hpp): one row per field, in
+    /// JSON order; registry names `cache.<key>`. The warm rows are
+    /// instance-only: their registry twins are the spectral pipeline's
+    /// `solver.warm_*`.
+    static constexpr auto fields() {
+      using F = telemetry::Field<Stats>;
+      return std::array{
+          F{"hits", &Stats::hits},
+          F{"misses", &Stats::misses},
+          F{"eigensolves", &Stats::eigensolves},
+          F{"mincut_sweeps", &Stats::mincut_sweeps},
+          F{"topo_computes", &Stats::topo_computes},
+          F{"memsim_runs", &Stats::memsim_runs},
+          F{"partition_runs", &Stats::partition_runs},
+          F{"component_hits", &Stats::component_hits},
+          F{"subgraph_extractions", &Stats::subgraph_extractions},
+          F{"fingerprint_computes", &Stats::fingerprint_computes},
+          F{"warm_hits", &Stats::warm_hits, {}, false},
+          F{"warm_iterations_saved", &Stats::warm_iterations_saved, {}, false},
+          F{"fingerprint_seconds", {}, &Stats::fingerprint_seconds},
+          F{"extract_seconds", {}, &Stats::extract_seconds},
+          F{"solve_seconds", {}, &Stats::solve_seconds},
+          F{"merge_seconds", {}, &Stats::merge_seconds}};
     }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -397,9 +372,12 @@ class ArtifactCache {
   /// The content fingerprint of component c, computed (and counted) on
   /// first use.
   std::uint64_t component_fingerprint(int c);
-  /// Extracts component c's subgraph (counted). For single-component
-  /// materialized graphs callers should use graph() in place instead.
-  Digraph component_subgraph(int c);
+  /// Component c as a graph: the materialized graph itself when it is the
+  /// only component, else its extracted subgraph (counted) in `scratch`.
+  const Digraph& component_graph(int c, Digraph& scratch);
+  /// Adds `delta` to one Stats field, its registry metric and totals_.
+  template <auto Member, class T>
+  void bump(T delta);
 
   Digraph graph_;
   bool materialized_ = true;
@@ -408,6 +386,7 @@ class ArtifactCache {
   std::optional<ComponentSeed> seed_;
   std::optional<Decomposition> decomp_;
   Stats stats_;
+  Totals* totals_ = nullptr;
   std::optional<std::uint64_t> fingerprint_;
   std::optional<std::vector<VertexId>> topo_;
   std::map<LaplacianKind, la::CsrMatrix> laplacians_;

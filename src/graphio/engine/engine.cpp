@@ -144,7 +144,7 @@ BoundReport Engine::evaluate_with_cache(const BoundRequest& request,
                        std::make_move_iterator(rows.end()));
   }
 
-  report.cache = cache.stats() - before;
+  report.cache = telemetry::difference(cache.stats(), before);
   assemble_provenance(report, cache, runs_before, serial_before,
                       solver_counters.warm_hits.value() - warm_before,
                       solver_counters.iterations.value() - iter_before);
@@ -159,7 +159,8 @@ ArtifactCache& Engine::ensure_cache(const std::string& spec) {
   if (it == caches_.end()) {
     it = caches_
              .emplace(spec, std::make_unique<ArtifactCache>(
-                                GraphSpec::parse(spec).build(), store_))
+                                GraphSpec::parse(spec).build(), store_,
+                                std::nullopt, &totals_))
              .first;
   }
   return *it->second;
@@ -171,7 +172,7 @@ BoundReport Engine::evaluate(const BoundRequest& request) {
     // tell whether two Digraph values are the same computation), but
     // share the artifact store — content addressing makes that safe and
     // lets explicit graphs reuse spec-built component artifacts.
-    ArtifactCache cache(*request.graph, store_);
+    ArtifactCache cache(*request.graph, store_, std::nullopt, &totals_);
     return evaluate_with_cache(request, cache);
   }
   return evaluate_with_cache(request, ensure_cache(request.spec));
@@ -187,10 +188,9 @@ void Engine::install_graph(const std::string& name, Digraph graph,
   GIO_EXPECTS_MSG(!GraphSpec::try_parse(name).has_value(),
                   "installed graph name '" + name +
                       "' collides with a family spec or graph file");
-  retire_cache_stats(name);
   caches_.insert_or_assign(
       name, std::make_unique<ArtifactCache>(std::move(graph), store_,
-                                            std::move(seed)));
+                                            std::move(seed), &totals_));
 }
 
 void Engine::install_graph(const std::string& name, LazyGraph graph,
@@ -199,25 +199,13 @@ void Engine::install_graph(const std::string& name, LazyGraph graph,
   GIO_EXPECTS_MSG(!GraphSpec::try_parse(name).has_value(),
                   "installed graph name '" + name +
                       "' collides with a family spec or graph file");
-  retire_cache_stats(name);
   caches_.insert_or_assign(
       name, std::make_unique<ArtifactCache>(std::move(graph), store_,
-                                            std::move(seed)));
-}
-
-void Engine::retire_cache_stats(const std::string& name) {
-  const auto it = caches_.find(name);
-  if (it != caches_.end()) retired_ += it->second->stats();
+                                            std::move(seed), &totals_));
 }
 
 std::uint64_t Engine::fingerprint(const std::string& spec) {
   return ensure_cache(spec).fingerprint();
-}
-
-ArtifactCache::Stats Engine::stats() const {
-  ArtifactCache::Stats total = retired_;
-  for (const auto& [spec, cache] : caches_) total += cache->stats();
-  return total;
 }
 
 std::vector<BoundReport> Engine::evaluate_batch(
@@ -235,7 +223,8 @@ std::vector<BoundReport> Engine::evaluate_batch(
                                            ? *request.graph
                                            : GraphSpec::parse(request.spec)
                                                  .build();
-                           ArtifactCache cache(std::move(g), store_);
+                           ArtifactCache cache(std::move(g), store_,
+                                               std::nullopt, &totals_);
                            reports[static_cast<std::size_t>(i)] =
                                evaluate_with_cache(request, cache);
                          } catch (const std::exception& e) {
@@ -260,7 +249,6 @@ const ArtifactCache* Engine::cache(const std::string& spec) const {
 }
 
 void Engine::clear() {
-  for (const auto& [spec, cache] : caches_) retired_ += cache->stats();
   caches_.clear();
   store_->clear();
 }

@@ -101,12 +101,14 @@ class Engine {
   /// evaluated yet (test/introspection hook).
   [[nodiscard]] const ArtifactCache* cache(const std::string& spec) const;
 
-  /// Lifetime artifact-cache totals summed across every spec this Engine
-  /// has touched — the serve layer reports these per worker and in the
-  /// batch summary footer. Includes counters retired when a graph is
-  /// reinstalled over an existing name (the stream session reinstalls
-  /// after every patch), so totals are monotone across reinstalls.
-  [[nodiscard]] ArtifactCache::Stats stats() const;
+  /// Lifetime totals of every ArtifactCache this Engine created —
+  /// spec-addressed, installed (the stream session reinstalls after every
+  /// patch), explicit-graph and batch fan-out caches alike, each adding
+  /// into them as it counts. The serve layer reports these per worker and
+  /// in the batch summary footer.
+  [[nodiscard]] ArtifactCache::Stats stats() const {
+    return totals_.snapshot();
+  }
 
   /// The content-addressed artifact store shared by every ArtifactCache
   /// this Engine creates — spec-addressed, explicit-graph, and batch
@@ -126,15 +128,11 @@ class Engine {
   BoundReport evaluate_with_cache(const BoundRequest& request,
                                   ArtifactCache& cache);
 
-  // Folds a to-be-replaced cache's counters into retired_ so stats()
-  // stays lifetime-accurate (install_graph over an existing name used to
-  // zero that spec's totals).
-  void retire_cache_stats(const std::string& name);
-
   std::shared_ptr<store::ArtifactStore> store_ =
       std::make_shared<store::ArtifactStore>();
   std::unordered_map<std::string, std::unique_ptr<ArtifactCache>> caches_;
-  ArtifactCache::Stats retired_;
+  /// Relaxed atomics: evaluate_batch's caches add concurrently.
+  ArtifactCache::Totals totals_;
 };
 
 }  // namespace graphio::engine

@@ -43,6 +43,22 @@ std::vector<std::string> row_cells(const MethodRow& row, bool with_graph,
 
 }  // namespace
 
+void append_cache_json(io::JsonWriter& w, const ArtifactCache::Stats& cache,
+                       bool phase_seconds) {
+  using Stats = ArtifactCache::Stats;
+  w.key("cache").begin_object();
+  for (const auto& row : Stats::fields())
+    if (row.count != nullptr) w.key(row.key).value(cache.*row.count);
+  if (phase_seconds) {
+    w.key("phase_seconds").begin_object();
+    for (const auto& row : Stats::fields())  // "solve_seconds" as "solve"
+      if (row.gauge != nullptr)
+        w.key(row.key.substr(0, row.key.rfind('_'))).value(cache.*row.gauge);
+    w.end_object();
+  }
+  w.end_object();
+}
+
 std::vector<const MethodRow*> BoundReport::rows_for(
     std::string_view method) const {
   std::vector<const MethodRow*> out;
@@ -71,26 +87,7 @@ void BoundReport::append_json(io::JsonWriter& w, bool include_timing,
   for (double m : memories) w.value(m);
   w.end_array();
   if (include_timing) {
-    w.key("cache").begin_object();
-    w.key("hits").value(cache.hits);
-    w.key("misses").value(cache.misses);
-    w.key("eigensolves").value(cache.eigensolves);
-    w.key("mincut_sweeps").value(cache.mincut_sweeps);
-    w.key("topo_computes").value(cache.topo_computes);
-    w.key("memsim_runs").value(cache.memsim_runs);
-    w.key("partition_runs").value(cache.partition_runs);
-    w.key("component_hits").value(cache.component_hits);
-    w.key("subgraph_extractions").value(cache.subgraph_extractions);
-    w.key("fingerprint_computes").value(cache.fingerprint_computes);
-    w.key("warm_hits").value(cache.warm_hits);
-    w.key("warm_iterations_saved").value(cache.warm_iterations_saved);
-    w.key("phase_seconds").begin_object();
-    w.key("fingerprint").value(cache.fingerprint_seconds);
-    w.key("extract").value(cache.extract_seconds);
-    w.key("solve").value(cache.solve_seconds);
-    w.key("merge").value(cache.merge_seconds);
-    w.end_object();
-    w.end_object();
+    append_cache_json(w, cache, /*phase_seconds=*/true);
     w.key("seconds").value(seconds);
   }
   w.key("rows").begin_array();

@@ -61,6 +61,11 @@ struct BoundReport {
   [[nodiscard]] Table to_table() const;
 };
 
+/// The "cache" block of a report or batch summary: ArtifactCache::Stats by
+/// its counter table, with its seconds under "phase_seconds" when asked.
+void append_cache_json(io::JsonWriter& w, const ArtifactCache::Stats& cache,
+                       bool phase_seconds);
+
 /// A JSON array of reports (batch output).
 std::string reports_to_json(std::span<const BoundReport> reports);
 

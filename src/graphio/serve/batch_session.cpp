@@ -157,20 +157,7 @@ std::string BatchSummary::to_json() const {
   w.key("misses").value(store_misses);
   w.key("hit_rate").value(store_hit_rate());
   w.end_object();
-  w.key("cache").begin_object();
-  w.key("hits").value(cache.hits);
-  w.key("misses").value(cache.misses);
-  w.key("eigensolves").value(cache.eigensolves);
-  w.key("mincut_sweeps").value(cache.mincut_sweeps);
-  w.key("topo_computes").value(cache.topo_computes);
-  w.key("memsim_runs").value(cache.memsim_runs);
-  w.key("partition_runs").value(cache.partition_runs);
-  w.key("component_hits").value(cache.component_hits);
-  w.key("subgraph_extractions").value(cache.subgraph_extractions);
-  w.key("fingerprint_computes").value(cache.fingerprint_computes);
-  w.key("warm_hits").value(cache.warm_hits);
-  w.key("warm_iterations_saved").value(cache.warm_iterations_saved);
-  w.end_object();
+  engine::append_cache_json(w, cache, /*phase_seconds=*/false);
   w.key("stream").begin_object();
   w.key("jobs").value(stream_jobs);
   w.key("patches").value(patches);
@@ -294,7 +281,7 @@ double BatchSession::handle_stream_job(const Job& job, std::ostream& out,
       summary.store_hits += result.store_hits;
       summary.store_misses += result.store_misses;
     }
-    summary.cache += result.report.cache;
+    telemetry::accumulate(summary.cache, result.report.cache);
     // Stream records replay from the updates file (the mutations matter,
     // not just the final query), but the query itself is still recorded.
     result.report.provenance.request = request_to_json_line(job.request);
@@ -378,8 +365,9 @@ BatchSummary BatchSession::run(std::istream& in, std::ostream& out) {
 
   summary.threads = stats.threads;
   summary.steals = stats.steals;
-  // += : stream queries already contributed their engines' deltas.
-  summary.cache += stats.cache;
+  // Accumulated, not assigned: stream queries already contributed their
+  // engines' deltas.
+  telemetry::accumulate(summary.cache, stats.cache);
   summary.seconds = timer.seconds();
   summary.throughput =
       summary.seconds > 0.0
@@ -447,8 +435,11 @@ BatchSummary BatchSession::serve(std::istream& in, std::ostream& out) {
     summary.store_misses += result.store_misses;
   }
 
-  // += : stream queries already contributed their engines' deltas.
-  summary.cache += scheduler_->engine_stats() - before;
+  // Accumulated, not assigned: stream queries already contributed their
+  // engines' deltas.
+  telemetry::accumulate(
+      summary.cache,
+      telemetry::difference(scheduler_->engine_stats(), before));
   summary.seconds = timer.seconds();
   summary.throughput =
       summary.seconds > 0.0

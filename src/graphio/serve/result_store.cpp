@@ -11,26 +11,11 @@ namespace graphio::serve {
 
 namespace {
 
-// Registry mirrors of Stats — process-wide lifetime totals across every
-// ResultStore instance.
-struct ResultStoreMetrics {
-  telemetry::Counter& hits;
-  telemetry::Counter& misses;
-  telemetry::Counter& loaded;
-  telemetry::Counter& corrupt;
-  telemetry::Counter& appended;
-  telemetry::Counter& demoted;  ///< incremented by the JsonlLog on demotion
-};
-
-ResultStoreMetrics& result_store_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static ResultStoreMetrics metrics{reg.counter("result_store.hits"),
-                                    reg.counter("result_store.misses"),
-                                    reg.counter("result_store.loaded"),
-                                    reg.counter("result_store.corrupt"),
-                                    reg.counter("result_store.appended"),
-                                    reg.counter("result_store.demoted")};
-  return metrics;
+// The registry side of Stats (`result_store.<key>`, by its counter table):
+// process-wide lifetime totals across every ResultStore instance.
+const telemetry::Mirror<ResultStore::Stats>& registry() {
+  static const telemetry::Mirror<ResultStore::Stats> mirror("result_store.");
+  return mirror;
 }
 
 engine::BoundKind kind_from_string(const std::string& s) {
@@ -128,24 +113,24 @@ std::string ResultStore::encode_key(const Key& key) {
 ResultStore::ResultStore(const std::filesystem::path& dir)
     : log_(dir, {"results.jsonl", "store", "result_store",
                  "result store disk tier", "continuing memory-only"}) {
-  stats_.corrupt = log_.replay([this](const std::string& line) {
-    auto [key, row] = parse_record(line);
-    if (rows_.emplace(encode_key(key), std::move(row)).second) ++stats_.loaded;
-  });
-  result_store_metrics().loaded.add(stats_.loaded);
-  result_store_metrics().corrupt.add(stats_.corrupt);
+  std::int64_t loaded = 0;
+  const std::int64_t corrupt =
+      log_.replay([this, &loaded](const std::string& line) {
+        auto [key, row] = parse_record(line);
+        if (rows_.emplace(encode_key(key), std::move(row)).second) ++loaded;
+      });
+  registry().add<&Stats::loaded>(stats_, loaded);
+  registry().add<&Stats::corrupt>(stats_, corrupt);
 }
 
 std::optional<engine::MethodRow> ResultStore::lookup(const Key& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = rows_.find(encode_key(key));
   if (it == rows_.end()) {
-    ++stats_.misses;
-    result_store_metrics().misses.increment();
+    registry().add<&Stats::misses>(stats_, 1);
     return std::nullopt;
   }
-  ++stats_.hits;
-  result_store_metrics().hits.increment();
+  registry().add<&Stats::hits>(stats_, 1);
   return it->second;
 }
 
@@ -153,7 +138,7 @@ void ResultStore::insert(const Key& key, const engine::MethodRow& row) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!rows_.emplace(encode_key(key), row).second) return;
   if (log_.append(record_line(key, row)))
-    result_store_metrics().appended.increment();
+    registry().add<&Stats::appended>(stats_, 1);
 }
 
 void ResultStore::sync() { log_.sync(); }
@@ -161,7 +146,6 @@ void ResultStore::sync() { log_.sync(); }
 ResultStore::Stats ResultStore::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Stats out = stats_;
-  out.appended = log_.appended();
   out.demoted = log_.demoted();
   return out;
 }

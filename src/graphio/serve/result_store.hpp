@@ -21,6 +21,7 @@
 // the following restart.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
@@ -30,6 +31,7 @@
 
 #include "graphio/engine/method.hpp"
 #include "graphio/support/jsonl_log.hpp"
+#include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::serve {
 
@@ -73,6 +75,17 @@ class ResultStore {
     std::int64_t misses = 0;     ///< lookups that found nothing
     std::int64_t appended = 0;   ///< rows written this session
     bool demoted = false;        ///< disk writes disabled after a failure
+    /// The counter table (telemetry/metrics.hpp); registry names
+    /// `result_store.<key>`. `demoted` is registry-only: the JsonlLog
+    /// counts the demotion.
+    static constexpr auto fields() {
+      using F = telemetry::Field<Stats>;
+      return std::array{F{"loaded", &Stats::loaded},
+                        F{"corrupt", &Stats::corrupt},
+                        F{"hits", &Stats::hits},
+                        F{"misses", &Stats::misses},
+                        F{"appended", &Stats::appended}, F{"demoted"}};
+    }
   };
   [[nodiscard]] Stats stats() const;
 
@@ -88,7 +101,7 @@ class ResultStore {
   JsonlLog log_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, engine::MethodRow> rows_;
-  Stats stats_;  ///< appended/demoted are read from log_
+  Stats stats_;  ///< demoted is read from log_
 };
 
 }  // namespace graphio::serve

@@ -275,7 +275,8 @@ JobResult Scheduler::run_one(const Job& job) {
 
 engine::ArtifactCache::Stats Scheduler::engine_stats() const {
   engine::ArtifactCache::Stats total;
-  for (const auto& engine : engines_) total += engine->stats();
+  for (const auto& engine : engines_)
+    telemetry::accumulate(total, engine->stats());
   return total;
 }
 
@@ -287,9 +288,7 @@ Scheduler::RunStats Scheduler::run(
   stats.jobs = static_cast<std::int64_t>(jobs.size());
   WallTimer timer;
 
-  std::vector<engine::ArtifactCache::Stats> before;
-  before.reserve(engines_.size());
-  for (const auto& engine : engines_) before.push_back(engine->stats());
+  const engine::ArtifactCache::Stats before = engine_stats();
 
   JobQueue queue(threads());
   for (Job& job : jobs) queue.push(std::move(job));
@@ -321,8 +320,7 @@ Scheduler::RunStats Scheduler::run(
   worker(0);
   for (std::thread& t : pool) t.join();
 
-  for (std::size_t t = 0; t < engines_.size(); ++t)
-    stats.cache += engines_[t]->stats() - before[t];
+  stats.cache = telemetry::difference(engine_stats(), before);
   stats.steals = queue.steals();
   stats.seconds = timer.seconds();
   return stats;

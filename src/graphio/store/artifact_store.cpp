@@ -2,7 +2,9 @@
 
 #include <array>
 #include <iterator>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "graphio/engine/fingerprint.hpp"
 #include "graphio/io/json.hpp"
@@ -26,44 +28,24 @@ const char* kind_name(ArtifactKind kind) {
   return kKindNames[static_cast<std::size_t>(kind)];
 }
 
-// Registry mirrors of the per-kind Stats counters plus disk-tier events.
-// Process-wide lifetime totals; the struct Stats stays the per-instance
-// view. One relaxed atomic add per event once resolved.
-struct KindMetrics {
-  telemetry::Counter& hits;
-  telemetry::Counter& misses;
-  telemetry::Counter& evicted;
+// The registry side of Stats, by its counter tables: `store.<kind>.<key>`
+// for every kind in kKindNames and `store.disk.<key>`, resolved together
+// on first use. Process-wide lifetime totals; one relaxed atomic add per
+// event once resolved.
+struct Registry {
+  std::array<telemetry::Mirror<ArtifactStore::KindStats>, kKindNames.size()>
+      kinds;
+  telemetry::Mirror<ArtifactStore::Stats> disk;
 };
 
-struct StoreMetrics {
-  std::array<KindMetrics, kKindNames.size()> kinds;  ///< by ArtifactKind
-  telemetry::Counter& loaded;
-  telemetry::Counter& corrupt;
-  telemetry::Counter& appended;
-  telemetry::Counter& demoted;  ///< incremented by the JsonlLog on demotion
-};
-
-StoreMetrics& store_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  auto kind = [&reg](ArtifactKind k) {
-    const std::string prefix = std::string("store.") + kind_name(k);
-    return KindMetrics{reg.counter(prefix + ".hits"),
-                       reg.counter(prefix + ".misses"),
-                       reg.counter(prefix + ".evicted")};
-  };
-  static StoreMetrics metrics{
-      {kind(ArtifactKind::kSpectrum), kind(ArtifactKind::kTopoOrder),
-       kind(ArtifactKind::kMincutSweep), kind(ArtifactKind::kMemsimRow),
-       kind(ArtifactKind::kPartitionRow), kind(ArtifactKind::kEigenbasis)},
-      reg.counter("store.disk.loaded"),
-      reg.counter("store.disk.corrupt"),
-      reg.counter("store.disk.appended"),
-      reg.counter("store.disk.demoted")};
-  return metrics;
-}
-
-KindMetrics& kind_metrics(ArtifactKind kind) {
-  return store_metrics().kinds[static_cast<std::size_t>(kind)];
+const Registry& registry() {
+  static const Registry r{
+      []<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array{telemetry::Mirror<ArtifactStore::KindStats>(
+            std::string("store.") + kKindNames[I] + ".")...};
+      }(std::make_index_sequence<kKindNames.size()>()),
+      telemetry::Mirror<ArtifactStore::Stats>("store.disk.")};
+  return r;
 }
 
 /// Counts one lookup in the per-instance stats and the registry, plus a
@@ -72,9 +54,12 @@ KindMetrics& kind_metrics(ArtifactKind kind) {
 /// cannot give.
 void count_lookup(ArtifactStore::KindStats& stats, ArtifactKind kind,
                   bool hit) {
-  ++(hit ? stats.hits : stats.misses);
-  KindMetrics& metrics = kind_metrics(kind);
-  (hit ? metrics.hits : metrics.misses).increment();
+  using KindStats = ArtifactStore::KindStats;
+  const auto& mirror = registry().kinds[static_cast<std::size_t>(kind)];
+  if (hit)
+    mirror.add<&KindStats::hits>(stats, 1);
+  else
+    mirror.add<&KindStats::misses>(stats, 1);
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   if (!tracer.enabled()) return;
   tracer.instant(hit ? "store.hit" : "store.miss",
@@ -85,8 +70,8 @@ void count_lookup(ArtifactStore::KindStats& stats, ArtifactKind kind,
 void count_evicted(ArtifactStore::KindStats& stats, ArtifactKind kind,
                    std::int64_t n) {
   stats.entries -= n;
-  stats.evicted += n;
-  kind_metrics(kind).evicted.add(n);
+  registry().kinds[static_cast<std::size_t>(kind)]
+      .add<&ArtifactStore::KindStats::evicted>(stats, n);
 }
 
 std::string_view lap_name(LaplacianKind kind) {
@@ -306,12 +291,14 @@ ArtifactStore::ArtifactStore(const std::filesystem::path& dir) {
   log_.emplace(dir, JsonlLog::Spec{"artifacts.jsonl", "artifact store",
                                    "store.disk", "artifact store disk tier",
                                    "continuing memory-only"});
-  stats_.corrupt = log_->replay([this](const std::string& line) {
-    replay_line_locked(line);
-    ++stats_.loaded;
-  });
-  store_metrics().loaded.add(stats_.loaded);
-  store_metrics().corrupt.add(stats_.corrupt);
+  std::int64_t loaded = 0;
+  const std::int64_t corrupt =
+      log_->replay([this, &loaded](const std::string& line) {
+        replay_line_locked(line);
+        ++loaded;
+      });
+  registry().disk.add<&Stats::loaded>(stats_, loaded);
+  registry().disk.add<&Stats::corrupt>(stats_, corrupt);
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   if (tracer.enabled()) {
     tracer.instant("store.replay",
@@ -346,7 +333,8 @@ void ArtifactStore::replay_line_locked(const std::string& line) {
 }
 
 void ArtifactStore::append_locked(const std::string& line) {
-  if (log_->append(line)) store_metrics().appended.increment();
+  if (log_->append(line))
+    registry().disk.add<&Stats::appended>(stats_, 1);
 }
 
 template <class T>
@@ -644,10 +632,7 @@ ArtifactStore::Stats ArtifactStore::stats() const {
   out.memsim = memsim_.stats;
   out.partition = partition_.stats;
   out.eigenbasis_bytes = basis_bytes_;
-  if (log_) {
-    out.appended = log_->appended();
-    out.demoted = log_->demoted();
-  }
+  out.demoted = log_ && log_->demoted();
   return out;
 }
 

@@ -32,6 +32,7 @@
 // BatchSession; all public methods are thread-safe.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -45,6 +46,7 @@
 #include "graphio/core/spectral_pipeline.hpp"
 #include "graphio/graph/laplacian.hpp"
 #include "graphio/support/jsonl_log.hpp"
+#include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::store {
 
@@ -209,6 +211,15 @@ class ArtifactStore {
     std::int64_t misses = 0;
     std::int64_t entries = 0;
     std::int64_t evicted = 0;
+    /// The counter table (telemetry/metrics.hpp), in JSON order;
+    /// registry names `store.<kind>.<key>`.
+    static constexpr auto fields() {
+      using F = telemetry::Field<KindStats>;
+      return std::array{F{"entries", &KindStats::entries, {}, false},
+                        F{"hits", &KindStats::hits},
+                        F{"misses", &KindStats::misses},
+                        F{"evicted", &KindStats::evicted}};
+    }
   };
   struct Stats {
     KindStats spectrum;
@@ -222,6 +233,14 @@ class ArtifactStore {
     std::int64_t corrupt = 0;  ///< log lines skipped as unparseable
     std::int64_t appended = 0; ///< artifacts written to disk this session
     bool demoted = false;      ///< disk tier disabled after a write failure
+    /// The disk tier's counter table; registry names `store.disk.<key>`.
+    /// `demoted` is registry-only: the JsonlLog counts the demotion.
+    static constexpr auto fields() {
+      using F = telemetry::Field<Stats>;
+      return std::array{F{"loaded", &Stats::loaded},
+                        F{"corrupt", &Stats::corrupt},
+                        F{"appended", &Stats::appended}, F{"demoted"}};
+    }
     [[nodiscard]] std::int64_t entries() const noexcept {
       return spectrum.entries + topo.entries + mincut.entries +
              memsim.entries + partition.entries + eigenbasis.entries;
@@ -336,7 +355,7 @@ class ArtifactStore {
   std::int64_t basis_bytes_ = 0;
   std::uint64_t basis_tick_ = 0;
   /// Spectrum, eigenbasis and disk-tier counters (the tables hold their
-  /// own KindStats; appended/demoted are read from log_).
+  /// own KindStats; demoted is read from log_).
   Stats stats_;
   std::optional<JsonlLog> log_;
 };

@@ -15,26 +15,11 @@ namespace graphio::stream {
 
 namespace {
 
-// Registry mirrors of Stats — process-wide lifetime totals across every
-// StreamSession instance.
-struct StreamMetrics {
-  telemetry::Counter& patches;
-  telemetry::Counter& mutations;
-  telemetry::Counter& dirty_components;
-  telemetry::Counter& clean_components;
-  telemetry::Counter& evicted;
-  telemetry::Counter& queries;
-};
-
-StreamMetrics& stream_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static StreamMetrics metrics{reg.counter("stream.patches"),
-                               reg.counter("stream.mutations"),
-                               reg.counter("stream.dirty_components"),
-                               reg.counter("stream.clean_components"),
-                               reg.counter("stream.evicted"),
-                               reg.counter("stream.queries")};
-  return metrics;
+// The registry side of Stats (`stream.<key>`, by its counter table):
+// process-wide lifetime totals across every StreamSession instance.
+const telemetry::Mirror<StreamSession::Stats>& registry() {
+  static const telemetry::Mirror<StreamSession::Stats> mirror("stream.");
+  return mirror;
 }
 
 }  // namespace
@@ -73,7 +58,8 @@ PatchReport StreamSession::load_locked(const Digraph& graph) {
   // entries this session refcounts (a shared store's disk tier, being
   // append-only, is untouched) and re-fingerprint from scratch.
   for (const auto& [fp, count] : fingerprint_refcount_) {
-    stats_.evicted += engine_->artifact_store()->erase(fp);
+    registry().add<&Stats::evicted>(stats_,
+                                     engine_->artifact_store()->erase(fp));
     (void)count;
   }
   component_fingerprint_.clear();
@@ -159,7 +145,8 @@ void StreamSession::refingerprint_locked(const std::vector<int>& dirty) {
   auto release = [this](std::uint64_t fp) {
     if (--fingerprint_refcount_.at(fp) == 0) {
       fingerprint_refcount_.erase(fp);
-      stats_.evicted += engine_->artifact_store()->erase(fp);
+      registry().add<&Stats::evicted>(stats_,
+                                       engine_->artifact_store()->erase(fp));
     }
   };
   // Dirty components: compute the successor fingerprint FIRST, adopt any
@@ -300,21 +287,17 @@ PatchReport StreamSession::finish_patch_locked(const Patch& patch,
   report.fingerprint = engine::fingerprint_hex(combined_fingerprint_locked());
   report.seconds = seconds;
 
-  ++stats_.patches;
-  stats_.mutations += report.mutations;
-  stats_.dirty_components += report.dirty_components;
-  stats_.clean_components += report.clean_components;
-  // refingerprint_locked (and, for loads, the pre-reset sweep) advanced
-  // stats_.evicted; the report carries this patch's share.
+  registry().add<&Stats::patches>(stats_, 1);
+  registry().add<&Stats::mutations>(stats_, report.mutations);
+  registry().add<&Stats::dirty_components>(stats_,
+                                           report.dirty_components);
+  registry().add<&Stats::clean_components>(stats_,
+                                           report.clean_components);
+  // refingerprint_locked (and, for loads, the pre-reset sweep) counted
+  // the evictions; the report carries this patch's share.
   report.evicted = stats_.evicted - evicted_before;
   last_dirty_ = report.dirty_components;
   last_clean_ = report.clean_components;
-  StreamMetrics& metrics = stream_metrics();
-  metrics.patches.increment();
-  metrics.mutations.add(report.mutations);
-  metrics.dirty_components.add(report.dirty_components);
-  metrics.clean_components.add(report.clean_components);
-  metrics.evicted.add(report.evicted);
   return report;
 }
 
@@ -331,8 +314,7 @@ engine::BoundReport StreamSession::evaluate(engine::BoundRequest request) {
   // to the cold one (retention is excluded from the options key).
   request.spectral.retain_basis =
       engine_->artifact_store()->eigenbasis_budget() > 0;
-  ++stats_.queries;
-  stream_metrics().queries.increment();
+  registry().add<&Stats::queries>(stats_, 1);
   telemetry::Span span("stream.query");
   span.attr("graph", name_)
       .attr("dirty", last_dirty_)

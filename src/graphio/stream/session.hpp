@@ -38,6 +38,7 @@
 // caller sees a consistent patch boundary.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,6 +50,7 @@
 #include "graphio/stream/dynamic_components.hpp"
 #include "graphio/stream/dynamic_graph.hpp"
 #include "graphio/stream/mutation.hpp"
+#include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::stream {
 
@@ -122,6 +124,17 @@ class StreamSession {
     std::int64_t clean_components = 0;
     std::int64_t evicted = 0;           ///< artifact-store evictions
     std::int64_t queries = 0;
+    /// The counter table (telemetry/metrics.hpp); registry names
+    /// `stream.<key>`.
+    static constexpr auto fields() {
+      using F = telemetry::Field<Stats>;
+      return std::array{F{"patches", &Stats::patches},
+                        F{"mutations", &Stats::mutations},
+                        F{"dirty_components", &Stats::dirty_components},
+                        F{"clean_components", &Stats::clean_components},
+                        F{"evicted", &Stats::evicted},
+                        F{"queries", &Stats::queries}};
+    }
   };
   [[nodiscard]] Stats stats() const;
 

@@ -4,21 +4,26 @@
 // histograms, cheap enough to update from hot paths (single atomic op per
 // event) and snapshottable to JSON at any time.
 //
-// The registry is the one source of truth for lifetime totals; the legacy
-// per-instance Stats structs (ArtifactCache, ArtifactStore, ResultStore,
-// StreamSession) dual-write into it at their increment sites and keep
-// serving per-instance deltas. Registry values are monotone: they survive
-// cache reinstalls and session restarts within the process.
+// The registry is the one source of lifetime totals. Registry values are
+// monotone: they survive cache reinstalls and session restarts within the
+// process. Components that also keep per-instance counts (ArtifactCache,
+// ArtifactStore, ResultStore, StreamSession) declare them once, as a
+// counter table on their Stats struct (see "Counter tables" below); one
+// call per event then updates the instance field and its registry metric
+// together, and the same table drives aggregation, deltas and rendering.
 //
 // Telemetry is observe-only: nothing in here may influence results.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace graphio::telemetry {
@@ -126,6 +131,126 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+};
+
+// ------------------------------------------------------- Counter tables
+//
+// A stats struct S lists its fields once, as the Field rows returned by
+// `static constexpr fields()`. Every helper below works from those rows.
+
+/// One row of a counter table: an integer field (a registry Counter), a
+/// double field (a Gauge), or neither — a registry-only counter another
+/// component writes, resolved with the rest of the group.
+template <class S>
+struct Field {
+  std::string_view key;  ///< JSON key; registry name `<prefix><key>`
+  std::int64_t S::*count = nullptr;
+  double S::*gauge = nullptr;
+  bool mirrored = true;  ///< false: instance-only, no registry metric
+};
+
+namespace detail {
+
+template <class S, class T>
+S owner_of(T S::*);
+template <class S, class T>
+T type_of(T S::*);
+template <auto Member>
+using FieldType = decltype(type_of(Member));
+
+/// Row index of `Member`; a member missing from its table reads past the
+/// end, which fails to compile.
+template <auto Member>
+inline constexpr std::size_t kSlot = [] {
+  constexpr auto rows = decltype(owner_of(Member))::fields();
+  std::size_t i = 0;
+  if constexpr (std::is_same_v<FieldType<Member>, double>)
+    while (rows[i].gauge != Member) ++i;
+  else
+    while (rows[i].count != Member) ++i;
+  return i;
+}();
+
+}  // namespace detail
+
+/// total += sign * part, field by field.
+template <class S>
+void accumulate(S& total, const S& part, int sign = 1) {
+  for (const Field<S>& row : S::fields()) {
+    if (row.count != nullptr) total.*row.count += sign * part.*row.count;
+    if (row.gauge != nullptr) total.*row.gauge += sign * part.*row.gauge;
+  }
+}
+
+template <class S>
+S difference(S after, const S& before) {
+  accumulate(after, before, -1);
+  return after;
+}
+
+/// The registry metrics `<prefix><key>` of S's mirrored rows, resolved
+/// once (each lookup takes the registry mutex). add() then updates an
+/// instance field and its metric together: one relaxed atomic op, the row
+/// found at compile time.
+template <class S>
+class Mirror {
+ public:
+  explicit Mirror(std::string_view prefix) {
+    MetricsRegistry& registry = MetricsRegistry::global();
+    constexpr auto rows = S::fields();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (!rows[i].mirrored) continue;
+      const std::string name = std::string(prefix).append(rows[i].key);
+      if (rows[i].gauge != nullptr)
+        gauges_[i] = &registry.gauge(name);
+      else
+        counters_[i] = &registry.counter(name);
+    }
+  }
+
+  template <auto Member>
+  void add(S& stats, detail::FieldType<Member> delta) const noexcept {
+    constexpr std::size_t i = detail::kSlot<Member>;
+    stats.*Member += delta;
+    if constexpr (!S::fields()[i].mirrored)
+      return;
+    else if constexpr (std::is_same_v<detail::FieldType<Member>, double>)
+      gauges_[i]->add(delta);
+    else
+      counters_[i]->add(delta);
+  }
+
+ private:
+  std::array<Counter*, S::fields().size()> counters_{};
+  std::array<Gauge*, S::fields().size()> gauges_{};
+};
+
+/// A relaxed-atomic S that several threads may add into.
+template <class S>
+class AtomicStats {
+ public:
+  template <auto Member>
+  void add(detail::FieldType<Member> delta) noexcept {
+    constexpr std::size_t i = detail::kSlot<Member>;
+    if constexpr (std::is_same_v<detail::FieldType<Member>, double>)
+      gauges_[i].add(delta);
+    else
+      counters_[i].add(delta);
+  }
+
+  [[nodiscard]] S snapshot() const noexcept {
+    S out;
+    constexpr auto rows = S::fields();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].count != nullptr) out.*rows[i].count = counters_[i].value();
+      if (rows[i].gauge != nullptr) out.*rows[i].gauge = gauges_[i].value();
+    }
+    return out;
+  }
+
+ private:
+  std::array<Counter, S::fields().size()> counters_;
+  std::array<Gauge, S::fields().size()> gauges_;
 };
 
 }  // namespace graphio::telemetry

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include "graphio/io/json.hpp"
 #include "graphio/sim/memsim.hpp"
 #include "graphio/support/contracts.hpp"
+#include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::engine {
 namespace {
@@ -378,6 +380,49 @@ TEST(EngineBatch, BadSpecThrowsWithContext) {
   requests[1].memories = {4.0};
   Engine engine;
   EXPECT_THROW(engine.evaluate_batch(requests), contract_error);
+}
+
+// ------------------------------------------------------------------ stats
+
+// Explicit-graph requests and the batch fan-out evaluate through private
+// caches; their work still counts in the Engine's lifetime totals, which
+// move exactly as the process registry does.
+TEST(EngineStats, CountsExplicitGraphAndBatchEvaluations) {
+  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+  const auto read = [&reg] {
+    return std::array{reg.counter("cache.hits").value(),
+                      reg.counter("cache.misses").value(),
+                      reg.counter("cache.eigensolves").value()};
+  };
+  const auto before = read();
+  Engine engine;
+
+  BoundRequest single;
+  single.graph = builders::fft(4);
+  single.memories = {4.0, 8.0};
+  single.methods = {"spectral", "mincut"};
+  const BoundReport report = engine.evaluate(single);
+  EXPECT_EQ(report.cache.eigensolves, 1);
+
+  std::vector<BoundRequest> batch(2);
+  batch[0].spec = "fft:4";
+  batch[1].spec = "bhk:5";
+  for (BoundRequest& request : batch) {
+    request.memories = {4.0, 8.0};
+    request.methods = {"spectral", "mincut"};
+  }
+  const std::vector<BoundReport> reports = engine.evaluate_batch(batch);
+  ASSERT_EQ(reports.size(), 2u);
+
+  const auto after = read();
+  const ArtifactCache::Stats stats = engine.stats();
+  EXPECT_EQ(stats.hits, after[0] - before[0]);
+  EXPECT_EQ(stats.misses, after[1] - before[1]);
+  EXPECT_EQ(stats.eigensolves, after[2] - before[2]);
+  EXPECT_EQ(stats.eigensolves, report.cache.eigensolves +
+                                   reports[0].cache.eigensolves +
+                                   reports[1].cache.eigensolves);
+  EXPECT_GT(stats.misses, 0);
 }
 
 // ----------------------------------------------------------------- guards

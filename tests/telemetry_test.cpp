@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,7 +13,9 @@
 #include "graphio/io/json.hpp"
 #include "graphio/serve/batch_session.hpp"
 #include "graphio/serve/job.hpp"
+#include "graphio/serve/result_store.hpp"
 #include "graphio/serve/scheduler.hpp"
+#include "graphio/store/artifact_store.hpp"
 #include "graphio/stream/session.hpp"
 #include "graphio/telemetry/metrics.hpp"
 #include "graphio/telemetry/trace.hpp"
@@ -19,6 +24,47 @@ namespace graphio::telemetry {
 namespace {
 
 // ---------------------------------------------------------------- metrics
+
+/// Metric name -> value.
+using Values = std::map<std::string, double>;
+
+/// Registry value of every mirrored field of S's counter table, keyed
+/// `<prefix><key>`.
+template <class S>
+Values registry_values(const std::string& prefix) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  Values out;
+  for (const Field<S>& row : S::fields()) {
+    if (!row.mirrored) continue;
+    const std::string name = prefix + std::string(row.key);
+    if (row.count != nullptr)
+      out[name] = static_cast<double>(reg.counter(name).value());
+    if (row.gauge != nullptr) out[name] = reg.gauge(name).value();
+  }
+  return out;
+}
+
+/// The instance values of the same fields, under the same names.
+template <class S>
+Values stats_values(const S& stats, const std::string& prefix) {
+  Values out;
+  for (const Field<S>& row : S::fields()) {
+    if (!row.mirrored) continue;
+    const std::string name = prefix + std::string(row.key);
+    if (row.count != nullptr)
+      out[name] = static_cast<double>(stats.*row.count);
+    if (row.gauge != nullptr) out[name] = stats.*row.gauge;
+  }
+  return out;
+}
+
+/// Every instance value equals its registry metric's move since `before`.
+void expect_registry_delta(const Values& before, const Values& after,
+                           const Values& stats) {
+  ASSERT_EQ(after.size(), stats.size());
+  for (const auto& [name, value] : stats)
+    EXPECT_NEAR(after.at(name) - before.at(name), value, 1e-9) << name;
+}
 
 TEST(TelemetryMetricsTest, CounterAndGaugeBasics) {
   MetricsRegistry reg;
@@ -323,28 +369,29 @@ TEST(TelemetryTraceTest, SummarizeComputesSelfTime) {
 
 // ----------------------------------------------------- instrumented layers
 
-// Engine artifact activity must mirror into the registry 1:1 — the legacy
-// Stats struct and the registry delta report identical values.
+// Engine artifact activity must mirror into the registry 1:1: for every
+// mirrored row of the cache's counter table, the Engine's totals equal the
+// registry delta.
 TEST(TelemetryIntegrationTest, CacheStatsEqualRegistryDelta) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::int64_t hits_before = reg.counter("cache.hits").value();
-  const std::int64_t misses_before = reg.counter("cache.misses").value();
-  const std::int64_t solves_before = reg.counter("cache.eigensolves").value();
+  using Stats = engine::ArtifactCache::Stats;
+  const Values before = registry_values<Stats>("cache.");
 
+  // Two equal components and every method over two memories: each counter
+  // of the table moves (hits, component hits, extractions, every kind of
+  // per-component compute).
   engine::Engine eng;
   engine::BoundRequest req;
-  req.spec = "fft:4";
+  req.spec = "multi:2:fft:3";
   req.memories = {4, 8};
-  req.methods = {"spectral"};
+  req.methods = {"all"};
   (void)eng.evaluate(req);
-  const engine::ArtifactCache::Stats stats = eng.stats();
+  const Stats stats = eng.stats();
 
-  EXPECT_EQ(reg.counter("cache.hits").value() - hits_before, stats.hits);
-  EXPECT_EQ(reg.counter("cache.misses").value() - misses_before,
-            stats.misses);
-  EXPECT_EQ(reg.counter("cache.eigensolves").value() - solves_before,
-            stats.eigensolves);
-  EXPECT_GT(stats.eigensolves, 0);
+  expect_registry_delta(before, registry_values<Stats>("cache."),
+                        stats_values(stats, "cache."));
+  for (const Field<Stats>& row : Stats::fields())
+    if (row.mirrored && row.count != nullptr)
+      EXPECT_GT(stats.*row.count, 0) << row.key;
 }
 
 // Every computing min-cut sweep reports its flows and pruned vertices on
@@ -493,27 +540,153 @@ TEST(TelemetryIntegrationTest, BatchSummaryCarriesLatencyHistogram) {
 
 // Stream sessions mirror their Stats into stream.* registry counters.
 TEST(TelemetryIntegrationTest, StreamStatsEqualRegistryDelta) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::int64_t patches_before = reg.counter("stream.patches").value();
-  const std::int64_t queries_before = reg.counter("stream.queries").value();
+  using Stats = stream::StreamSession::Stats;
+  const Values before = registry_values<Stats>("stream.");
 
   stream::StreamSession session("telemetry_s");
   session.load("fft:3");
-  stream::Patch patch;
-  patch.mutations.push_back(stream::Mutation::add_vertex());
-  session.apply(patch);
   engine::BoundRequest req;
   req.memories = {4};
   req.methods = {"mincut"};
   (void)session.evaluate(req);
+  // A new isolated vertex: one dirty component beside a clean one.
+  stream::Patch grow;
+  grow.mutations.push_back(stream::Mutation::add_vertex());
+  session.apply(grow);
+  // Cutting an edge retires the queried fft:3 content: its store entries
+  // are evicted.
+  const Digraph g = session.graph();
+  const VertexId u = 0;
+  const VertexId v = g.children(u).front();
+  stream::Patch cut;
+  cut.mutations.push_back(stream::Mutation::remove_edge(u, v));
+  session.apply(cut);
+  (void)session.evaluate(req);
 
-  const stream::StreamSession::Stats stats = session.stats();
-  EXPECT_EQ(reg.counter("stream.patches").value() - patches_before,
-            stats.patches);
-  EXPECT_EQ(reg.counter("stream.queries").value() - queries_before,
-            stats.queries);
-  EXPECT_EQ(stats.patches, 2);  // load counts as patch zero
-  EXPECT_EQ(stats.queries, 1);
+  const Stats stats = session.stats();
+  expect_registry_delta(before, registry_values<Stats>("stream."),
+                        stats_values(stats, "stream."));
+  EXPECT_EQ(stats.patches, 3);  // load counts as patch zero
+  EXPECT_EQ(stats.queries, 2);
+  for (const Field<Stats>& row : Stats::fields())
+    EXPECT_GT(stats.*row.count, 0) << row.key;
+}
+
+// Artifact store lookups, evictions and disk-tier events mirror into
+// store.<kind>.* and store.disk.*: summed over a writing and a reloading
+// instance, every field equals its registry delta.
+TEST(TelemetryIntegrationTest, ArtifactStoreStatsEqualRegistryDelta) {
+  using Stats = store::ArtifactStore::Stats;
+  using KindStats = store::ArtifactStore::KindStats;
+  const std::vector<std::string> kinds = {"spectrum", "topo",      "mincut",
+                                          "memsim",   "partition", "eigenbasis"};
+  const auto kind_stats = [](const Stats& s) {
+    return std::vector<KindStats>{s.spectrum, s.topo,      s.mincut,
+                                  s.memsim,   s.partition, s.eigenbasis};
+  };
+  const auto snapshot = [&kinds] {
+    Values out = registry_values<Stats>("store.disk.");
+    for (const std::string& kind : kinds)
+      out.merge(registry_values<KindStats>("store." + kind + "."));
+    return out;
+  };
+  const auto instance = [&](const Stats& s) {
+    Values out = stats_values(s, "store.disk.");
+    const std::vector<KindStats> per_kind = kind_stats(s);
+    for (std::size_t k = 0; k < kinds.size(); ++k)
+      out.merge(stats_values(per_kind[k], "store." + kinds[k] + "."));
+    return out;
+  };
+  const Values before = snapshot();
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "graphio_telemetry_store";
+  std::filesystem::remove_all(dir);
+  constexpr std::uint64_t kFp = 0x5eed;
+  constexpr LaplacianKind kLap = LaplacianKind::kOutDegreeNormalized;
+  const SpectralOptions options;
+  ComponentSolve solve;
+  solve.vertices = 2;
+  solve.edges = 1;
+  solve.converged = true;
+  solve.values = {0.0, 1.0};
+  Eigenbasis basis;
+  basis.vectors = {{1.0, 0.0}};
+  Values written;
+  {
+    // Every kind misses, is stored (persistable kinds append), hits, and
+    // is evicted by erase().
+    store::ArtifactStore a(dir);
+    a.set_eigenbasis_budget(std::int64_t{1} << 20);
+    EXPECT_FALSE(a.lookup_spectrum(kFp, kLap, 2, options));
+    EXPECT_FALSE(a.lookup_topo(kFp));
+    EXPECT_FALSE(a.lookup_mincut(kFp));
+    EXPECT_FALSE(a.lookup_memsim(kFp, 4, 1));
+    EXPECT_FALSE(a.lookup_partition(kFp, 4.0));
+    EXPECT_FALSE(a.lookup_eigenbasis(kFp, kLap));
+    a.store_spectrum(kFp, kLap, 2, options, solve);
+    a.store_topo(kFp, {{0, 1}});
+    a.store_mincut(kFp, {1, 0, 2, true});
+    a.store_memsim(kFp, 4, 1, {3, 2});
+    a.store_partition(kFp, 4.0, {-1.0, 1});
+    a.store_eigenbasis(kFp, kLap, basis);
+    EXPECT_TRUE(a.lookup_spectrum(kFp, kLap, 2, options));
+    EXPECT_TRUE(a.lookup_topo(kFp));
+    EXPECT_TRUE(a.lookup_mincut(kFp));
+    EXPECT_TRUE(a.lookup_memsim(kFp, 4, 1));
+    EXPECT_TRUE(a.lookup_partition(kFp, 4.0));
+    EXPECT_TRUE(a.lookup_eigenbasis(kFp, kLap));
+    EXPECT_EQ(a.erase(kFp), 6);
+    written = instance(a.stats());
+  }
+  // A torn line beside the appended ones: the restart loads and skips.
+  std::ofstream(dir / "artifacts.jsonl", std::ios::app) << "{not json\n";
+  const store::ArtifactStore b(dir);
+  const Values reloaded = instance(b.stats());
+  std::filesystem::remove_all(dir);
+
+  Values total = written;
+  for (const auto& [name, value] : reloaded) total[name] += value;
+  expect_registry_delta(before, snapshot(), total);
+  for (const auto& [name, value] : total) EXPECT_GT(value, 0) << name;
+}
+
+// Result store lookups and disk-tier events mirror into result_store.*.
+TEST(TelemetryIntegrationTest, ResultStoreStatsEqualRegistryDelta) {
+  using Stats = serve::ResultStore::Stats;
+  const Values before = registry_values<Stats>("result_store.");
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "graphio_telemetry_results";
+  std::filesystem::remove_all(dir);
+  serve::ResultStore::Key key;
+  key.graph_fingerprint = 0x5eed;
+  key.method = "mincut";
+  key.memory = 4.0;
+  engine::MethodRow row;
+  row.method = key.method;
+  row.memory = key.memory;
+  row.value = 2.0;
+  Values total;
+  {
+    serve::ResultStore a(dir);
+    EXPECT_FALSE(a.lookup(key).has_value());
+    a.insert(key, row);
+    EXPECT_TRUE(a.lookup(key).has_value());
+    total = stats_values(a.stats(), "result_store.");
+  }
+  std::ofstream(dir / "results.jsonl", std::ios::app) << "{not json\n";
+  {
+    serve::ResultStore b(dir);
+    EXPECT_TRUE(b.lookup(key).has_value());
+    for (const auto& [name, value] : stats_values(b.stats(), "result_store."))
+      total[name] += value;
+  }
+  std::filesystem::remove_all(dir);
+
+  expect_registry_delta(before, registry_values<Stats>("result_store."),
+                        total);
+  for (const auto& [name, value] : total) EXPECT_GT(value, 0) << name;
 }
 
 }  // namespace

@@ -695,10 +695,8 @@ int cmd_stream(const Args& a) {
 void append_kind_stats(io::JsonWriter& w, const char* name,
                        const store::ArtifactStore::KindStats& kind) {
   w.key(name).begin_object();
-  w.key("entries").value(kind.entries);
-  w.key("hits").value(kind.hits);
-  w.key("misses").value(kind.misses);
-  w.key("evicted").value(kind.evicted);
+  for (const auto& row : store::ArtifactStore::KindStats::fields())
+    w.key(row.key).value(kind.*row.count);
   w.end_object();
 }
 
