@@ -4,8 +4,8 @@
 // with n > M are infeasible). Chain and balanced-tree reductions express
 // the same computation with in-degree 2, changing both the graph and the
 // feasibility region. This bench compares the spectral bound across the
-// three shapes — design-choice evidence for the DESIGN.md discussion of
-// why the figure uses the paper's n-ary formulation.
+// three shapes — the evidence for why the figure uses the paper's n-ary
+// formulation.
 //
 // Shape to expect: bounds of the three shapes stay within a small factor
 // where all are feasible; chain/tree remain available when n > M.

@@ -7,8 +7,8 @@
 //   power    — deflated power iteration on σI − A (the abstract's
 //              "efficiently computable by power iteration" baseline).
 // This bench reports wall time and the resulting Theorem-4 bound per
-// backend, as the backend-selection evidence behind the kAuto policy
-// (DESIGN.md "backend selection").
+// route, as the evidence behind the thresholds of la::choose_solver's
+// "auto" policy (README "Solver policy").
 //
 // Shape to expect: dense wins below ~2k vertices; Lanczos wins beyond and
 // keeps the bound within a fraction of a percent of dense; LOBPCG tracks
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     // Dense.
     {
       SpectralOptions opts;
-      opts.backend = EigenBackend::kDense;
+      opts.solver = la::SolverKind::kDense;
       opts.max_eigenvalues = h;
       const SpectralBound b = spectral_bound(c.graph, c.memory, opts);
       row.push_back(format_double(b.bound, 2));
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     // Lanczos.
     {
       SpectralOptions opts;
-      opts.backend = EigenBackend::kLanczos;
+      opts.solver = la::SolverKind::kLanczos;
       opts.max_eigenvalues = h;
       opts.adaptive = false;
       WallTimer timer;

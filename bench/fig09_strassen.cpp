@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     bench::RunOptions run_options = options;
     if (args.scale == BenchScale::kPaper &&
         bench::shared_engine().graph(spec).num_vertices() > 4096)
-      run_options.spectral.backend = EigenBackend::kDense;
+      run_options.spectral.solver = la::SolverKind::kDense;
     const engine::BoundReport report =
         bench::run(spec, memories, {"spectral", "mincut"}, run_options);
     const std::int64_t in_degree =

@@ -200,7 +200,7 @@ engine::BoundRequest make_request() {
   // per-component zero eigenvalues, and the certified lower estimate
   // max(0, theta - ||r||) pins an approximated zero to exactly 0.0 at
   // any tolerance.
-  req.spectral.solver = "auto";
+  req.spectral.solver = std::nullopt;
   // Fixed h: adaptive doubling would re-request a larger spectrum and
   // re-solve the dirty components once per doubling — identical on both
   // sides, but it blurs the one-solve-per-dirty-component accounting.
@@ -456,7 +456,7 @@ int main(int argc, char** argv) {
     engine::BoundRequest req;
     req.memories = {memsim_memory};
     req.methods = {"spectral", "partition-dp", "mincut", "memsim"};
-    req.spectral.solver = "dense";
+    req.spectral.solver = la::SolverKind::kDense;
     req.spectral.adaptive = false;
     req.spectral.max_eigenvalues = 32;
 
@@ -524,7 +524,7 @@ int main(int argc, char** argv) {
   WarmStartCase wsc;
   {
     engine::BoundRequest req = make_request();
-    req.spectral.solver = "lobpcg";
+    req.spectral.solver = la::SolverKind::kLobpcg;
 
     // Patch an edge that is absent from the pristine corpus but stays
     // inside vertex 0's weak component: 0 -> (grandchild of 0 that is not

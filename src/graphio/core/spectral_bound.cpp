@@ -45,15 +45,7 @@ std::vector<double> smallest_laplacian_eigenvalues(
 }
 
 bool solver_options_equal(const SpectralOptions& a, const SpectralOptions& b) {
-  return a.backend == b.backend && a.solver == b.solver &&
-         a.decompose == b.decompose && a.eig_rel_tol == b.eig_rel_tol &&
-         a.warm_refresh_rel_tol == b.warm_refresh_rel_tol &&
-         a.dense_threshold == b.dense_threshold &&
-         a.dense_rescue_threshold == b.dense_rescue_threshold &&
-         a.lanczos.block_size == b.lanczos.block_size &&
-         a.lanczos.max_basis == b.lanczos.max_basis &&
-         a.lanczos.stall_basis_cap == b.lanczos.stall_basis_cap &&
-         a.lanczos.max_cycles == b.lanczos.max_cycles;
+  return solve_inputs(a) == solve_inputs(b);
 }
 
 namespace {
@@ -91,12 +83,11 @@ std::vector<SpectralBound> bound_impl_multi(const Digraph& g,
       preview_edges = components.edges_in(g, c);
     }
   }
-  const la::SolverChoice preview = resolve_component_solver(
-      preview_n, preview_n + 2 * preview_edges, h_cap, options);
+  const la::SolverChoice preview = la::choose_solver(
+      options.solver, {preview_n, preview_n + 2 * preview_edges, h_cap});
   const bool adapt =
       options.adaptive && preview.kind != la::SolverKind::kDense;
-  int h = adapt ? std::min(std::max(options.initial_eigenvalues, 2), h_cap)
-                : h_cap;
+  int h = adapt ? std::min(la::kInitialEigenvalues, h_cap) : h_cap;
 
   std::vector<double> lambda;
   bool converged = true;

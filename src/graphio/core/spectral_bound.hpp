@@ -6,15 +6,18 @@
 //
 // Any k yields a valid bound, so only the h = min(100, n) smallest
 // eigenvalues are needed (Section 6.5: the optimal k stays far below 100;
-// bench/ablation_k verifies). Eigenvalues come from the dense QL solver
-// for small graphs and from deflated block Lanczos for large ones.
+// bench/ablation_k verifies). Each weak component's eigenvalues come from
+// the tier la::choose_solver picks: the dense QL solver for small
+// components, deflated block Lanczos or block LOBPCG for large ones, and
+// the warm tier (a refresh or seeded LOBPCG from a retained predecessor
+// basis) for patched components of a stream session.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
-
-#include <string>
 
 #include "graphio/graph/digraph.hpp"
 #include "graphio/graph/laplacian.hpp"
@@ -23,44 +26,24 @@
 
 namespace graphio {
 
-/// Legacy per-call solver switch, kept as shorthand for forcing one tier.
-/// Selection proper lives in the la::SolverPolicy registry: kAuto defers
-/// to SpectralOptions::solver (default the "auto" policy, which picks a
-/// tier per connected component from (n, nnz, h)); the other values force
-/// the matching pure policy regardless of SpectralOptions::solver.
-enum class EigenBackend {
-  kAuto,     ///< defer to the named solver policy (SpectralOptions::solver)
-  kDense,    ///< Householder + implicit-shift QL on the full Laplacian
-  kLanczos,  ///< block thick-restart Lanczos (default sparse path)
-  kLobpcg,   ///< block LOBPCG (alternative sparse path; ablation_solver)
-};
-
 struct SpectralOptions {
   /// h — how many of the smallest Laplacian eigenvalues to compute (cap).
   int max_eigenvalues = 100;
-  /// Adaptive h (sparse backend only): start with `initial_eigenvalues`,
+  /// Adaptive h (sparse tiers only): start with la::kInitialEigenvalues,
   /// and double while the maximizing k runs into the ceiling — the optimal
   /// k is usually far below 100 (paper §6.5), so this avoids resolving
   /// eigenvalues the bound never uses. Every intermediate answer is a
   /// valid bound, so adaptivity cannot affect soundness.
   bool adaptive = true;
-  int initial_eigenvalues = 16;
-  EigenBackend backend = EigenBackend::kAuto;
-  /// Solver policy name (la/solver_policy.hpp registry) consulted per
-  /// connected component when backend == kAuto: auto|dense|lanczos|lobpcg.
-  std::string solver = "auto";
+  /// Solver policy (la/solver_policy.hpp): empty is "auto", which picks a
+  /// tier per connected component; a kind forces that tier everywhere.
+  std::optional<la::SolverKind> solver;
   /// Decompose into weakly connected components and eigensolve each
   /// independently (core/spectral_pipeline.hpp). Exact — the union's
   /// spectrum is the multiset union of the components' — and cheaper
   /// whenever components are small enough to flip solver tiers. Disable
   /// to force one monolithic solve (the pre-pipeline behavior).
   bool decompose = true;
-  /// The "auto" policy picks the dense path at or below this vertex count
-  /// (la::SolverThresholds::dense_n).
-  std::int64_t dense_threshold = 2048;
-  /// When Lanczos fails to converge and n is at or below this, redo the
-  /// computation densely rather than returning a partial spectrum.
-  std::int64_t dense_rescue_threshold = 4096;
   /// Residual tolerance for the sparse eigensolver when computing bounds.
   /// Loose on purpose: the bound consumes *certified lower estimates*
   /// θ − ‖Az − θz‖, which stay sound at any tolerance, and convergence to
@@ -160,9 +143,20 @@ std::vector<double> smallest_laplacian_eigenvalues(
     const Digraph& g, LaplacianKind kind, int h,
     const SpectralOptions& options = {}, bool* converged = nullptr);
 
-/// Equality restricted to the fields that change what the eigensolver
-/// computes — the one shared definition of "same solve" used by every
-/// spectrum cache (engine ArtifactCache, per-component cache).
+/// The inputs that change what the eigensolver computes, in the order of
+/// ArtifactStore::spectral_options_key — the one list behind both that key
+/// and solver_options_equal. The tier thresholds are constants, listed so
+/// that changing one also changes every stored key.
+inline auto solve_inputs(const SpectralOptions& o) {
+  return std::tie(o.solver, o.decompose, o.eig_rel_tol,
+                  o.warm_refresh_rel_tol, la::kDenseMaxN, la::kDenseRescueMaxN,
+                  o.lanczos.block_size, o.lanczos.max_basis,
+                  o.lanczos.stall_basis_cap, o.lanczos.max_cycles);
+}
+
+/// Equality of solve_inputs — the one shared definition of "same solve"
+/// used by every spectrum cache (engine ArtifactCache, per-component
+/// cache).
 bool solver_options_equal(const SpectralOptions& a, const SpectralOptions& b);
 
 }  // namespace graphio

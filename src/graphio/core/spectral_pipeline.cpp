@@ -7,6 +7,8 @@
 
 #include "graphio/faults/fault_injection.hpp"
 #include "graphio/graph/components.hpp"
+#include "graphio/la/bisection.hpp"
+#include "graphio/la/householder.hpp"
 #include "graphio/la/lobpcg.hpp"
 #include "graphio/la/symmetric_eigen.hpp"
 #include "graphio/la/vector_ops.hpp"
@@ -19,31 +21,67 @@ namespace graphio {
 
 namespace {
 
-std::vector<double> dense_smallest(const Digraph& g, LaplacianKind kind,
-                                   int h) {
-  std::vector<double> all = la::symmetric_eigenvalues(dense_laplacian(g, kind));
-  all.resize(static_cast<std::size_t>(h));
-  return all;
+/// Dense tier: the h smallest eigenvalues of the component Laplacian,
+/// plus their eigenvectors when `retained` is non-null.
+std::vector<double> dense_smallest(const Digraph& g, LaplacianKind kind, int h,
+                                   std::vector<std::vector<double>>* retained) {
+  return la::smallest_eigenpairs(dense_laplacian(g, kind), h, retained);
 }
 
-/// Dense eigenpairs of the component Laplacian: values identical to
-/// dense_smallest (the QL value recurrence does not depend on vector
-/// accumulation; SymmetricEigen.ValuesOnlyPathMatchesVectorPath holds it
-/// bitwise), plus the h smallest eigenvectors for retention.
-void dense_smallest_with_vectors(const Digraph& g, LaplacianKind kind, int h,
-                                 std::vector<double>& values,
-                                 std::vector<std::vector<double>>& vectors) {
-  const la::SymmetricEigen eig = la::symmetric_eigen(dense_laplacian(g, kind));
-  values.assign(eig.values.begin(), eig.values.begin() + h);
-  const std::size_t n = eig.values.size();
-  vectors.clear();
-  vectors.reserve(static_cast<std::size_t>(h));
-  for (int j = 0; j < h; ++j) {
-    std::vector<double> col(n);
-    for (std::size_t i = 0; i < n; ++i)
-      col[i] = eig.vectors(i, static_cast<std::size_t>(j));
-    vectors.push_back(std::move(col));
+/// Certifies an iterative solve's ascending certified values v_1..v_k of
+/// the Laplacian `lap` of `g` as pointwise lower bounds, v_j ≤ λ_j, to
+/// within the backward-error floor n·ε·‖L‖ (the solvers' internal dense
+/// fallback returns ~1e-17 for a zero eigenvalue, not 0). Residuals alone cannot: θ − ‖r‖ bounds *some*
+/// eigenvalue near θ, and a block iteration can miss copies of an
+/// eigenvalue whose multiplicity exceeds its block width — Theorem 4 then
+/// sums a positive value where λ_j is smaller. Two counts catch a missed
+/// copy:
+///   - eigenvalue 0 has multiplicity exactly c, the graph's weak
+///     component count, so the values must open with min(c, h) zeros;
+///   - on a disconnected graph (a monolithic solve, where disjoint copies
+///     multiply every multiplicity) the Sturm counts of the components'
+///     tridiagonal forms (la/bisection.hpp) sum to ν(t), the number of
+///     eigenvalues below t, and v_j ≤ λ_j for every j ≤ k iff
+///     ν(v_j − floor) ≤ j − 1 for every j. A component above
+///     la::kDenseRescueMaxN is too big for the dense reduction; its graph
+///     keeps only the zero count.
+/// On a failure at position j, cuts `values` to v_1..v_{j−1} and returns
+/// false (not converged).
+bool certify_values(std::vector<double>& values, const Digraph& g,
+                    const la::CsrMatrix& lap, LaplacianKind kind, int h) {
+  const double floor = static_cast<double>(lap.size()) *
+                       std::numeric_limits<double>::epsilon() *
+                       lap.gershgorin_upper_bound();
+  const WeakComponents components = weakly_connected_components(g);
+  const auto zeros = static_cast<std::size_t>(
+      std::upper_bound(values.begin(), values.end(), floor) - values.begin());
+  std::size_t certified =
+      zeros >= static_cast<std::size_t>(std::min(components.count, h))
+          ? values.size()
+          : zeros;
+  if (certified > zeros && components.count > 1) {
+    std::vector<la::SymTridiag> blocks;
+    for (int c = 0; c < components.count; ++c) {
+      if (static_cast<std::int64_t>(
+              components.vertices[static_cast<std::size_t>(c)].size()) >
+          la::kDenseRescueMaxN)
+        return true;
+      la::DenseMatrix block = dense_laplacian(components.subgraph(g, c), kind);
+      blocks.push_back(la::householder_tridiagonalize(block, false));
+    }
+    for (std::size_t j = zeros; j < values.size(); ++j) {
+      std::int64_t below = 0;
+      for (const la::SymTridiag& t : blocks)
+        below += la::sturm_count_below(t, values[j] - floor);
+      if (below > static_cast<std::int64_t>(j)) {
+        certified = j;
+        break;
+      }
+    }
   }
+  if (certified == values.size()) return true;
+  values.resize(certified);
+  return false;
 }
 
 /// One Rayleigh–Ritz pass over a retained predecessor basis: the warm
@@ -121,6 +159,62 @@ bool warm_subspace_refresh(const la::CsrMatrix& lap,
   return true;
 }
 
+/// The Lanczos or LOBPCG solve of `lap` into `solve`: certified lower
+/// estimates θ − ‖r‖, ascending, with the widest residual, the iteration
+/// count and the convergence flag. `warm_columns` (nullable) seeds the
+/// block; `retained` (nullable) receives the returned eigenvectors.
+void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
+                     const SpectralOptions& options,
+                     const std::vector<std::vector<double>>* warm_columns,
+                     std::vector<std::vector<double>>* retained,
+                     ComponentSolve& solve) {
+  std::vector<double> values;
+  std::vector<double> residuals;
+  std::vector<std::vector<double>> vectors;
+  if (tier == la::SolverKind::kLobpcg) {
+    la::LobpcgOptions lopts;
+    lopts.rel_tol = options.eig_rel_tol;
+    lopts.return_vectors = retained != nullptr;
+    if (warm_columns != nullptr) {
+      // Same tolerance as a cold solve: soundness never depends on it
+      // (the certified estimates below are valid at any residual), so
+      // tightening here would only trade the warm head start back for
+      // extra iterations.
+      lopts.warm_start = *warm_columns;
+      solve.warm_started = true;
+    }
+    la::LobpcgResult res = la::lobpcg_smallest(lap, h, lopts);
+    values = std::move(res.values);
+    residuals = std::move(res.residuals);
+    vectors = std::move(res.vectors);
+    solve.converged = res.converged;
+    solve.iterations = res.iterations;
+  } else {
+    la::LanczosOptions lopts = options.lanczos;
+    lopts.rel_tol = options.eig_rel_tol;
+    lopts.return_vectors = retained != nullptr;
+    if (warm_columns != nullptr) {
+      lopts.warm_start = *warm_columns;
+      solve.warm_started = true;
+    }
+    la::LanczosResult res = la::smallest_eigenvalues(lap, h, lopts);
+    values = std::move(res.values);
+    residuals = std::move(res.residuals);
+    vectors = std::move(res.vectors);
+    solve.converged = res.converged;
+    solve.iterations = res.cycles;
+  }
+  if (retained != nullptr) *retained = std::move(vectors);
+  // Certified lower estimates θ − ‖r‖: sound for the lower bound at any
+  // tolerance (clamped to the PSD floor of zero).
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    solve.max_residual = std::max(solve.max_residual, residuals[i]);
+    values[i] = std::max(0.0, values[i] - residuals[i]);
+  }
+  std::sort(values.begin(), values.end());
+  solve.values = std::move(values);
+}
+
 /// The shared per-component solve behind both the public
 /// solve_component_spectrum (no warm seed, no retention) and the
 /// pipeline's warm-start path. `warm_columns` (nullable) seeds the
@@ -152,17 +246,14 @@ ComponentSolve solve_component_impl(
   // nnz upper estimate without assembling the matrix: the diagonal plus
   // one symmetric pair per edge (parallel edges share a slot, so the true
   // count is never larger — close enough for tier selection).
-  const la::SolverChoice choice = resolve_component_solver(
-      n, n + 2 * component.num_edges(), h, options, warm);
+  const la::SolverChoice choice = la::choose_solver(
+      options.solver, {n, n + 2 * component.num_edges(), h, warm});
   solve.solver = choice.kind;
   solve.solver_ran = true;
   solve.solver_reason = choice.reason;
 
   if (choice.kind == la::SolverKind::kDense) {
-    if (retained != nullptr)
-      dense_smallest_with_vectors(component, kind, h, solve.values, *retained);
-    else
-      solve.values = dense_smallest(component, kind, h);
+    solve.values = dense_smallest(component, kind, h, retained);
     solve.seconds = timer.seconds();
     return solve;
   }
@@ -173,83 +264,33 @@ ComponentSolve solve_component_impl(
   // above), whether the tier was policy-chosen or forced — forcing an
   // iterative solver, like warm-seeding it, asks for its family of
   // certified estimates, and the refresh is the 1-iteration member.
-  if (warm && options.warm_refresh_rel_tol > 0.0 &&
+  const bool refreshed =
+      warm && options.warm_refresh_rel_tol > 0.0 &&
       warm_subspace_refresh(lap, *warm_columns, h,
-                            options.warm_refresh_rel_tol, solve, retained)) {
-    solve.seconds = timer.seconds();
-    return solve;
-  }
-  std::vector<double> values;
-  std::vector<double> residuals;
-  std::vector<std::vector<double>> vectors;
-  bool sparse_converged = false;
-  if (choice.kind == la::SolverKind::kLobpcg) {
-    la::LobpcgOptions lopts;
-    lopts.rel_tol = options.eig_rel_tol;
-    lopts.return_vectors = retained != nullptr;
-    if (warm) {
-      // Same tolerance as a cold solve: soundness never depends on it
-      // (the certified estimates below are valid at any residual), so
-      // tightening here would only trade the warm head start back for
-      // extra iterations.
-      lopts.warm_start = *warm_columns;
-      solve.warm_started = true;
-    }
-    la::LobpcgResult res = la::lobpcg_smallest(lap, h, lopts);
-    values = std::move(res.values);
-    residuals = std::move(res.residuals);
-    vectors = std::move(res.vectors);
-    sparse_converged = res.converged;
-    solve.iterations = res.iterations;
-  } else {
-    la::LanczosOptions lopts = options.lanczos;
-    lopts.rel_tol = options.eig_rel_tol;
-    lopts.return_vectors = retained != nullptr;
-    if (warm) {
-      lopts.warm_start = *warm_columns;
-      solve.warm_started = true;
-    }
-    la::LanczosResult res = la::smallest_eigenvalues(lap, h, lopts);
-    values = std::move(res.values);
-    residuals = std::move(res.residuals);
-    vectors = std::move(res.vectors);
-    sparse_converged = res.converged;
-    solve.iterations = res.cycles;
-  }
-  if (!sparse_converged && options.backend == EigenBackend::kAuto &&
-      options.solver == "auto" && n <= options.dense_rescue_threshold) {
+                            options.warm_refresh_rel_tol, solve, retained);
+  if (!refreshed)
+    solve_iterative(lap, choice.kind, h, options,
+                    warm ? warm_columns : nullptr, retained, solve);
+  if (!certify_values(solve.values, component, lap, kind, h))
+    solve.converged = false;
+  if (!solve.converged && !options.solver && n <= la::kDenseRescueMaxN) {
     // Tightly clustered interior eigenvalues can defeat the sparse tiers
-    // on moderate components (e.g. Strassen Laplacians); the dense path
-    // is slow but certain there. Only shape-chosen tiers are rescued —
-    // forcing a tier (via backend or a forced policy name) is an
-    // explicit request for that solver's answer, ablations included. A
-    // warm solve that fails to converge (e.g. a patch that disconnected
-    // its component) lands here too: the fallback is cold and exact.
+    // on moderate components (e.g. Strassen Laplacians), and a block
+    // iteration can miss copies of a multiple eigenvalue; the dense path
+    // is slow but certain there. Only shape-chosen tiers are rescued — a
+    // forced tier is an explicit request for that solver's answer,
+    // ablations included. A warm solve that fails to converge (e.g. a
+    // patch that disconnected its component) lands here too: the
+    // fallback is cold and exact.
     solve.solver = la::SolverKind::kDense;
     solve.iterations = 0;
-    if (retained != nullptr)
-      dense_smallest_with_vectors(component, kind, h, solve.values, *retained);
-    else
-      solve.values = dense_smallest(component, kind, h);
+    solve.refresh = false;
+    solve.max_residual = 0.0;
+    solve.values = dense_smallest(component, kind, h, retained);
     solve.converged = true;
-    solve.seconds = timer.seconds();
-    return solve;
+  } else if (!solve.converged && retained != nullptr) {
+    retained->clear();  // partial bases are not worth retaining
   }
-  solve.converged = sparse_converged;
-  if (retained != nullptr) {
-    if (sparse_converged)
-      *retained = std::move(vectors);
-    else
-      retained->clear();  // partial bases are not worth retaining
-  }
-  // Certified lower estimates θ − ‖r‖: sound for the lower bound at any
-  // tolerance (clamped to the PSD floor of zero).
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    solve.max_residual = std::max(solve.max_residual, residuals[i]);
-    values[i] = std::max(0.0, values[i] - residuals[i]);
-  }
-  std::sort(values.begin(), values.end());
-  solve.values = std::move(values);
   solve.seconds = timer.seconds();
   return solve;
 }
@@ -300,25 +341,6 @@ std::vector<std::vector<double>> remap_basis_rows(
 }
 
 }  // namespace
-
-la::SolverChoice resolve_component_solver(std::int64_t n, std::int64_t nnz,
-                                          int h,
-                                          const SpectralOptions& options,
-                                          bool warm) {
-  switch (options.backend) {
-    case EigenBackend::kDense:
-      return {la::SolverKind::kDense, "forced by backend"};
-    case EigenBackend::kLanczos:
-      return {la::SolverKind::kLanczos, "forced by backend"};
-    case EigenBackend::kLobpcg:
-      return {la::SolverKind::kLobpcg, "forced by backend"};
-    case EigenBackend::kAuto: break;
-  }
-  la::SolverThresholds thresholds;
-  thresholds.dense_n = options.dense_threshold;
-  return la::require_solver_policy(options.solver)
-      .choose({n, nnz, h, warm}, thresholds);
-}
 
 ComponentSolve solve_component_spectrum(const Digraph& component,
                                         LaplacianKind kind, int h,

@@ -10,7 +10,7 @@
 //   1. decomposes the graph into weak components (skipped when
 //      options.decompose is off or the graph is connected);
 //   2. solves each component independently, choosing a solver tier per
-//      component through the la::SolverPolicy registry — a disjoint union
+//      component with la::choose_solver — a disjoint union
 //      too big for the dense solver usually splits into components that
 //      are not, turning one O(n³) monolithic solve into c solves of
 //      O((n/c)³), and edgeless components into no solve at all (their
@@ -213,20 +213,10 @@ struct ComponentPlan {
   std::vector<PlannedComponent> components;
 };
 
-/// The tier one component of shape (n, nnz, h) would be solved with:
-/// options.backend forces a tier, otherwise the policy named by
-/// options.solver decides. Throws contract_error (listing the registered
-/// names) on an unknown policy name.
-la::SolverChoice resolve_component_solver(std::int64_t n, std::int64_t nnz,
-                                          int h,
-                                          const SpectralOptions& options,
-                                          bool warm = false);
-
-/// Solves one graph as a single block: resolves the solver tier through
-/// the policy registry (options.backend forces a tier; otherwise
-/// options.solver names the policy) and returns certified smallest
-/// eigenvalues. The pipeline's default component solver, exposed for
-/// cache layers that wrap it.
+/// Solves one graph as a single block on the tier la::choose_solver picks
+/// for options.solver and returns certified smallest eigenvalues. The
+/// pipeline's default component solver, exposed for cache layers that
+/// wrap it.
 ComponentSolve solve_component_spectrum(const Digraph& component,
                                         LaplacianKind kind, int h,
                                         const SpectralOptions& options);

@@ -50,24 +50,8 @@ LobpcgResult lobpcg_smallest(const CsrMatrix& a, int want,
     return result;
   }
   if (n <= std::max<std::int64_t>(opts.dense_fallback, 2L * want)) {
-    if (opts.return_vectors) {
-      const SymmetricEigen eig = symmetric_eigen(a.to_dense());
-      result.values.assign(eig.values.begin(),
-                           eig.values.begin() + want);
-      result.vectors.reserve(static_cast<std::size_t>(want));
-      for (int j = 0; j < want; ++j) {
-        std::vector<double> col(static_cast<std::size_t>(n));
-        for (std::int64_t i = 0; i < n; ++i)
-          col[static_cast<std::size_t>(i)] =
-              eig.vectors(static_cast<std::size_t>(i),
-                          static_cast<std::size_t>(j));
-        result.vectors.push_back(std::move(col));
-      }
-    } else {
-      std::vector<double> all = symmetric_eigenvalues(a.to_dense());
-      all.resize(static_cast<std::size_t>(want));
-      result.values = std::move(all);
-    }
+    result.values = smallest_eigenpairs(
+        a.to_dense(), want, opts.return_vectors ? &result.vectors : nullptr);
     result.residuals.assign(result.values.size(), 0.0);
     result.converged = true;
     return result;

@@ -4,6 +4,21 @@
 
 namespace graphio::la {
 
+namespace {
+
+/// The LOBPCG niche of "auto": only large (below this, Lanczos's
+/// Chebyshev filter amortizes and usually wins outright) ...
+constexpr std::int64_t kLobpcgMinN = 4096;
+/// ... requests of at most this many eigenvalues (LOBPCG pays a dense
+/// 3b×3b Rayleigh–Ritz per iteration, so its advantage is confined to
+/// small blocks) ...
+constexpr int kLobpcgMaxH = 8;
+/// ... on very sparse operators (denser rows make the per-iteration
+/// matvec block dominate).
+constexpr double kLobpcgMaxDensity = 3.0;
+
+}  // namespace
+
 std::string_view to_string(SolverKind kind) {
   switch (kind) {
     case SolverKind::kDense: return "dense";
@@ -13,99 +28,44 @@ std::string_view to_string(SolverKind kind) {
   return "?";
 }
 
-namespace {
-
-class AutoPolicy final : public SolverPolicy {
- public:
-  std::string_view name() const override { return "auto"; }
-  std::string_view summary() const override {
-    return "dense below the cubic-affordable threshold, LOBPCG for tiny-h "
-           "very-sparse problems, Lanczos otherwise";
-  }
-  SolverChoice choose(const SolverProblem& problem,
-                      const SolverThresholds& t) const override {
-    // Warm tier first: a resident predecessor basis makes the block
-    // iteration converge in O(1) iterations, so it wins even below the
-    // cold dense threshold (the caller decorates the reason with the
-    // predecessor fingerprint).
-    if (problem.warm)
-      return {SolverKind::kLobpcg, "warm"};
-    if (problem.n <= t.dense_n)
-      return {SolverKind::kDense,
-              "n=" + std::to_string(problem.n) +
-                  " <= dense_n=" + std::to_string(t.dense_n)};
-    const double density =
-        problem.n > 0
-            ? static_cast<double>(problem.nnz) /
-                  static_cast<double>(problem.n)
-            : 0.0;
-    if (problem.n >= t.lobpcg_min_n && problem.h <= t.lobpcg_max_h &&
-        density <= t.lobpcg_max_density)
-      return {SolverKind::kLobpcg,
-              "h=" + std::to_string(problem.h) + " and nnz/n=" +
-                  std::to_string(density) + " fit the LOBPCG niche"};
-    return {SolverKind::kLanczos,
-            "n=" + std::to_string(problem.n) + " above dense threshold"};
-  }
-};
-
-class ForcedPolicy final : public SolverPolicy {
- public:
-  ForcedPolicy(SolverKind kind, std::string_view summary)
-      : kind_(kind), summary_(summary) {}
-  std::string_view name() const override { return to_string(kind_); }
-  std::string_view summary() const override { return summary_; }
-  SolverChoice choose(const SolverProblem&,
-                      const SolverThresholds&) const override {
-    return {kind_, "forced by policy"};
-  }
-
- private:
-  SolverKind kind_;
-  std::string_view summary_;
-};
-
-}  // namespace
-
-const std::vector<const SolverPolicy*>& solver_policies() {
-  static const AutoPolicy auto_policy;
-  static const ForcedPolicy dense(
-      SolverKind::kDense, "always the dense Householder + QL solver");
-  static const ForcedPolicy lanczos(
-      SolverKind::kLanczos, "always block thick-restart Lanczos");
-  static const ForcedPolicy lobpcg(SolverKind::kLobpcg,
-                                   "always block LOBPCG");
-  static const std::vector<const SolverPolicy*> all = {&auto_policy, &dense,
-                                                       &lanczos, &lobpcg};
-  return all;
+std::optional<SolverKind> parse_solver_policy(std::string_view name) {
+  if (name == "auto") return std::nullopt;
+  for (const SolverKind kind :
+       {SolverKind::kDense, SolverKind::kLanczos, SolverKind::kLobpcg})
+    if (to_string(kind) == name) return kind;
+  GIO_EXPECTS_MSG(false, "unknown solver policy '" + std::string(name) +
+                             "' (known: " + std::string(kSolverPolicyNames) +
+                             ")");
+  return std::nullopt;  // unreachable
 }
 
-const SolverPolicy* find_solver_policy(std::string_view name) {
-  for (const SolverPolicy* policy : solver_policies())
-    if (policy->name() == name) return policy;
-  return nullptr;
+std::string_view solver_policy_name(std::optional<SolverKind> policy) {
+  return policy ? to_string(*policy) : "auto";
 }
 
-const SolverPolicy& require_solver_policy(std::string_view name) {
-  const SolverPolicy* policy = find_solver_policy(name);
-  if (policy == nullptr) {
-    std::string known;
-    for (const SolverPolicy* p : solver_policies()) {
-      if (!known.empty()) known += "|";
-      known += p->name();
-    }
-    GIO_EXPECTS_MSG(false, "unknown solver policy '" + std::string(name) +
-                               "' (known: " + known + ")");
-  }
-  return *policy;
-}
-
-std::vector<std::string> solver_policy_ids() {
-  std::vector<std::string> ids;
-  ids.reserve(solver_policies().size());
-  for (const SolverPolicy* policy : solver_policies())
-    ids.emplace_back(policy->name());
-  return ids;
+SolverChoice choose_solver(std::optional<SolverKind> policy,
+                           const SolverProblem& problem) {
+  if (policy) return {*policy, "forced by policy"};
+  // Warm tier first: a resident predecessor basis makes the block
+  // iteration converge in O(1) iterations, so it wins even below the
+  // cold dense threshold (the caller decorates the reason with the
+  // predecessor fingerprint).
+  if (problem.warm) return {SolverKind::kLobpcg, "warm"};
+  if (problem.n <= kDenseMaxN)
+    return {SolverKind::kDense, "n=" + std::to_string(problem.n) +
+                                    " <= dense_n=" +
+                                    std::to_string(kDenseMaxN)};
+  const double density =
+      problem.n > 0
+          ? static_cast<double>(problem.nnz) / static_cast<double>(problem.n)
+          : 0.0;
+  if (problem.n >= kLobpcgMinN && problem.h <= kLobpcgMaxH &&
+      density <= kLobpcgMaxDensity)
+    return {SolverKind::kLobpcg, "h=" + std::to_string(problem.h) +
+                                     " and nnz/n=" + std::to_string(density) +
+                                     " fit the LOBPCG niche"};
+  return {SolverKind::kLanczos,
+          "n=" + std::to_string(problem.n) + " above dense threshold"};
 }
 
 }  // namespace graphio::la

@@ -1,29 +1,29 @@
-// SolverPolicy — string-addressed registry of eigensolver-selection
-// policies, the la-level half of the decompose-and-conquer spectral
-// pipeline (core/spectral_pipeline.hpp).
+// Eigensolver tier selection, the la-level half of the decompose-and-
+// conquer spectral pipeline (core/spectral_pipeline.hpp).
 //
 // The library has three routes to the smallest h eigenvalues of a sparse
 // symmetric PSD matrix: the dense Householder+QL solver (cubic, exact),
 // block thick-restart Lanczos (the default sparse path), and block LOBPCG
 // (smaller working set, better at tiny h on very sparse operators; see
-// bench/ablation_solver). Callers used to hard-wire the choice per call;
-// the policy registry centralizes it as a pure function of the problem
-// shape (n, nnz, h), so the spectral pipeline can pick a different tier
-// per connected component — the whole point of decomposing: a graph too
-// big for the dense solver often splits into components that are not.
+// bench/ablation_solver). choose_solver is the one place the choice is
+// made, as a pure function of the policy and the problem shape (n, nnz,
+// h), so the spectral pipeline can pick a different tier per connected
+// component — the whole point of decomposing: a graph too big for the
+// dense solver often splits into components that are not.
 //
-// Registered policies: "auto" (shape-based selection, the default),
-// "dense", "lanczos", "lobpcg" (forced tiers).
+// A policy is a std::optional<SolverKind>: empty is "auto" (shape-based
+// selection, the default), a kind forces that tier ("dense", "lanczos",
+// "lobpcg") for every problem.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace graphio::la {
 
-/// The three eigensolver tiers a policy can pick.
+/// The three eigensolver tiers.
 enum class SolverKind {
   kDense,    ///< Householder + implicit-shift QL (la/symmetric_eigen.hpp)
   kLanczos,  ///< block thick-restart Lanczos (la/lanczos.hpp)
@@ -31,6 +31,29 @@ enum class SolverKind {
 };
 
 std::string_view to_string(SolverKind kind);
+
+/// The accepted policy names, in order — the CLI's --solver usage line
+/// and the "known:" list of parse_solver_policy's error.
+inline constexpr std::string_view kSolverPolicyNames =
+    "auto|dense|lanczos|lobpcg";
+
+/// "auto" → empty, a tier name → that tier. Throws contract_error
+/// "unknown solver policy '<name>' (known: auto|dense|lanczos|lobpcg)" —
+/// the one "bad --solver" message of the CLI and the serve job parser.
+std::optional<SolverKind> parse_solver_policy(std::string_view name);
+
+/// Inverse of parse_solver_policy: "auto" for the empty policy.
+std::string_view solver_policy_name(std::optional<SolverKind> policy);
+
+/// "auto" picks the cubic dense solver at or below this dimension
+/// (the evidence is in bench/ablation_solver).
+inline constexpr std::int64_t kDenseMaxN = 2048;
+/// An "auto" iterative solve that fails to converge is redone densely at
+/// or below this dimension rather than returning a partial spectrum.
+inline constexpr std::int64_t kDenseRescueMaxN = 4096;
+/// Adaptive h starts from this many eigenvalues and doubles while the
+/// maximizing k runs into the ceiling (core/spectral_bound.cpp).
+inline constexpr int kInitialEigenvalues = 16;
 
 /// Shape of one eigenproblem: the operator's dimension, its nonzero
 /// count, and how many of the smallest eigenvalues are wanted.
@@ -45,58 +68,19 @@ struct SolverProblem {
   bool warm = false;
 };
 
-/// Tuning knobs of the "auto" policy. Callers can widen or narrow the
-/// tiers without writing a new policy; the forced policies ignore them.
-struct SolverThresholds {
-  /// At or below this dimension the cubic dense solver is cheap enough to
-  /// be the certain choice (matches the evidence in bench/ablation_solver
-  /// and the historical SpectralOptions::dense_threshold default).
-  std::int64_t dense_n = 2048;
-  /// LOBPCG is only considered above this dimension — below it Lanczos's
-  /// Chebyshev filter amortizes and usually wins outright.
-  std::int64_t lobpcg_min_n = 4096;
-  /// ... and only for requests of at most this many eigenvalues: LOBPCG
-  /// pays a dense 3b×3b Rayleigh–Ritz per iteration, so its advantage is
-  /// confined to small blocks.
-  int lobpcg_max_h = 8;
-  /// ... and only on very sparse operators (nnz/n at or below this):
-  /// denser rows make the per-iteration matvec block dominate.
-  double lobpcg_max_density = 3.0;
-};
-
-/// A policy's verdict, with a human-readable reason for reports/benches.
+/// The chosen tier, with a human-readable reason for reports and the
+/// artifact store.
 struct SolverChoice {
   SolverKind kind = SolverKind::kDense;
   std::string reason;
 };
 
-class SolverPolicy {
- public:
-  virtual ~SolverPolicy() = default;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::string_view summary() const = 0;
-
-  /// Picks a solver tier for one problem. Pure: equal inputs yield equal
-  /// choices, so cached spectra stay valid under replay.
-  [[nodiscard]] virtual SolverChoice choose(
-      const SolverProblem& problem,
-      const SolverThresholds& thresholds) const = 0;
-};
-
-/// All built-in policies, "auto" first. Stable addresses for the lifetime
-/// of the process.
-const std::vector<const SolverPolicy*>& solver_policies();
-
-/// Lookup by name; nullptr when unknown.
-const SolverPolicy* find_solver_policy(std::string_view name);
-
-/// Lookup by name; throws contract_error listing the registered names
-/// when unknown — the one shared "bad --solver" message of the CLI, the
-/// serve job parser, and the pipeline.
-const SolverPolicy& require_solver_policy(std::string_view name);
-
-/// The names of solver_policies(), in order.
-std::vector<std::string> solver_policy_ids();
+/// Picks the tier for one problem. Pure: equal inputs yield equal
+/// choices, so cached spectra stay valid under replay. A forced policy
+/// ignores the shape ("forced by policy"); "auto" takes the warm tier
+/// (LOBPCG) when a basis is resident, dense up to kDenseMaxN, LOBPCG for
+/// large, very sparse, tiny-h problems, and Lanczos otherwise.
+SolverChoice choose_solver(std::optional<SolverKind> policy,
+                           const SolverProblem& problem);
 
 }  // namespace graphio::la

@@ -39,4 +39,24 @@ SymmetricEigen symmetric_eigen(DenseMatrix a) {
   return {std::move(eig.values), std::move(eig.vectors)};
 }
 
+std::vector<double> smallest_eigenpairs(
+    DenseMatrix a, int h, std::vector<std::vector<double>>* vectors) {
+  const auto count = static_cast<std::size_t>(h);
+  if (vectors == nullptr) {
+    std::vector<double> values = symmetric_eigenvalues(std::move(a));
+    values.resize(count);
+    return values;
+  }
+  const SymmetricEigen eig = symmetric_eigen(std::move(a));
+  const std::size_t n = eig.values.size();
+  vectors->clear();
+  vectors->reserve(count);
+  for (std::size_t j = 0; j < count; ++j) {
+    std::vector<double> col(n);
+    for (std::size_t i = 0; i < n; ++i) col[i] = eig.vectors(i, j);
+    vectors->push_back(std::move(col));
+  }
+  return {eig.values.begin(), eig.values.begin() + h};
+}
+
 }  // namespace graphio::la

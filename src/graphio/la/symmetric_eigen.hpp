@@ -21,4 +21,11 @@ struct SymmetricEigen {
 /// Full eigen decomposition A = V diag(values) Vᵀ.
 SymmetricEigen symmetric_eigen(DenseMatrix a);
 
+/// The h smallest eigenvalues of `a` (h ≤ its order), ascending — the
+/// dense tier of every solver. With `vectors` non-null it also receives
+/// their eigenvectors, one column per value; the values are bitwise the
+/// same either way (SymmetricEigen.ValuesOnlyPathMatchesVectorPath).
+std::vector<double> smallest_eigenpairs(
+    DenseMatrix a, int h, std::vector<std::vector<double>>* vectors = nullptr);
+
 }  // namespace graphio::la

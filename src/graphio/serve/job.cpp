@@ -32,9 +32,9 @@ bool apply_request_key(engine::BoundRequest& request, const std::string& key,
                     "sim_random_orders out of range");
     request.sim_random_orders = static_cast<int>(orders);
   } else if (key == "solver") {
-    // Validate at ingest so a bad name rejects the line (with the
-    // registered names) instead of failing every method at evaluation.
-    request.spectral.solver = la::require_solver_policy(v.as_string()).name();
+    // Parse at ingest so a bad name rejects the line (with the known
+    // names) instead of failing every method at evaluation.
+    request.spectral.solver = la::parse_solver_policy(v.as_string());
   } else if (key == "decompose") {
     request.spectral.decompose = v.as_bool();
   } else {
@@ -136,8 +136,8 @@ std::string request_to_json_line(const engine::BoundRequest& request) {
   if (request.processors != 1) w.key("processors").value(request.processors);
   if (request.sim_random_orders != 4)
     w.key("sim_random_orders").value(request.sim_random_orders);
-  if (request.spectral.solver != "auto")
-    w.key("solver").value(request.spectral.solver);
+  if (request.spectral.solver)
+    w.key("solver").value(la::to_string(*request.spectral.solver));
   if (!request.spectral.decompose) w.key("decompose").value(false);
   w.end_object();
   return w.str();

@@ -51,7 +51,7 @@ ResultStore::Key store_key(std::uint64_t fingerprint,
       method == "memsim" ? request.sim_random_orders : 0;
   if (method == "spectral" || method == "spectral-plain" ||
       method == "parallel") {
-    key.solver = request.spectral.solver;
+    key.solver = la::solver_policy_name(request.spectral.solver);
     key.decompose = request.spectral.decompose;
   }
   return key;

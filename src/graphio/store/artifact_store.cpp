@@ -3,6 +3,7 @@
 #include <array>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -86,11 +87,9 @@ LaplacianKind lap_from(const std::string& s) {
 }
 
 la::SolverKind solver_from(const std::string& s) {
-  if (s == "dense") return la::SolverKind::kDense;
-  if (s == "lanczos") return la::SolverKind::kLanczos;
-  if (s == "lobpcg") return la::SolverKind::kLobpcg;
-  GIO_EXPECTS_MSG(false, "unknown solver kind '" + s + "'");
-  return la::SolverKind::kDense;  // unreachable
+  const std::optional<la::SolverKind> kind = la::parse_solver_policy(s);
+  GIO_EXPECTS_MSG(kind.has_value(), "unknown solver kind '" + s + "'");
+  return *kind;
 }
 
 std::string spectrum_line(std::uint64_t fp, LaplacianKind kind,
@@ -251,6 +250,19 @@ bool put(T& table, const typename T::Key& key,
   return true;
 }
 
+/// One field of spectral_options_key.
+template <class T>
+void append_key_field(std::string& out, const T& field) {
+  if constexpr (std::is_same_v<T, bool>)
+    out += field ? '1' : '0';
+  else if constexpr (std::is_floating_point_v<T>)
+    out += io::format_double_exact(field);
+  else if constexpr (std::is_integral_v<T>)
+    out += std::to_string(field);
+  else
+    out += la::solver_policy_name(field);
+}
+
 template <class T>
 std::optional<typename T::Value> find(T& table, const typename T::Key& key) {
   const auto it = table.map.find(key);
@@ -263,27 +275,15 @@ std::optional<typename T::Value> find(T& table, const typename T::Key& key) {
 
 std::string ArtifactStore::spectral_options_key(
     const SpectralOptions& options) {
-  // Exactly the fields of solver_options_equal, pipe-joined; the solver
-  // policy names are identifiers, so '|' never collides.
-  std::string out = std::to_string(static_cast<int>(options.backend));
-  out += '|';
-  out += options.solver;
-  out += options.decompose ? "|1|" : "|0|";
-  out += io::format_double_exact(options.eig_rel_tol);
-  out += '|';
-  out += io::format_double_exact(options.warm_refresh_rel_tol);
-  out += '|';
-  out += std::to_string(options.dense_threshold);
-  out += '|';
-  out += std::to_string(options.dense_rescue_threshold);
-  out += '|';
-  out += std::to_string(options.lanczos.block_size);
-  out += '|';
-  out += std::to_string(options.lanczos.max_basis);
-  out += '|';
-  out += std::to_string(options.lanczos.stall_basis_cap);
-  out += '|';
-  out += std::to_string(options.lanczos.max_cycles);
+  // solve_inputs, pipe-joined; the solver policy names are identifiers, so
+  // '|' never collides. The leading 0 is the slot of a retired per-call
+  // tier switch, kept so stored keys stay valid.
+  std::string out = "0";
+  std::apply(
+      [&out](const auto&... field) {
+        ((out += '|', append_key_field(out, field)), ...);
+      },
+      solve_inputs(options));
   return out;
 }
 

@@ -272,7 +272,7 @@ class ArtifactStore {
   [[nodiscard]] const std::filesystem::path& path() const noexcept;
 
   /// Canonical encoding of exactly the solver-relevant option fields
-  /// (core/spectral_bound.hpp solver_options_equal): two options compare
+  /// (core/spectral_bound.hpp solve_inputs): two options compare
   /// equal iff their keys are byte-identical, which is what lets the disk
   /// tier round-trip spectrum entries without serializing the full
   /// options struct. Exposed for tests.

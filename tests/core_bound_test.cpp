@@ -86,9 +86,9 @@ TEST(SpectralBound, PlainTheorem5NeverExceedsTheorem4) {
 TEST(SpectralBound, DenseAndLanczosBackendsAgree) {
   const Digraph g = builders::fft(6);  // 448 vertices
   SpectralOptions dense;
-  dense.backend = EigenBackend::kDense;
+  dense.solver = la::SolverKind::kDense;
   SpectralOptions sparse;
-  sparse.backend = EigenBackend::kLanczos;
+  sparse.solver = la::SolverKind::kLanczos;
   sparse.lanczos.dense_fallback = 0;
   const SpectralBound a = spectral_bound(g, 4, dense);
   const SpectralBound b = spectral_bound(g, 4, sparse);
@@ -150,7 +150,7 @@ TEST(SpectralBoundsMulti, SoundOnSparsePathForEveryMemory) {
   // interior; the multi result can only match or beat the single-call
   // bound (both are valid lower bounds from the same spectrum family).
   SpectralOptions options;
-  options.backend = EigenBackend::kLanczos;
+  options.solver = la::SolverKind::kLanczos;
   const Digraph g = builders::bhk_hypercube(9);
   const std::vector<double> memories{2.0, 16.0, 64.0};
   const std::vector<SpectralBound> multi =

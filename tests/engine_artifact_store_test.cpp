@@ -172,7 +172,7 @@ TEST(ArtifactStoreEngine, DifferentKindsAndOptionsAreDistinctEntries) {
   EXPECT_EQ(cache.stats().eigensolves, 2);
 
   SpectralOptions lanczos;
-  lanczos.backend = EigenBackend::kLanczos;
+  lanczos.solver = la::SolverKind::kLanczos;
   cache.spectrum(kNorm, 8, lanczos);  // changed options: recompute
   EXPECT_EQ(cache.stats().eigensolves, 3);
 }
@@ -207,7 +207,7 @@ TEST(ArtifactStoreEngine, MixedSolverOptionsCoexistWithoutThrashing) {
   store::ArtifactStore cache;
   SpectralOptions auto_policy;
   SpectralOptions dense;
-  dense.solver = "dense";
+  dense.solver = la::SolverKind::kDense;
   ComponentSolve solve;
   solve.values = {0.0, 1.0};
   cache.store_spectrum(9, kNorm, 2, auto_policy, solve);

@@ -283,7 +283,7 @@ TEST(ArtifactReuse, ChangedSolverOptionsInvalidateSpectrum) {
   EXPECT_EQ(cache.stats().eigensolves, 1);
 
   SpectralOptions dense = defaults;
-  dense.backend = EigenBackend::kDense;
+  dense.solver = la::SolverKind::kDense;
   cache.spectrum(LaplacianKind::kPlain, 8, dense);  // options changed
   EXPECT_EQ(cache.stats().eigensolves, 2);
   cache.spectrum(LaplacianKind::kPlain, 8, dense);  // hit again

@@ -143,7 +143,7 @@ TEST(FaultRegistry, ProbabilityModeIsSeedDeterministic) {
 TEST(FaultStore, ArtifactAppendFaultDemotesToMemoryOnly) {
   const TempDir dir("graphio_faults_store_append");
   SpectralOptions options;
-  options.solver = "lanczos";
+  options.solver = la::SolverKind::kLanczos;
   {
     store::ArtifactStore a(dir.path);
     const ScopedFaultPlan plan("store.disk.append:nth=1");
@@ -172,7 +172,7 @@ TEST(FaultStore, ArtifactAppendFaultDemotesToMemoryOnly) {
 TEST(FaultStore, CompactRenameFaultLeavesOriginalLogIntact) {
   const TempDir dir("graphio_faults_store_compact");
   SpectralOptions options;
-  options.solver = "lanczos";
+  options.solver = la::SolverKind::kLanczos;
   store::ArtifactStore a(dir.path);
   a.store_spectrum(1, LaplacianKind::kOutDegreeNormalized, 4, options,
                    converged_solve());

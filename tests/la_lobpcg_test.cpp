@@ -113,10 +113,10 @@ TEST(Lobpcg, RejectsBadOptions) {
 TEST(LobpcgBackend, SpectralBoundAgreesWithDenseBackend) {
   const Digraph g = builders::fft(7);  // 1024 vertices
   SpectralOptions dense;
-  dense.backend = EigenBackend::kDense;
+  dense.solver = la::SolverKind::kDense;
   dense.max_eigenvalues = 12;
   SpectralOptions lobpcg;
-  lobpcg.backend = EigenBackend::kLobpcg;
+  lobpcg.solver = la::SolverKind::kLobpcg;
   lobpcg.max_eigenvalues = 12;
   lobpcg.eig_rel_tol = 1e-9;
   const SpectralBound a = spectral_bound(g, 4.0, dense);

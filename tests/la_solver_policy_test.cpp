@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "graphio/la/solver_policy.hpp"
@@ -8,81 +9,87 @@
 namespace graphio::la {
 namespace {
 
-TEST(SolverPolicy, RegistryContainsEveryDocumentedName) {
-  const std::vector<std::string> expected{"auto", "dense", "lanczos",
-                                          "lobpcg"};
-  EXPECT_EQ(solver_policy_ids(), expected);
-  for (const std::string& name : expected) {
-    const SolverPolicy* policy = find_solver_policy(name);
-    ASSERT_NE(policy, nullptr) << name;
-    EXPECT_EQ(policy->name(), name);
-    EXPECT_FALSE(policy->summary().empty());
-  }
+constexpr SolverProblem kNiche{4096, 2 * 4096, 8};  // the LOBPCG niche
+
+TEST(SolverPolicy, ParsesEveryDocumentedName) {
+  EXPECT_EQ(kSolverPolicyNames, "auto|dense|lanczos|lobpcg");
+  EXPECT_EQ(parse_solver_policy("auto"), std::nullopt);
+  EXPECT_EQ(parse_solver_policy("dense"), SolverKind::kDense);
+  EXPECT_EQ(parse_solver_policy("lanczos"), SolverKind::kLanczos);
+  EXPECT_EQ(parse_solver_policy("lobpcg"), SolverKind::kLobpcg);
+  for (const char* name : {"auto", "dense", "lanczos", "lobpcg"})
+    EXPECT_EQ(solver_policy_name(parse_solver_policy(name)), name);
 }
 
-TEST(SolverPolicy, UnknownNameIsNullAndRequireListsRegistered) {
-  EXPECT_EQ(find_solver_policy("qr"), nullptr);
+TEST(SolverPolicy, UnknownNameListsKnownPolicies) {
   try {
-    require_solver_policy("qr");
+    (void)parse_solver_policy("qr");
     FAIL() << "expected contract_error";
   } catch (const contract_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("qr"), std::string::npos);
-    EXPECT_NE(what.find("auto|dense|lanczos|lobpcg"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown solver policy 'qr' (known: "
+                  "auto|dense|lanczos|lobpcg)"),
+              std::string::npos)
+        << e.what();
   }
 }
 
 TEST(SolverPolicy, AutoPicksDenseAtOrBelowThreshold) {
-  const SolverPolicy& policy = require_solver_policy("auto");
-  const SolverThresholds t;
-  EXPECT_EQ(policy.choose({t.dense_n, 4 * t.dense_n, 100}, t).kind,
+  EXPECT_EQ(kDenseMaxN, 2048);
+  EXPECT_EQ(choose_solver(std::nullopt, {2048, 4 * 2048, 100}).kind,
             SolverKind::kDense);
-  EXPECT_EQ(policy.choose({1, 1, 1}, t).kind, SolverKind::kDense);
-  EXPECT_EQ(policy.choose({t.dense_n + 1, 4 * t.dense_n, 100}, t).kind,
+  EXPECT_EQ(choose_solver(std::nullopt, {1, 1, 1}).kind, SolverKind::kDense);
+  EXPECT_EQ(choose_solver(std::nullopt, {2049, 4 * 2048, 100}).kind,
             SolverKind::kLanczos);
 }
 
 TEST(SolverPolicy, AutoPicksLobpcgOnlyInItsNiche) {
-  const SolverPolicy& policy = require_solver_policy("auto");
-  const SolverThresholds t;
-  // Large, very sparse, tiny h: the LOBPCG niche.
-  const SolverProblem niche{t.lobpcg_min_n, 2 * t.lobpcg_min_n,
-                            t.lobpcg_max_h};
-  EXPECT_EQ(policy.choose(niche, t).kind, SolverKind::kLobpcg);
+  // Large, very sparse (nnz/n = 2 <= 3), tiny h (<= 8): the LOBPCG niche.
+  EXPECT_EQ(choose_solver(std::nullopt, kNiche).kind, SolverKind::kLobpcg);
   // Each violated condition falls back to Lanczos.
-  SolverProblem too_many_values = niche;
-  too_many_values.h = t.lobpcg_max_h + 1;
-  EXPECT_EQ(policy.choose(too_many_values, t).kind, SolverKind::kLanczos);
-  SolverProblem too_dense = niche;
-  too_dense.nnz =
-      static_cast<std::int64_t>(2.0 * t.lobpcg_max_density * niche.n);
-  EXPECT_EQ(policy.choose(too_dense, t).kind, SolverKind::kLanczos);
-  SolverProblem too_small = niche;
-  too_small.n = t.lobpcg_min_n - 1;
+  SolverProblem too_many_values = kNiche;
+  too_many_values.h = 9;
+  EXPECT_EQ(choose_solver(std::nullopt, too_many_values).kind,
+            SolverKind::kLanczos);
+  SolverProblem too_dense = kNiche;
+  too_dense.nnz = 6 * kNiche.n;
+  EXPECT_EQ(choose_solver(std::nullopt, too_dense).kind,
+            SolverKind::kLanczos);
+  SolverProblem too_small = kNiche;
+  too_small.n = 4095;
   too_small.nnz = 2 * too_small.n;
-  // ... unless that drops it below the dense threshold entirely.
-  if (too_small.n > t.dense_n)
-    EXPECT_EQ(policy.choose(too_small, t).kind, SolverKind::kLanczos);
+  EXPECT_EQ(choose_solver(std::nullopt, too_small).kind,
+            SolverKind::kLanczos);
 }
 
 TEST(SolverPolicy, ForcedPoliciesIgnoreShape) {
-  const SolverThresholds t;
   const SolverProblem tiny{4, 8, 2};
-  EXPECT_EQ(require_solver_policy("lanczos").choose(tiny, t).kind,
+  EXPECT_EQ(choose_solver(SolverKind::kLanczos, tiny).kind,
             SolverKind::kLanczos);
-  EXPECT_EQ(require_solver_policy("lobpcg").choose(tiny, t).kind,
+  EXPECT_EQ(choose_solver(SolverKind::kLobpcg, tiny).kind,
             SolverKind::kLobpcg);
-  EXPECT_EQ(require_solver_policy("dense").choose({1 << 20, 1 << 22, 100}, t)
-                .kind,
+  EXPECT_EQ(choose_solver(SolverKind::kDense, {1 << 20, 1 << 22, 100}).kind,
             SolverKind::kDense);
+  EXPECT_EQ(choose_solver(SolverKind::kLanczos, {4, 8, 2, /*warm=*/true}).kind,
+            SolverKind::kLanczos);
 }
 
+// The reasons are persisted in artifacts.jsonl ("reason") and shown by
+// --explain, so their bytes are pinned.
 TEST(SolverPolicy, ChoicesCarryReasons) {
-  const SolverThresholds t;
-  EXPECT_FALSE(
-      require_solver_policy("auto").choose({10, 20, 4}, t).reason.empty());
-  EXPECT_FALSE(
-      require_solver_policy("dense").choose({10, 20, 4}, t).reason.empty());
+  EXPECT_EQ(choose_solver(std::nullopt, {10, 20, 4}).reason,
+            "n=10 <= dense_n=2048");
+  EXPECT_EQ(choose_solver(std::nullopt, kNiche).reason,
+            "h=8 and nnz/n=2.000000 fit the LOBPCG niche");
+  EXPECT_EQ(choose_solver(std::nullopt, {5000, 20000, 100}).reason,
+            "n=5000 above dense threshold");
+  EXPECT_EQ(choose_solver(std::nullopt, {10, 20, 4, /*warm=*/true}).kind,
+            SolverKind::kLobpcg);
+  EXPECT_EQ(choose_solver(std::nullopt, {10, 20, 4, /*warm=*/true}).reason,
+            "warm");
+  for (const SolverKind kind :
+       {SolverKind::kDense, SolverKind::kLanczos, SolverKind::kLobpcg})
+    EXPECT_EQ(choose_solver(kind, {10, 20, 4}).reason, "forced by policy");
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST(ProvenanceStreamTest, WarmTiersReconcileWithRegistryDeltas) {
   engine::BoundRequest request;
   request.memories = {8};
   request.methods = {"spectral"};
-  request.spectral.solver = "lanczos";
+  request.spectral.solver = la::SolverKind::kLanczos;
 
   const engine::BoundReport cold = session.evaluate(request);
   EXPECT_TRUE(check_record(cold.provenance).empty());

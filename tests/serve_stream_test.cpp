@@ -42,7 +42,7 @@ TEST(StreamJobTest, ParsesLoadPatchAndNamedQuery) {
           "solver": "dense"})");
   EXPECT_EQ(query.kind, JobKind::kBound);
   EXPECT_TRUE(query.is_stream());
-  EXPECT_EQ(query.request.spectral.solver, "dense");
+  EXPECT_EQ(query.request.spectral.solver, la::SolverKind::kDense);
 }
 
 TEST(StreamJobTest, RejectsAmbiguousOrMalformedStreamJobs) {

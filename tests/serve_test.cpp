@@ -138,12 +138,12 @@ TEST(ServeJob, SolverPolicyKeysParseAndRoundTrip) {
   const engine::BoundRequest request = request_from_json_line(
       R"({"spec": "fft:5", "memories": [8], "solver": "dense",)"
       R"( "decompose": false})");
-  EXPECT_EQ(request.spectral.solver, "dense");
+  EXPECT_EQ(request.spectral.solver, la::SolverKind::kDense);
   EXPECT_FALSE(request.spectral.decompose);
 
   const engine::BoundRequest back =
       request_from_json_line(request_to_json_line(request));
-  EXPECT_EQ(back.spectral.solver, "dense");
+  EXPECT_EQ(back.spectral.solver, la::SolverKind::kDense);
   EXPECT_FALSE(back.spectral.decompose);
 
   // Defaults are omitted from the serialized line.

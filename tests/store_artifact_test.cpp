@@ -43,7 +43,7 @@ struct TempDir {
 
 SpectralOptions lanczos_options() {
   SpectralOptions options;
-  options.solver = "lanczos";
+  options.solver = la::SolverKind::kLanczos;
   options.eig_rel_tol = 1e-7;
   return options;
 }
@@ -72,6 +72,49 @@ std::int64_t line_count(const std::filesystem::path& log) {
 }
 
 // ----------------------------------------------------- disk round-trips
+
+// The options key is persisted as "opts" on every artifacts.jsonl
+// spectrum line, so its bytes are pinned: a stored key that stops matching
+// silently turns a warm store cold. The leading 0 is a retired slot.
+TEST(ArtifactStore, SpectralOptionsKeyBytesArePinned) {
+  EXPECT_EQ(ArtifactStore::spectral_options_key(SpectralOptions{}),
+            "0|auto|1|9.9999999999999995e-07|0.01|2048|4096|8|0|1024|120");
+  SpectralOptions lanczos;
+  lanczos.solver = la::SolverKind::kLanczos;
+  EXPECT_EQ(ArtifactStore::spectral_options_key(lanczos),
+            "0|lanczos|1|9.9999999999999995e-07|0.01|2048|4096|8|0|1024|120");
+  SpectralOptions mono;
+  mono.decompose = false;
+  EXPECT_EQ(ArtifactStore::spectral_options_key(mono),
+            "0|auto|0|9.9999999999999995e-07|0.01|2048|4096|8|0|1024|120");
+}
+
+// The key and solver_options_equal are one definition of "same solve":
+// changing any solve input changes both, changing anything else neither.
+TEST(ArtifactStore, SpectralOptionsKeyAgreesWithSolverOptionsEqual) {
+  const SpectralOptions base;
+  std::vector<SpectralOptions> variants(9, base);
+  variants[0].solver = la::SolverKind::kDense;
+  variants[1].decompose = false;
+  variants[2].eig_rel_tol = 1e-9;
+  variants[3].warm_refresh_rel_tol = 0.0;
+  variants[4].lanczos.block_size = 4;
+  variants[5].lanczos.max_basis = 64;
+  variants[6].lanczos.stall_basis_cap = 512;
+  variants[7].lanczos.max_cycles = 7;
+  variants[8].retain_basis = true;
+  variants[8].deadline_seconds = 1.0;
+  variants[8].max_eigenvalues = 10;
+  variants[8].adaptive = false;
+  const std::string base_key = ArtifactStore::spectral_options_key(base);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const bool same = i == 8;
+    EXPECT_EQ(solver_options_equal(base, variants[i]), same) << i;
+    EXPECT_EQ(ArtifactStore::spectral_options_key(variants[i]) == base_key,
+              same)
+        << i;
+  }
+}
 
 TEST(ArtifactStore, SpectrumRoundTripsBitExactAcrossRestart) {
   const TempDir dir("graphio_artifacts_spectrum");

@@ -23,7 +23,7 @@ engine::BoundRequest spectral_request(const std::string& solver) {
   engine::BoundRequest req;
   req.memories = {3.0, 7.5};
   req.methods = {"spectral", "spectral-plain"};
-  req.spectral.solver = solver;
+  req.spectral.solver = la::parse_solver_policy(solver);
   // Small fixed h keeps the forced sparse tiers well-posed on the tiny
   // property-test components.
   req.spectral.adaptive = false;
@@ -165,7 +165,7 @@ TEST(StreamSessionTest, ExtractionsEqualDirtyAfterEveryPatch) {
   engine::BoundRequest req;
   req.memories = {8.0};
   req.methods = {"spectral"};  // one Laplacian kind: clean accounting
-  req.spectral.solver = "dense";
+  req.spectral.solver = la::SolverKind::kDense;
   req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 8;
 

@@ -44,7 +44,7 @@ engine::BoundRequest spectral_request(const std::string& solver) {
   engine::BoundRequest req;
   req.memories = {3.0, 7.5};
   req.methods = {"spectral", "spectral-plain"};
-  req.spectral.solver = solver;
+  req.spectral.solver = la::parse_solver_policy(solver);
   req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 6;
   return req;
@@ -171,7 +171,7 @@ TEST(StreamWarmTest, RefreshReportsWarmHitsForDirtyComponentsOnly) {
   engine::BoundRequest req;
   req.memories = {3.0, 7.5};
   req.methods = {"spectral"};
-  req.spectral.solver = "lobpcg";  // force the iterative (refreshable) tier
+  req.spectral.solver = la::SolverKind::kLobpcg;  // force the iterative (refreshable) tier
   req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 4;  // = #components: merged zeros only
 
@@ -255,7 +255,7 @@ TEST(StreamWarmTest, EvictionDropsBasesOfDeadContent) {
   engine::BoundRequest req;
   req.memories = {8.0};
   req.methods = {"spectral"};
-  req.spectral.solver = "lobpcg";
+  req.spectral.solver = la::SolverKind::kLobpcg;
   req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 4;
   session.evaluate(req);

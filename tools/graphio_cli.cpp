@@ -68,15 +68,6 @@ std::string method_list() {
   return out;
 }
 
-std::string solver_list() {
-  std::string out;
-  for (const std::string& id : la::solver_policy_ids()) {
-    if (!out.empty()) out += "|";
-    out += id;
-  }
-  return out;
-}
-
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr <<
@@ -182,7 +173,7 @@ std::string solver_list() {
       "methods: " << method_list() << " | all\n"
       "\n"
       "spectral eigensolver options (bound/compare/sweep/spectrum)\n"
-      "  --solver " << solver_list() << "\n"
+      "  --solver " << la::kSolverPolicyNames << "\n"
       "                                         per-component solver policy\n"
       "  --monolithic                           disable the per-component\n"
       "                                         decomposition (one whole-graph\n"
@@ -243,7 +234,7 @@ struct Args {
   /// Eigenbasis warm-start budget in MiB; -1 = unset (commands pick
   /// their default: 64 for `stream`, 0 elsewhere).
   std::int64_t warm_basis_mb = -1;
-  std::string solver = "auto";
+  std::optional<la::SolverKind> solver;  // empty = "auto"
   std::string trace_file;
   std::string metrics_prom;
   std::string provenance_dir;
@@ -312,11 +303,10 @@ Args parse_args(int argc, char** argv) {
       a.warm_basis_mb = parse_int(next(), "warm-basis-mb");
       if (a.warm_basis_mb < 0) usage("--warm-basis-mb must be >= 0");
     } else if (flag == "--solver") {
-      a.solver = next();
-      // Validate here so a typo fails with the registered names instead
-      // of surfacing later from deep inside an evaluation.
+      // Parse here so a typo fails with the known names instead of
+      // surfacing later from deep inside an evaluation.
       try {
-        la::require_solver_policy(a.solver);
+        a.solver = la::parse_solver_policy(next());
       } catch (const std::exception& e) {
         usage(e.what());
       }
