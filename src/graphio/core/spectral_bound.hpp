@@ -33,7 +33,11 @@ struct SpectralOptions {
   /// and double while the maximizing k runs into the ceiling — the optimal
   /// k is usually far below 100 (paper §6.5), so this avoids resolving
   /// eigenvalues the bound never uses. Every intermediate answer is a
-  /// valid bound, so adaptivity cannot affect soundness.
+  /// valid bound, so adaptivity cannot affect soundness. Only the
+  /// spectral_bound* free functions below read it (the CLI's `anneal`,
+  /// `parallel` and `hierarchy` commands, the benches); Engine requests
+  /// ignore it and solve h = min(max_eigenvalues, n) once, so that every
+  /// method and memory size shares one cached spectrum.
   bool adaptive = true;
   /// Solver policy (la/solver_policy.hpp): empty is "auto", which picks a
   /// tier per connected component; a kind forces that tier everywhere.

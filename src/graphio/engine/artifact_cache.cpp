@@ -1,6 +1,7 @@
 #include "graphio/engine/artifact_cache.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <queue>
 #include <utility>
@@ -36,6 +37,22 @@ const Registry& registry() {
   return r;
 }
 
+using store::ArtifactKind;
+
+/// Whether a stored artifact can serve a component of n vertices: a topo
+/// order must cover exactly them.
+bool fits(const auto&, std::size_t) { return true; }
+bool fits(const store::TopoOrderArtifact& topo, std::size_t n) {
+  return topo.order.size() == n;
+}
+
+/// Whether a computed artifact is published: a time-budget-cut min-cut
+/// sweep is a valid but degraded bound that no later request may reuse.
+bool publishable(const auto&) { return true; }
+bool publishable(const store::MincutSweepArtifact& sweep) {
+  return sweep.completed;
+}
+
 }  // namespace
 
 template <auto Member, class T>
@@ -46,12 +63,8 @@ void ArtifactCache::bump(T delta) {
 
 ArtifactCache::ArtifactCache(Digraph graph,
                              std::shared_ptr<store::ArtifactStore> store,
-                             std::optional<ComponentSeed> seed,
                              Totals* totals)
-    : graph_(std::move(graph)),
-      store_(std::move(store)),
-      seed_(std::move(seed)),
-      totals_(totals) {
+    : graph_(std::move(graph)), store_(std::move(store)), totals_(totals) {
   if (store_ == nullptr) store_ = std::make_shared<store::ArtifactStore>();
 }
 
@@ -276,71 +289,82 @@ std::uint64_t ArtifactCache::fingerprint() {
   return *fingerprint_;
 }
 
+template <ArtifactKind K, class Compute, class... Options>
+store::ArtifactStore::Artifact<K> ArtifactCache::resolve(
+    int c, const Digraph* sub, Compute&& compute, const Options&... options) {
+  const store::ArtifactStore::Key<K> key{component_fingerprint(c),
+                                         options...};
+  auto stored = store_->lookup<K>(key);
+  if (stored.has_value() &&
+      fits(*stored, decomp_->wc.vertices[static_cast<std::size_t>(c)].size()))
+    return std::move(*stored);
+  Digraph extracted;
+  auto artifact =
+      compute(c, sub != nullptr ? *sub : component_graph(c, extracted));
+  if (publishable(artifact)) store_->insert<K>(key, artifact);
+  return artifact;
+}
+
+template <ArtifactKind K, class Compute, class Use, class... Options>
+void ArtifactCache::resolve_each(Compute&& compute, Use&& use,
+                                 const Options&... options) {
+  const Decomposition& d = decomposition();
+  for (int c = 0; c < d.wc.count; ++c)
+    if (d.edges[static_cast<std::size_t>(c)] != 0)
+      use(c, resolve<K>(c, nullptr, compute, options...));
+}
+
+store::TopoOrderArtifact ArtifactCache::kahn(int, const Digraph& sub) {
+  telemetry::Span topo_span("topo");
+  topo_span.attr("vertices", sub.num_vertices())
+      .attr("edges", sub.num_edges());
+  auto order = topological_order(sub);
+  topo_span.end();
+  GIO_EXPECTS_MSG(order.has_value(), "graph is cyclic");
+  bump<&Stats::topo_computes>(1);
+  return {std::move(*order)};
+}
+
 const std::vector<VertexId>& ArtifactCache::topo_order() {
   if (topo_.has_value()) {
     bump<&Stats::hits>(1);
     return *topo_;
   }
   bump<&Stats::misses>(1);
-  Decomposition& d = decomposition();
-  const int count = d.wc.count;
-  // Per-component orders in local ids: store hit, trivial, or Kahn run.
-  std::vector<std::vector<VertexId>> orders(
-      static_cast<std::size_t>(count));
-  for (int c = 0; c < count; ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    const auto n = static_cast<std::int64_t>(d.wc.vertices[i].size());
-    if (d.edges[i] == 0) {
-      // Edgeless: min-first Kahn is the ascending local numbering —
-      // cheaper to regenerate than to fingerprint and store.
-      orders[i].resize(static_cast<std::size_t>(n));
-      std::iota(orders[i].begin(), orders[i].end(), VertexId{0});
-      continue;
-    }
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_topo(fp);
-        cached.has_value() &&
-        static_cast<std::int64_t>(cached->order.size()) == n) {
-      orders[i] = std::move(cached->order);
-      continue;
-    }
-    Digraph extracted;
-    const Digraph& sub = component_graph(c, extracted);
-    telemetry::Span topo_span("topo");
-    topo_span.attr("vertices", n).attr("edges", d.edges[i]);
-    auto order = topological_order(sub);
-    topo_span.end();
-    GIO_EXPECTS_MSG(order.has_value(), "graph is cyclic");
-    bump<&Stats::topo_computes>(1);
-    store_->store_topo(fp, {*order});
-    orders[i] = std::move(*order);
-  }
+  const Decomposition& d = decomposition();
+  const auto count = static_cast<std::size_t>(d.wc.count);
+  // Per-component orders in local ids. Edgeless components keep an empty
+  // one: their min-first Kahn order is the ascending local numbering —
+  // cheaper to regenerate than to fingerprint and store.
+  std::vector<std::vector<VertexId>> orders(count);
+  resolve_each<ArtifactKind::kTopoOrder>(
+      std::bind_front(&ArtifactCache::kahn, this),
+      [&orders](int c, store::TopoOrderArtifact topo) {
+        orders[static_cast<std::size_t>(c)] = std::move(topo.order);
+      });
+  const auto vertex_at = [&](std::size_t i, std::size_t pos) {
+    return d.wc.vertices[i][orders[i].empty()
+                                ? pos
+                                : static_cast<std::size_t>(orders[i][pos])];
+  };
   // Merge by smallest next global id. Each component's min-first Kahn
   // order is the restriction of the whole-graph order (readiness never
   // crosses components), and ascending-extraction numbering makes
   // local→global monotone within a component, so the globally smallest
   // ready vertex is always some component's next element — the merge
   // replays whole-graph Kahn exactly.
-  std::vector<std::size_t> pos(static_cast<std::size_t>(count), 0);
+  std::vector<std::size_t> pos(count, 0);
   std::vector<VertexId> merged;
   merged.reserve(static_cast<std::size_t>(num_vertices()));
-  using Item = std::pair<VertexId, int>;  // (global id, component)
+  using Item = std::pair<VertexId, std::size_t>;  // (global id, component)
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  for (int c = 0; c < count; ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    if (!orders[i].empty())
-      heap.push({d.wc.vertices[i][static_cast<std::size_t>(orders[i][0])],
-                 c});
-  }
+  for (std::size_t i = 0; i < count; ++i) heap.push({vertex_at(i, 0), i});
   while (!heap.empty()) {
-    const auto [global, c] = heap.top();
+    const auto [global, i] = heap.top();
     heap.pop();
     merged.push_back(global);
-    const auto i = static_cast<std::size_t>(c);
-    if (++pos[i] < orders[i].size())
-      heap.push(
-          {d.wc.vertices[i][static_cast<std::size_t>(orders[i][pos[i]])],
-           c});
+    if (++pos[i] < d.wc.vertices[i].size())
+      heap.push({vertex_at(i, pos[i]), i});
   }
   topo_ = std::move(merged);
   return *topo_;
@@ -454,55 +478,41 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
     return *max_cut_;
   }
   bump<&Stats::misses>(1);
-  Decomposition& d = decomposition();
-  const int count = d.wc.count;
+  const Decomposition& d = decomposition();
   WavefrontArtifact artifact;
-  artifact.components = count;
-  artifact.cuts.resize(static_cast<std::size_t>(count), 0);
-  for (int c = 0; c < count; ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    if (d.edges[i] == 0) continue;  // no descendants anywhere: C(v) = 0
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_mincut(fp)) {
-      artifact.cuts[i] = cached->best_cut;
-      if (cached->best_cut > artifact.best_cut) {
-        artifact.best_cut = cached->best_cut;
-        artifact.best_vertex =
-            cached->best_vertex >= 0
-                ? d.wc.vertices[i][static_cast<std::size_t>(
-                      cached->best_vertex)]
-                : VertexId{-1};
-      }
-      continue;
-    }
-    Digraph extracted;
-    const Digraph& sub = component_graph(c, extracted);
-    bump<&Stats::mincut_sweeps>(1);
-    // Memory 0 keeps every cut relevant; per-M bounds derive from the
-    // per-component best cuts.
-    telemetry::Span mincut_span("mincut");
-    mincut_span.attr("vertices", sub.num_vertices())
-        .attr("edges", sub.num_edges());
-    const flow::ConvexMinCutResult result =
-        flow::convex_mincut_bound(sub, 0.0, options);
-    registry().mincut_flows.add(result.flows);
-    registry().mincut_pruned.add(result.pruned);
-    mincut_span.attr("flows", result.flows).attr("pruned", result.pruned);
-    mincut_span.end();
-    artifact.cuts[i] = result.best_cut;
-    artifact.completed = artifact.completed && result.completed;
-    if (result.completed)
-      store_->store_mincut(fp, {result.best_cut, result.best_vertex,
-                                result.vertices_processed, result.completed});
-    if (result.best_cut > artifact.best_cut) {
-      artifact.best_cut = result.best_cut;
-      artifact.best_vertex =
-          result.best_vertex >= 0
-              ? d.wc.vertices[i][static_cast<std::size_t>(
-                    result.best_vertex)]
-              : VertexId{-1};
-    }
-  }
+  artifact.components = d.wc.count;
+  artifact.cuts.resize(static_cast<std::size_t>(d.wc.count), 0);
+  // Edgeless components have no descendants anywhere: C(v) = 0.
+  resolve_each<ArtifactKind::kMincutSweep>(
+      [&](int, const Digraph& sub) {
+        bump<&Stats::mincut_sweeps>(1);
+        // Memory 0 keeps every cut relevant; per-M bounds derive from the
+        // per-component best cuts.
+        telemetry::Span mincut_span("mincut");
+        mincut_span.attr("vertices", sub.num_vertices())
+            .attr("edges", sub.num_edges());
+        const flow::ConvexMinCutResult result =
+            flow::convex_mincut_bound(sub, 0.0, options);
+        registry().mincut_flows.add(result.flows);
+        registry().mincut_pruned.add(result.pruned);
+        mincut_span.attr("flows", result.flows).attr("pruned", result.pruned);
+        return store::MincutSweepArtifact{result.best_cut, result.best_vertex,
+                                          result.vertices_processed,
+                                          result.completed};
+      },
+      [&](int c, const store::MincutSweepArtifact& sweep) {
+        const auto i = static_cast<std::size_t>(c);
+        artifact.cuts[i] = sweep.best_cut;
+        artifact.completed = artifact.completed && sweep.completed;
+        if (sweep.best_cut > artifact.best_cut) {
+          artifact.best_cut = sweep.best_cut;
+          artifact.best_vertex =
+              sweep.best_vertex >= 0
+                  ? d.wc.vertices[i][static_cast<std::size_t>(
+                        sweep.best_vertex)]
+                  : VertexId{-1};
+        }
+      });
   return max_cut_.emplace(std::move(artifact));
 }
 
@@ -515,36 +525,26 @@ const ArtifactCache::MemsimArtifact& ArtifactCache::memsim_row(
     return it->second;
   }
   bump<&Stats::misses>(1);
-  Decomposition& d = decomposition();
-  const int count = d.wc.count;
   MemsimArtifact artifact;
-  artifact.components = count;
-  for (int c = 0; c < count; ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    // Isolated vertices are sources and sinks at once: all their I/O is
-    // trivial and excluded from reads/writes by the simulator.
-    if (d.edges[i] == 0) continue;
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_memsim(fp, memory, random_orders)) {
-      artifact.reads += cached->reads;
-      artifact.writes += cached->writes;
-      continue;
-    }
-    Digraph extracted;
-    const Digraph& sub = component_graph(c, extracted);
-    bump<&Stats::memsim_runs>(1);
-    telemetry::Span memsim_span("memsim");
-    memsim_span.attr("vertices", sub.num_vertices())
-        .attr("memory", memory)
-        .attr("random_orders", random_orders);
-    const sim::SimResult result =
-        sim::best_schedule_io(sub, memory, random_orders);
-    memsim_span.end();
-    store_->store_memsim(fp, memory, random_orders,
-                         {result.reads, result.writes});
-    artifact.reads += result.reads;
-    artifact.writes += result.writes;
-  }
+  artifact.components = decomposition().wc.count;
+  // Isolated vertices are sources and sinks at once: all their I/O is
+  // trivial and excluded from reads/writes by the simulator.
+  resolve_each<ArtifactKind::kMemsimRow>(
+      [&](int, const Digraph& sub) {
+        bump<&Stats::memsim_runs>(1);
+        telemetry::Span memsim_span("memsim");
+        memsim_span.attr("vertices", sub.num_vertices())
+            .attr("memory", memory)
+            .attr("random_orders", random_orders);
+        const sim::SimResult result =
+            sim::best_schedule_io(sub, memory, random_orders);
+        return store::MemsimRowArtifact{result.reads, result.writes};
+      },
+      [&artifact](int, const store::MemsimRowArtifact& row) {
+        artifact.reads += row.reads;
+        artifact.writes += row.writes;
+      },
+      memory, random_orders);
   return memsims_.emplace(key, std::move(artifact)).first->second;
 }
 
@@ -556,57 +556,35 @@ const ArtifactCache::PartitionArtifact& ArtifactCache::partition_row(
     return it->second;
   }
   bump<&Stats::misses>(1);
-  Decomposition& d = decomposition();
-  const int count = d.wc.count;
   PartitionArtifact artifact;
-  artifact.components = count;
+  artifact.components = decomposition().wc.count;
   double total = 0.0;
   std::int64_t segments = 0;
   int nontrivial = 0;
-  for (int c = 0; c < count; ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    // Edgeless: the component's own optimum is one empty segment (−2M),
-    // exactly cancelled by the seam refund of counting it — skip both.
-    if (d.edges[i] == 0) continue;
-    ++nontrivial;
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_partition(fp, memory)) {
-      total += cached->objective;
-      segments += cached->segments;
-      continue;
-    }
-    Digraph extracted;
-    const Digraph& sub = component_graph(c, extracted);
-    const auto n = static_cast<std::int64_t>(d.wc.vertices[i].size());
-    // The DP walks the component's own natural order — the restriction
-    // of the merged whole-graph Kahn order, already store-cached by the
-    // topo artifact.
-    std::vector<VertexId> order;
-    if (auto cached = store_->lookup_topo(fp);
-        cached.has_value() &&
-        static_cast<std::int64_t>(cached->order.size()) == n) {
-      order = std::move(cached->order);
-    } else {
-      telemetry::Span topo_span("topo");
-      topo_span.attr("vertices", n).attr("edges", d.edges[i]);
-      auto computed = topological_order(sub);
-      topo_span.end();
-      GIO_EXPECTS_MSG(computed.has_value(), "graph is cyclic");
-      bump<&Stats::topo_computes>(1);
-      store_->store_topo(fp, {*computed});
-      order = std::move(*computed);
-    }
-    bump<&Stats::partition_runs>(1);
-    telemetry::Span dp_span("partition_dp");
-    dp_span.attr("vertices", n).attr("edges", d.edges[i]);
-    const OptimalPartitionResult r =
-        optimal_lemma1_bound(sub, order, memory);
-    dp_span.end();
-    store_->store_partition(fp, memory,
-                            {r.objective, r.objective_segments});
-    total += r.objective;
-    segments += r.objective_segments;
-  }
+  // Edgeless: the component's own optimum is one empty segment (−2M),
+  // exactly cancelled by the seam refund of counting it — skip both.
+  resolve_each<ArtifactKind::kPartitionRow>(
+      [&](int c, const Digraph& sub) {
+        // The DP walks the component's own natural order — the
+        // restriction of the merged whole-graph Kahn order, resolved as
+        // topo_order resolves it.
+        const store::TopoOrderArtifact topo =
+            resolve<ArtifactKind::kTopoOrder>(
+                c, &sub, std::bind_front(&ArtifactCache::kahn, this));
+        bump<&Stats::partition_runs>(1);
+        telemetry::Span dp_span("partition_dp");
+        dp_span.attr("vertices", sub.num_vertices())
+            .attr("edges", sub.num_edges());
+        const OptimalPartitionResult r =
+            optimal_lemma1_bound(sub, topo.order, memory);
+        return store::PartitionRowArtifact{r.objective, r.objective_segments};
+      },
+      [&](int, const store::PartitionRowArtifact& row) {
+        ++nontrivial;
+        total += row.objective;
+        segments += row.segments;
+      },
+      memory);
   if (nontrivial > 0) {
     const double objective =
         total + 2.0 * memory * static_cast<double>(nontrivial - 1);

@@ -6,13 +6,14 @@
 // depend on the memory size M, so one cache instance serves every method
 // and every M of a sweep — the Engine computes each artifact at most once
 // per graph. Per-component artifacts (spectra, topo orders, min-cut
-// sweeps, memsim rows) additionally resolve through the content-addressed
-// store::ArtifactStore before computing, so equal components across
-// specs, stream patches, and (with a disk tier) process restarts compute
-// once. Hit/miss counters are exposed so tests (and the CLI's JSON
-// reports) can certify the reuse, e.g. that a full `--method all
-// --memory 4,8,16` run performs exactly one eigendecomposition per
-// Laplacian kind.
+// sweeps, memsim rows, partition rows) additionally resolve through the
+// content-addressed store::ArtifactStore before computing, so equal
+// components across specs, stream patches, and (with a disk tier)
+// process restarts compute once; the four uniform kinds share one
+// resolve-or-compute loop (resolve_each). Hit/miss counters are exposed
+// so tests (and the CLI's JSON reports) can certify the reuse, e.g. that
+// a full `--method all --memory 4,8,16` run performs exactly one
+// eigendecomposition per Laplacian kind.
 #pragma once
 
 #include <array>
@@ -94,20 +95,19 @@ class ArtifactCache {
   /// the batch fan-out's private caches) compute once per process (or,
   /// with a disk tier, once ever); when null, the cache creates a private
   /// memory-only one (identical components *within* one graph still
-  /// dedupe). A `seed` (validated against the graph) pre-installs the
-  /// decomposition and per-component fingerprints, so the query path
-  /// skips both. Every count also adds into `totals` when given.
-  explicit ArtifactCache(
-      Digraph graph, std::shared_ptr<store::ArtifactStore> store = nullptr,
-      std::optional<ComponentSeed> seed = std::nullopt,
-      Totals* totals = nullptr);
+  /// dedupe). Every count also adds into `totals` when given.
+  explicit ArtifactCache(Digraph graph,
+                         std::shared_ptr<store::ArtifactStore> store = nullptr,
+                         Totals* totals = nullptr);
 
   /// Lazy variant: the graph stays unmaterialized until a whole-graph
-  /// consumer (partition-dp's DP, pebble-exact, monolithic spectra) asks
-  /// for it; per-component artifact queries extract through
-  /// `lazy.component` — only store misses — instead. Requires a seed:
-  /// without known fingerprints every component would have to
-  /// materialize anyway, defeating the point.
+  /// consumer (pebble-exact, monolithic spectra) asks for it;
+  /// per-component artifact queries extract through `lazy.component` —
+  /// only store misses — instead. The `seed` (validated against the
+  /// graph on first use) pre-installs the decomposition and
+  /// per-component fingerprints, so the query path skips both: without
+  /// known fingerprints every component would have to materialize
+  /// anyway, defeating the point.
   ArtifactCache(LazyGraph lazy, std::shared_ptr<store::ArtifactStore> store,
                 ComponentSeed seed, Totals* totals = nullptr);
 
@@ -323,11 +323,11 @@ class ArtifactCache {
     return spectra_;
   }
 
-  /// One pipeline run performed by spectrum() — the adaptive-h loop can
-  /// run several per evaluation, each replacing the cached artifact, so
-  /// the per-run log (not the final artifact) is what reconciles against
-  /// the solver registry counters. The engine brackets
-  /// spectrum_runs().size() around an evaluation to attribute runs to it.
+  /// One pipeline run performed by spectrum(), each replacing the cached
+  /// artifact for its kind — the per-run log (not the final artifact) is
+  /// what reconciles against the solver registry counters. The engine
+  /// brackets spectrum_runs().size() around an evaluation to attribute
+  /// runs to it.
   struct SpectrumRun {
     LaplacianKind kind = LaplacianKind::kOutDegreeNormalized;
     int requested = 0;
@@ -375,6 +375,23 @@ class ArtifactCache {
   /// Component c as a graph: the materialized graph itself when it is the
   /// only component, else its extracted subgraph (counted) in `scratch`.
   const Digraph& component_graph(int c, Digraph& scratch);
+  /// Component c's K artifact under (fingerprint, options...): the store's
+  /// entry, else compute(c, sub) on the component graph — `*sub` when
+  /// given, else extracted — published to the store.
+  template <store::ArtifactKind K, class Compute, class... Options>
+  store::ArtifactStore::Artifact<K> resolve(int c, const Digraph* sub,
+                                            Compute&& compute,
+                                            const Options&... options);
+  /// resolve<K> for every component with edges, in component order,
+  /// handing each artifact to use(c, artifact). Edgeless components'
+  /// artifacts are trivial — cheaper to regenerate than to fingerprint —
+  /// so they never touch the store.
+  template <store::ArtifactKind K, class Compute, class Use,
+            class... Options>
+  void resolve_each(Compute&& compute, Use&& use, const Options&... options);
+  /// Min-first Kahn on one component graph (the `topo` compute of
+  /// topo_order and of the partition DP's order).
+  store::TopoOrderArtifact kahn(int c, const Digraph& sub);
   /// Adds `delta` to one Stats field, its registry metric and totals_.
   template <auto Member, class T>
   void bump(T delta);

@@ -160,7 +160,7 @@ ArtifactCache& Engine::ensure_cache(const std::string& spec) {
     it = caches_
              .emplace(spec, std::make_unique<ArtifactCache>(
                                 GraphSpec::parse(spec).build(), store_,
-                                std::nullopt, &totals_))
+                                &totals_))
              .first;
   }
   return *it->second;
@@ -172,7 +172,7 @@ BoundReport Engine::evaluate(const BoundRequest& request) {
     // tell whether two Digraph values are the same computation), but
     // share the artifact store — content addressing makes that safe and
     // lets explicit graphs reuse spec-built component artifacts.
-    ArtifactCache cache(*request.graph, store_, std::nullopt, &totals_);
+    ArtifactCache cache(*request.graph, store_, &totals_);
     return evaluate_with_cache(request, cache);
   }
   return evaluate_with_cache(request, ensure_cache(request.spec));
@@ -180,17 +180,6 @@ BoundReport Engine::evaluate(const BoundRequest& request) {
 
 const Digraph& Engine::graph(const std::string& spec) {
   return ensure_cache(spec).graph();
-}
-
-void Engine::install_graph(const std::string& name, Digraph graph,
-                           std::optional<ComponentSeed> seed) {
-  GIO_EXPECTS_MSG(!name.empty(), "installed graph needs a name");
-  GIO_EXPECTS_MSG(!GraphSpec::try_parse(name).has_value(),
-                  "installed graph name '" + name +
-                      "' collides with a family spec or graph file");
-  caches_.insert_or_assign(
-      name, std::make_unique<ArtifactCache>(std::move(graph), store_,
-                                            std::move(seed), &totals_));
 }
 
 void Engine::install_graph(const std::string& name, LazyGraph graph,
@@ -224,7 +213,7 @@ std::vector<BoundReport> Engine::evaluate_batch(
                                            : GraphSpec::parse(request.spec)
                                                  .build();
                            ArtifactCache cache(std::move(g), store_,
-                                               std::nullopt, &totals_);
+                                               &totals_);
                            reports[static_cast<std::size_t>(i)] =
                                evaluate_with_cache(request, cache);
                          } catch (const std::exception& e) {

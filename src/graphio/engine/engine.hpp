@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -75,19 +74,13 @@ class Engine {
   /// stream subsystem relies on. The name must not itself parse as a
   /// family spec or name an existing graph file (a later plain request
   /// for that spec would silently read the installed graph instead).
-  /// A `seed` (engine/artifact_cache.hpp) pre-installs the component
+  /// The graph is a LazyGraph: it is never materialized unless a
+  /// whole-graph method (pebble-exact, monolithic spectra) actually runs.
+  /// The `seed` (engine/artifact_cache.hpp) pre-installs the component
   /// decomposition and per-component fingerprints, so artifact queries
-  /// skip decomposition and re-hashing entirely — the stream session
-  /// hands its incrementally-maintained membership here after every
-  /// patch.
-  void install_graph(const std::string& name, Digraph graph,
-                     std::optional<ComponentSeed> seed = std::nullopt);
-
-  /// As above, but with a LazyGraph: the whole graph is never
-  /// materialized unless a whole-graph method (pebble-exact, monolithic
-  /// spectra) actually runs — per-component artifact queries extract
-  /// only the components whose fingerprints miss the store. This is the
-  /// stream session's post-patch handoff.
+  /// skip decomposition and re-hashing entirely and extract only the
+  /// components whose fingerprints miss the store. This is the stream
+  /// session's post-patch handoff.
   void install_graph(const std::string& name, LazyGraph graph,
                      ComponentSeed seed);
 

@@ -17,14 +17,6 @@ namespace graphio::store {
 
 namespace {
 
-/// Per-kind names — the `kind` of a log line, the `store.<kind>.*`
-/// registry counters and the trace attribute — indexed by ArtifactKind.
-constexpr std::array<const char*, 6> kKindNames = {
-    "spectrum", "topo", "mincut", "memsim", "partition", "eigenbasis"};
-
-static_assert(static_cast<std::size_t>(ArtifactKind::kEigenbasis) + 1 ==
-              kKindNames.size());
-
 const char* kind_name(ArtifactKind kind) {
   return kKindNames[static_cast<std::size_t>(kind)];
 }
@@ -53,14 +45,13 @@ const Registry& registry() {
 /// marker event under the current span (a method or stream query span)
 /// when tracing is on — the hit/miss attribution per lookup the counters
 /// cannot give.
-void count_lookup(ArtifactStore::KindStats& stats, ArtifactKind kind,
-                  bool hit) {
+void count_lookup(ArtifactStore::Stats& stats, ArtifactKind kind, bool hit) {
   using KindStats = ArtifactStore::KindStats;
   const auto& mirror = registry().kinds[static_cast<std::size_t>(kind)];
   if (hit)
-    mirror.add<&KindStats::hits>(stats, 1);
+    mirror.add<&KindStats::hits>(stats[kind], 1);
   else
-    mirror.add<&KindStats::misses>(stats, 1);
+    mirror.add<&KindStats::misses>(stats[kind], 1);
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   if (!tracer.enabled()) return;
   tracer.instant(hit ? "store.hit" : "store.miss",
@@ -68,11 +59,11 @@ void count_lookup(ArtifactStore::KindStats& stats, ArtifactKind kind,
 }
 
 /// Counts `n` entries dropped from the memory tier.
-void count_evicted(ArtifactStore::KindStats& stats, ArtifactKind kind,
+void count_evicted(ArtifactStore::Stats& stats, ArtifactKind kind,
                    std::int64_t n) {
-  stats.entries -= n;
+  stats[kind].entries -= n;
   registry().kinds[static_cast<std::size_t>(kind)]
-      .add<&ArtifactStore::KindStats::evicted>(stats, n);
+      .add<&ArtifactStore::KindStats::evicted>(stats[kind], n);
 }
 
 std::string_view lap_name(LaplacianKind kind) {
@@ -243,10 +234,10 @@ std::string table_line(const T&, const typename T::Key& key,
 
 /// First write wins; returns true when the entry is new.
 template <class T>
-bool put(T& table, const typename T::Key& key,
+bool put(T& table, ArtifactStore::Stats& stats, const typename T::Key& key,
          const typename T::Value& value) {
   if (!table.map.emplace(key, value).second) return false;
-  ++table.stats.entries;
+  ++stats[T::kind].entries;
   return true;
 }
 
@@ -261,14 +252,6 @@ void append_key_field(std::string& out, const T& field) {
     out += std::to_string(field);
   else
     out += la::solver_policy_name(field);
-}
-
-template <class T>
-std::optional<typename T::Value> find(T& table, const typename T::Key& key) {
-  const auto it = table.map.find(key);
-  count_lookup(table.stats, T::kind, it != table.map.end());
-  if (it == table.map.end()) return std::nullopt;
-  return it->second;
 }
 
 }  // namespace
@@ -327,7 +310,7 @@ void ArtifactStore::replay_line_locked(const std::string& line) {
     std::get<0>(key) = fp;
     typename T::Value value;
     decode_fields(v, key, value);
-    put(table, key, value);
+    put(table, stats_, key, value);
   });
   GIO_EXPECTS_MSG(known, "unknown artifact kind '" + kind + "'");
 }
@@ -335,14 +318,6 @@ void ArtifactStore::replay_line_locked(const std::string& line) {
 void ArtifactStore::append_locked(const std::string& line) {
   if (log_->append(line))
     registry().disk.add<&Stats::appended>(stats_, 1);
-}
-
-template <class T>
-void ArtifactStore::insert_locked(T& table, const typename T::Key& key,
-                                  const typename T::Value& value) {
-  if (!put(table, key, value)) return;
-  if (durable() && persisted(value))
-    append_locked(table_line(table, key, value));
 }
 
 const std::filesystem::path& ArtifactStore::path() const noexcept {
@@ -361,7 +336,7 @@ std::optional<ComponentSolve> ArtifactStore::lookup_spectrum(
   if (it != spectra_.end()) {
     for (const SpectrumEntry& entry : it->second) {
       if (entry.requested < count || entry.options_key != key) continue;
-      count_lookup(stats_.spectrum, ArtifactKind::kSpectrum, true);
+      count_lookup(stats_, ArtifactKind::kSpectrum, true);
       ComponentSolve solve = entry.solve;
       // Truncate to the request (values are ascending, so the prefix IS
       // the smallest `count`) — equal-count requests then see one
@@ -374,7 +349,7 @@ std::optional<ComponentSolve> ArtifactStore::lookup_spectrum(
       return solve;
     }
   }
-  count_lookup(stats_.spectrum, ArtifactKind::kSpectrum, false);
+  count_lookup(stats_, ArtifactKind::kSpectrum, false);
   return std::nullopt;
 }
 
@@ -399,7 +374,7 @@ bool ArtifactStore::put_spectrum_locked(std::uint64_t fingerprint,
   entry.solve = solve;
   entry.solve.from_cache = false;
   slots.push_back(std::move(entry));
-  ++stats_.spectrum.entries;
+  ++stats_[ArtifactKind::kSpectrum].entries;
   return true;
 }
 
@@ -416,54 +391,37 @@ void ArtifactStore::store_spectrum(std::uint64_t fingerprint,
 
 // ---------------------------------------------------- uniform kinds
 
-std::optional<TopoOrderArtifact> ArtifactStore::lookup_topo(
-    std::uint64_t fingerprint) {
+template <ArtifactKind K>
+std::optional<ArtifactStore::Artifact<K>> ArtifactStore::lookup(
+    const Key<K>& key) {
+  static_assert(TableOf<K>::kind == K,
+                "Tables must follow ArtifactKind order");
   const std::scoped_lock lock(mutex_);
-  return find(topo_, {fingerprint});
+  const auto& map = std::get<TableOf<K>>(tables_).map;
+  const auto it = map.find(key);
+  count_lookup(stats_, K, it != map.end());
+  if (it == map.end()) return std::nullopt;
+  return it->second;
 }
 
-void ArtifactStore::store_topo(std::uint64_t fingerprint,
-                               const TopoOrderArtifact& topo) {
+template <ArtifactKind K>
+void ArtifactStore::insert(const Key<K>& key, const Artifact<K>& artifact) {
   const std::scoped_lock lock(mutex_);
-  insert_locked(topo_, {fingerprint}, topo);
+  auto& table = std::get<TableOf<K>>(tables_);
+  if (put(table, stats_, key, artifact) && durable() && persisted(artifact))
+    append_locked(table_line(table, key, artifact));
 }
 
-std::optional<MincutSweepArtifact> ArtifactStore::lookup_mincut(
-    std::uint64_t fingerprint) {
-  const std::scoped_lock lock(mutex_);
-  return find(mincut_, {fingerprint});
-}
-
-void ArtifactStore::store_mincut(std::uint64_t fingerprint,
-                                 const MincutSweepArtifact& sweep) {
-  const std::scoped_lock lock(mutex_);
-  insert_locked(mincut_, {fingerprint}, sweep);
-}
-
-std::optional<MemsimRowArtifact> ArtifactStore::lookup_memsim(
-    std::uint64_t fingerprint, std::int64_t memory, int random_orders) {
-  const std::scoped_lock lock(mutex_);
-  return find(memsim_, {fingerprint, memory, random_orders});
-}
-
-void ArtifactStore::store_memsim(std::uint64_t fingerprint,
-                                 std::int64_t memory, int random_orders,
-                                 const MemsimRowArtifact& row) {
-  const std::scoped_lock lock(mutex_);
-  insert_locked(memsim_, {fingerprint, memory, random_orders}, row);
-}
-
-std::optional<PartitionRowArtifact> ArtifactStore::lookup_partition(
-    std::uint64_t fingerprint, double memory) {
-  const std::scoped_lock lock(mutex_);
-  return find(partition_, {fingerprint, memory});
-}
-
-void ArtifactStore::store_partition(std::uint64_t fingerprint, double memory,
-                                    const PartitionRowArtifact& row) {
-  const std::scoped_lock lock(mutex_);
-  insert_locked(partition_, {fingerprint, memory}, row);
-}
+// lookup and insert, compiled for each uniform kind.
+#define GIO_UNIFORM_KIND(K)                                          \
+  template std::optional<ArtifactStore::Artifact<K>>                 \
+  ArtifactStore::lookup<K>(const Key<K>&);                           \
+  template void ArtifactStore::insert<K>(const Key<K>&, const Artifact<K>&)
+GIO_UNIFORM_KIND(ArtifactKind::kTopoOrder);
+GIO_UNIFORM_KIND(ArtifactKind::kMincutSweep);
+GIO_UNIFORM_KIND(ArtifactKind::kMemsimRow);
+GIO_UNIFORM_KIND(ArtifactKind::kPartitionRow);
+#undef GIO_UNIFORM_KIND
 
 // ----------------------------------------------------------- eigenbasis
 
@@ -474,11 +432,11 @@ std::optional<Eigenbasis> ArtifactStore::lookup_eigenbasis(
     const auto it = bases_.find({fingerprint, kind});
     if (it != bases_.end()) {
       it->second.last_used = ++basis_tick_;
-      count_lookup(stats_.eigenbasis, ArtifactKind::kEigenbasis, true);
+      count_lookup(stats_, ArtifactKind::kEigenbasis, true);
       return it->second.basis;
     }
   }
-  count_lookup(stats_.eigenbasis, ArtifactKind::kEigenbasis, false);
+  count_lookup(stats_, ArtifactKind::kEigenbasis, false);
   return std::nullopt;
 }
 
@@ -489,7 +447,7 @@ void ArtifactStore::store_eigenbasis(std::uint64_t fingerprint,
   const auto bytes = static_cast<std::int64_t>(basis.bytes());
   auto [it, inserted] = bases_.try_emplace({fingerprint, kind});
   if (!inserted) basis_bytes_ -= static_cast<std::int64_t>(it->second.bytes);
-  else ++stats_.eigenbasis.entries;
+  else ++stats_[ArtifactKind::kEigenbasis].entries;
   it->second.basis = std::move(basis);
   it->second.bytes = static_cast<std::size_t>(bytes);
   it->second.last_used = ++basis_tick_;
@@ -510,7 +468,7 @@ void ArtifactStore::adopt_eigenbasis(std::uint64_t from, std::uint64_t to) {
     if (!inserted) {
       // The successor already has its own basis — keep it, drop ours.
       basis_bytes_ -= static_cast<std::int64_t>(entry.bytes);
-      --stats_.eigenbasis.entries;
+      --stats_[ArtifactKind::kEigenbasis].entries;
       continue;
     }
     slot->second = std::move(entry);
@@ -524,7 +482,7 @@ void ArtifactStore::evict_eigenbases_locked() {
       if (it->second.last_used < victim->second.last_used) victim = it;
     basis_bytes_ -= static_cast<std::int64_t>(victim->second.bytes);
     bases_.erase(victim);
-    count_evicted(stats_.eigenbasis, ArtifactKind::kEigenbasis, 1);
+    count_evicted(stats_, ArtifactKind::kEigenbasis, 1);
   }
 }
 
@@ -532,7 +490,8 @@ void ArtifactStore::set_eigenbasis_budget(std::int64_t bytes) {
   const std::scoped_lock lock(mutex_);
   basis_budget_ = bytes < 0 ? 0 : bytes;
   if (basis_budget_ == 0) {
-    stats_.eigenbasis.entries -= static_cast<std::int64_t>(bases_.size());
+    stats_[ArtifactKind::kEigenbasis].entries -=
+        static_cast<std::int64_t>(bases_.size());
     bases_.clear();
     basis_bytes_ = 0;
   } else {
@@ -561,7 +520,7 @@ std::int64_t ArtifactStore::erase(std::uint64_t fingerprint) {
        it != spectra_.end() && it->first.first == fingerprint;
        it = spectra_.erase(it)) {
     const auto n = static_cast<std::int64_t>(it->second.size());
-    count_evicted(stats_.spectrum, ArtifactKind::kSpectrum, n);
+    count_evicted(stats_, ArtifactKind::kSpectrum, n);
     removed += n;
   }
   for_each_table([&](auto& table) {
@@ -569,14 +528,14 @@ std::int64_t ArtifactStore::erase(std::uint64_t fingerprint) {
     const auto n = static_cast<std::int64_t>(std::distance(first, last));
     if (n == 0) return;
     table.map.erase(first, last);
-    count_evicted(table.stats, std::decay_t<decltype(table)>::kind, n);
+    count_evicted(stats_, std::decay_t<decltype(table)>::kind, n);
     removed += n;
   });
   for (auto it = bases_.lower_bound({fingerprint, LaplacianKind{}});
        it != bases_.end() && it->first.first == fingerprint;
        it = bases_.erase(it)) {
     basis_bytes_ -= static_cast<std::int64_t>(it->second.bytes);
-    count_evicted(stats_.eigenbasis, ArtifactKind::kEigenbasis, 1);
+    count_evicted(stats_, ArtifactKind::kEigenbasis, 1);
     ++removed;
   }
   return removed;
@@ -587,12 +546,8 @@ void ArtifactStore::clear() {
   spectra_.clear();
   bases_.clear();
   basis_bytes_ = 0;
-  stats_.spectrum.entries = 0;
-  stats_.eigenbasis.entries = 0;
-  for_each_table([](auto& table) {
-    table.map.clear();
-    table.stats.entries = 0;
-  });
+  for_each_table([](auto& table) { table.map.clear(); });
+  for (KindStats& kind : stats_.kinds) kind.entries = 0;
 }
 
 std::int64_t ArtifactStore::compact() {
@@ -627,10 +582,6 @@ void ArtifactStore::sync() {
 ArtifactStore::Stats ArtifactStore::stats() const {
   const std::scoped_lock lock(mutex_);
   Stats out = stats_;
-  out.topo = topo_.stats;
-  out.mincut = mincut_.stats;
-  out.memsim = memsim_.stats;
-  out.partition = partition_.stats;
   out.eigenbasis_bytes = basis_bytes_;
   out.demoted = log_ && log_->demoted();
   return out;

@@ -23,9 +23,12 @@
 //                 every method with zero eigensolves and zero topo
 //                 recomputes.
 //
-// The four uniform kinds (topo, mincut, memsim, partition) share one
-// templated per-kind table; spectrum (options-keyed slots) and eigenbasis
-// (memory-only LRU) keep their own code.
+// One table of kinds: ArtifactKind numbers them, kKindNames names them
+// (log lines, `store.<kind>.*` counters, `graphio store stats` rows), and
+// Stats::kinds counts them. The four uniform kinds (topo, mincut, memsim,
+// partition) are Tables behind one lookup<K>/insert<K> pair;
+// spectrum (options-keyed slots) and eigenbasis (memory-only LRU) keep
+// their own code.
 //
 // One instance is shared by every ArtifactCache of an Engine, every
 // worker Engine of a serve Scheduler, and every stream session of a
@@ -59,6 +62,14 @@ enum class ArtifactKind {
   kPartitionRow,
   kEigenbasis
 };
+
+/// Per-kind names, indexed by ArtifactKind: the `kind` of a log line, the
+/// `store.<kind>.*` registry counters, the trace attribute and the rows
+/// of `graphio store stats`.
+inline constexpr std::array<const char*, 6> kKindNames = {
+    "spectrum", "topo", "mincut", "memsim", "partition", "eigenbasis"};
+static_assert(static_cast<std::size_t>(ArtifactKind::kEigenbasis) + 1 ==
+              kKindNames.size());
 
 /// Kahn topological order of one component, in the component's local
 /// vertex ids (ascending-extraction numbering, so the order is meaningful
@@ -96,6 +107,42 @@ struct PartitionRowArtifact {
 };
 
 class ArtifactStore {
+  // The uniform kinds' tables come first: the public Key and Artifact
+  // types name them.
+
+  /// One uniform artifact kind: a first-write-wins map keyed by
+  /// (fingerprint, kind options...). The comparator also takes a bare
+  /// fingerprint, so one equal_range finds every entry of a component.
+  template <ArtifactKind K, class V, class... Options>
+  struct Table {
+    static constexpr ArtifactKind kind = K;
+    using Key = std::tuple<std::uint64_t, Options...>;
+    using Value = V;
+    struct Less {
+      using is_transparent = void;
+      bool operator()(const Key& a, const Key& b) const { return a < b; }
+      bool operator()(const Key& a, std::uint64_t fp) const {
+        return std::get<0>(a) < fp;
+      }
+      bool operator()(std::uint64_t fp, const Key& b) const {
+        return fp < std::get<0>(b);
+      }
+    };
+    std::map<Key, Value, Less> map;
+  };
+  /// The uniform kinds' tables, in ArtifactKind order: memsim rows key by
+  /// (memory, random orders), partition rows by the exact memory value
+  /// (doubles round-trip through the disk tier at 17 significant
+  /// digits, so a value always looks up the way it was written).
+  using Tables = std::tuple<
+      Table<ArtifactKind::kTopoOrder, TopoOrderArtifact>,
+      Table<ArtifactKind::kMincutSweep, MincutSweepArtifact>,
+      Table<ArtifactKind::kMemsimRow, MemsimRowArtifact, std::int64_t, int>,
+      Table<ArtifactKind::kPartitionRow, PartitionRowArtifact, double>>;
+  template <ArtifactKind K>
+  using TableOf =
+      std::tuple_element_t<static_cast<std::size_t>(K) - 1, Tables>;
+
  public:
   /// Memory-only store (no durable tier).
   ArtifactStore() = default;
@@ -130,32 +177,23 @@ class ArtifactStore {
                       int requested, const SpectralOptions& options,
                       const ComponentSolve& solve);
 
-  // --------------------------------------------------------- topo order
-  std::optional<TopoOrderArtifact> lookup_topo(std::uint64_t fingerprint);
-  void store_topo(std::uint64_t fingerprint, const TopoOrderArtifact& topo);
+  // ------------------------------------------------------ uniform kinds
+  /// A uniform kind's key — the component fingerprint, then the kind's
+  /// options — and artifact.
+  template <ArtifactKind K>
+  using Key = typename TableOf<K>::Key;
+  template <ArtifactKind K>
+  using Artifact = typename TableOf<K>::Value;
 
-  // ------------------------------------------------------ min-cut sweep
-  std::optional<MincutSweepArtifact> lookup_mincut(std::uint64_t fingerprint);
-  /// Only completed sweeps reach the disk tier — a time-budget-cut sweep
-  /// is a valid but degraded bound that must not be served forever.
-  void store_mincut(std::uint64_t fingerprint,
-                    const MincutSweepArtifact& sweep);
-
-  // --------------------------------------------------------- memsim row
-  std::optional<MemsimRowArtifact> lookup_memsim(std::uint64_t fingerprint,
-                                                 std::int64_t memory,
-                                                 int random_orders);
-  void store_memsim(std::uint64_t fingerprint, std::int64_t memory,
-                    int random_orders, const MemsimRowArtifact& row);
-
-  // ------------------------------------------------------ partition row
-  /// Keyed by the exact memory value (doubles round-trip through the disk
-  /// tier at 17 significant digits, so a value always looks up the way it
-  /// was written).
-  std::optional<PartitionRowArtifact> lookup_partition(
-      std::uint64_t fingerprint, double memory);
-  void store_partition(std::uint64_t fingerprint, double memory,
-                       const PartitionRowArtifact& row);
+  /// The entry stored under `key`, counted as a hit or a miss of K.
+  template <ArtifactKind K>
+  std::optional<Artifact<K>> lookup(const Key<K>& key);
+  /// Stores `artifact` under `key` unless an entry is there already (first
+  /// write wins) and appends it to the disk tier. Incomplete min-cut
+  /// sweeps stay memory-only: a time-budget-cut sweep is a valid but
+  /// degraded bound that must not be served forever.
+  template <ArtifactKind K>
+  void insert(const Key<K>& key, const Artifact<K>& artifact);
 
   // --------------------------------------------------------- eigenbasis
   // Retained component eigenbases (Ritz vectors) for warm-started
@@ -222,12 +260,8 @@ class ArtifactStore {
     }
   };
   struct Stats {
-    KindStats spectrum;
-    KindStats topo;
-    KindStats mincut;
-    KindStats memsim;
-    KindStats partition;
-    KindStats eigenbasis;            ///< memory-only warm-start tier
+    /// Per-kind counters, indexed by ArtifactKind.
+    std::array<KindStats, kKindNames.size()> kinds{};
     std::int64_t eigenbasis_bytes = 0;  ///< resident basis bytes
     std::int64_t loaded = 0;   ///< artifacts replayed from disk at startup
     std::int64_t corrupt = 0;  ///< log lines skipped as unparseable
@@ -241,21 +275,18 @@ class ArtifactStore {
                         F{"corrupt", &Stats::corrupt},
                         F{"appended", &Stats::appended}, F{"demoted"}};
     }
-    [[nodiscard]] std::int64_t entries() const noexcept {
-      return spectrum.entries + topo.entries + mincut.entries +
-             memsim.entries + partition.entries + eigenbasis.entries;
+    [[nodiscard]] KindStats& operator[](ArtifactKind kind) noexcept {
+      return kinds[static_cast<std::size_t>(kind)];
     }
-    [[nodiscard]] std::int64_t hits() const noexcept {
-      return spectrum.hits + topo.hits + mincut.hits + memsim.hits +
-             partition.hits + eigenbasis.hits;
+    [[nodiscard]] const KindStats& operator[](
+        ArtifactKind kind) const noexcept {
+      return kinds[static_cast<std::size_t>(kind)];
     }
-    [[nodiscard]] std::int64_t misses() const noexcept {
-      return spectrum.misses + topo.misses + mincut.misses + memsim.misses +
-             partition.misses + eigenbasis.misses;
-    }
-    [[nodiscard]] std::int64_t evicted() const noexcept {
-      return spectrum.evicted + topo.evicted + mincut.evicted +
-             memsim.evicted + partition.evicted + eigenbasis.evicted;
+    /// Every kind's counters summed.
+    [[nodiscard]] KindStats total() const {
+      KindStats sum;
+      for (const KindStats& kind : kinds) telemetry::accumulate(sum, kind);
+      return sum;
     }
   };
   [[nodiscard]] Stats stats() const;
@@ -285,42 +316,11 @@ class ArtifactStore {
     ComponentSolve solve;
   };
 
-  /// One uniform artifact kind: a first-write-wins map keyed by
-  /// (fingerprint, kind options...) and its stats; the .cpp finds its
-  /// registry counters and line codec by `kind` and value type. The
-  /// comparator also takes a bare fingerprint, so one equal_range finds
-  /// every entry of a component.
-  template <ArtifactKind K, class V, class... Options>
-  struct Table {
-    static constexpr ArtifactKind kind = K;
-    using Key = std::tuple<std::uint64_t, Options...>;
-    using Value = V;
-    struct Less {
-      using is_transparent = void;
-      bool operator()(const Key& a, const Key& b) const { return a < b; }
-      bool operator()(const Key& a, std::uint64_t fp) const {
-        return std::get<0>(a) < fp;
-      }
-      bool operator()(std::uint64_t fp, const Key& b) const {
-        return fp < std::get<0>(b);
-      }
-    };
-    std::map<Key, Value, Less> map;
-    KindStats stats;
-  };
   template <class F>
   void for_each_table(F&& f) {
-    f(topo_);
-    f(mincut_);
-    f(memsim_);
-    f(partition_);
+    std::apply([&f](auto&... table) { (f(table), ...); }, tables_);
   }
 
-  /// Inserts into a table (first write wins) and, when the entry is new
-  /// and persistable, appends it to the disk tier. Caller holds the mutex.
-  template <class T>
-  void insert_locked(T& table, const typename T::Key& key,
-                     const typename T::Value& value);
   /// Inserts without counting hits/misses; returns true when the memory
   /// tier changed (new entry, or an existing one improved) — the signal
   /// that a non-replay insert should also append to disk.
@@ -345,17 +345,13 @@ class ArtifactStore {
   std::map<std::pair<std::uint64_t, LaplacianKind>,
            std::vector<SpectrumEntry>>
       spectra_;
-  Table<ArtifactKind::kTopoOrder, TopoOrderArtifact> topo_;
-  Table<ArtifactKind::kMincutSweep, MincutSweepArtifact> mincut_;
-  Table<ArtifactKind::kMemsimRow, MemsimRowArtifact, std::int64_t, int>
-      memsim_;
-  Table<ArtifactKind::kPartitionRow, PartitionRowArtifact, double> partition_;
+  Tables tables_;
   std::map<std::pair<std::uint64_t, LaplacianKind>, BasisEntry> bases_;
   std::int64_t basis_budget_ = 0;
   std::int64_t basis_bytes_ = 0;
   std::uint64_t basis_tick_ = 0;
-  /// Spectrum, eigenbasis and disk-tier counters (the tables hold their
-  /// own KindStats; demoted is read from log_).
+  /// Every kind's and the disk tier's counters (demoted is read from
+  /// log_).
   Stats stats_;
   std::optional<JsonlLog> log_;
 };

@@ -306,7 +306,9 @@ TEST(SpectralPipeline, TrivialPlannedComponentsSkipEverything) {
   const PipelineResult result =
       pipeline.run_plan(plan, LaplacianKind::kPlain, 4);
   EXPECT_EQ(result.subgraph_extractions, 1);  // only the edge's component
-  EXPECT_EQ(cache.stats().spectrum.hits + cache.stats().spectrum.misses, 1);
+  const store::ArtifactStore::KindStats spectra =
+      cache.stats()[store::ArtifactKind::kSpectrum];
+  EXPECT_EQ(spectra.hits + spectra.misses, 1);
   ASSERT_EQ(result.values.size(), 4u);
   EXPECT_EQ(result.values[0], 0.0);
   EXPECT_EQ(result.values[1], 0.0);

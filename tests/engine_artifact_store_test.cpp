@@ -18,6 +18,20 @@ namespace graphio::engine {
 namespace {
 
 constexpr LaplacianKind kNorm = LaplacianKind::kOutDegreeNormalized;
+constexpr store::ArtifactKind kSpectrum = store::ArtifactKind::kSpectrum;
+
+/// `g` behind the callbacks the stream session hands over, extracting the
+/// components of `wc` (in `wc` order, the seed order below).
+LazyGraph lazy_graph(const Digraph& g, const WeakComponents& wc) {
+  LazyGraph lazy;
+  lazy.vertices = g.num_vertices();
+  lazy.edges = g.num_edges();
+  lazy.materialize = [g] { return g; };
+  lazy.component = [g, wc](int c) { return wc.subgraph(g, c); };
+  lazy.max_out_degree = [g] { return g.max_out_degree(); };
+  lazy.max_in_degree = [g] { return g.max_in_degree(); };
+  return lazy;
+}
 
 TEST(ArtifactStoreEngine, SharedComponentAcrossTwoSpecsEigensolvesOnce) {
   // The ISSUE 3 cache acceptance: a component shared by two specs of the
@@ -36,7 +50,7 @@ TEST(ArtifactStoreEngine, SharedComponentAcrossTwoSpecsEigensolvesOnce) {
   const BoundReport second = engine.evaluate(request);
   EXPECT_EQ(second.cache.eigensolves, 0);
   EXPECT_EQ(second.cache.component_hits, 3);
-  EXPECT_EQ(engine.artifact_store()->stats().spectrum.entries, 1);
+  EXPECT_EQ(engine.artifact_store()->stats()[kSpectrum].entries, 1);
 }
 
 TEST(ArtifactStoreEngine, IdenticalComponentsWithinOneGraphDedupe) {
@@ -50,6 +64,37 @@ TEST(ArtifactStoreEngine, IdenticalComponentsWithinOneGraphDedupe) {
   EXPECT_EQ(cache.stats().component_hits, 4);
   EXPECT_EQ(cache.stats().subgraph_extractions, 1);
   EXPECT_EQ(cache.stats().fingerprint_computes, 5);
+}
+
+TEST(ArtifactStoreEngine, UniformKindsResolveOncePerDistinctComponent) {
+  // The four uniform kinds dedupe like spectra: 5 equal components
+  // compute each artifact once, and partition-dp takes its order from the
+  // topo artifact instead of running Kahn again.
+  ArtifactCache cache(GraphSpec::parse("multi:5:inner:3").build());
+  cache.topo_order();
+  cache.max_wavefront_cut();
+  cache.memsim_row(8, 3);
+  cache.partition_row(8);
+  cache.partition_row(4);
+  const ArtifactCache::Stats& stats = cache.stats();
+  EXPECT_EQ(stats.topo_computes, 1);
+  EXPECT_EQ(stats.mincut_sweeps, 1);
+  EXPECT_EQ(stats.memsim_runs, 1);
+  EXPECT_EQ(stats.partition_runs, 2);
+  EXPECT_EQ(stats.subgraph_extractions, 5);  // one per computing kind
+  EXPECT_EQ(stats.fingerprint_computes, 5);  // one per component
+  const store::ArtifactStore::Stats kinds = cache.artifact_store()->stats();
+  EXPECT_EQ(kinds[store::ArtifactKind::kTopoOrder].hits, 6);
+  EXPECT_EQ(kinds[store::ArtifactKind::kTopoOrder].misses, 1);
+  EXPECT_EQ(kinds[store::ArtifactKind::kPartitionRow].hits, 8);
+  EXPECT_EQ(kinds[store::ArtifactKind::kPartitionRow].misses, 2);
+
+  // The partition DP publishes the order it computed: topo_order() after
+  // it runs no Kahn.
+  ArtifactCache fresh(GraphSpec::parse("multi:3:fft:3").build());
+  fresh.partition_row(8);
+  fresh.topo_order();
+  EXPECT_EQ(fresh.stats().topo_computes, 1);
 }
 
 TEST(ArtifactStoreEngine, FingerprintsComputeOncePerGraphAcrossKinds) {
@@ -93,8 +138,9 @@ TEST(ArtifactStoreEngine, CleanComponentsNeverMaterializeAcrossSpecs) {
 }
 
 TEST(ArtifactStoreEngine, SeededCacheSkipsDecompositionAndHashing) {
-  // A ComponentSeed (what the stream session hands install_graph) makes
-  // the first query fingerprint-free; only cache misses extract.
+  // A ComponentSeed (what the stream session hands install_graph with
+  // its LazyGraph) makes the first query fingerprint-free; only cache
+  // misses extract.
   const Digraph g = GraphSpec::parse("multi:2:fft:3").build();
   const auto wc = weakly_connected_components(g);
   ASSERT_EQ(wc.count, 2);
@@ -106,7 +152,7 @@ TEST(ArtifactStoreEngine, SeededCacheSkipsDecompositionAndHashing) {
     comp.fingerprint = graph_fingerprint(wc.subgraph(g, c));
     seed.components.push_back(std::move(comp));
   }
-  ArtifactCache cache(Digraph(g), nullptr, std::move(seed));
+  ArtifactCache cache(lazy_graph(g, wc), nullptr, std::move(seed));
   const ArtifactCache::Stats before = cache.stats();
   const auto& artifact = cache.spectrum(kNorm, 10);
   const ArtifactCache::Stats delta =
@@ -138,11 +184,11 @@ TEST(ArtifactStoreEngine, MalformedSeedsAreRejected) {
     return seed;
   };
   {
-    ArtifactCache cache(Digraph(g), nullptr, seed_for(true, false));
+    ArtifactCache cache(lazy_graph(g, wc), nullptr, seed_for(true, false));
     EXPECT_THROW(cache.spectrum(kNorm, 4), contract_error);
   }
   {
-    ArtifactCache cache(Digraph(g), nullptr, seed_for(false, true));
+    ArtifactCache cache(lazy_graph(g, wc), nullptr, seed_for(false, true));
     EXPECT_THROW(cache.spectrum(kNorm, 4), contract_error);
   }
 }
@@ -159,8 +205,8 @@ TEST(ArtifactStoreEngine, TwoArtifactCachesShareThroughOneComponentCache) {
   EXPECT_EQ(b.stats().component_hits, 2);
   // Same values: merging two copies of a spectrum and truncating to the
   // request reproduces the single copy's prefix (eigenvalue union).
-  EXPECT_EQ(shared->stats().spectrum.entries, 1);
-  EXPECT_GE(shared->stats().spectrum.hits, 2);
+  EXPECT_EQ(shared->stats()[kSpectrum].entries, 1);
+  EXPECT_GE(shared->stats()[kSpectrum].hits, 2);
 }
 
 TEST(ArtifactStoreEngine, DifferentKindsAndOptionsAreDistinctEntries) {
@@ -168,7 +214,7 @@ TEST(ArtifactStoreEngine, DifferentKindsAndOptionsAreDistinctEntries) {
   ArtifactCache cache(builders::fft(4), shared);
   cache.spectrum(kNorm, 8);
   cache.spectrum(LaplacianKind::kPlain, 8);
-  EXPECT_EQ(shared->stats().spectrum.entries, 2);
+  EXPECT_EQ(shared->stats()[kSpectrum].entries, 2);
   EXPECT_EQ(cache.stats().eigensolves, 2);
 
   SpectralOptions lanczos;
@@ -216,7 +262,7 @@ TEST(ArtifactStoreEngine, MixedSolverOptionsCoexistWithoutThrashing) {
   // not evict the other group's entry on every store.
   EXPECT_TRUE(cache.lookup_spectrum(9, kNorm, 2, auto_policy).has_value());
   EXPECT_TRUE(cache.lookup_spectrum(9, kNorm, 2, dense).has_value());
-  EXPECT_EQ(cache.stats().spectrum.entries, 2);
+  EXPECT_EQ(cache.stats()[kSpectrum].entries, 2);
 }
 
 TEST(ArtifactStoreEngine, StoreKeepsTheLargerSolve) {
@@ -240,9 +286,9 @@ TEST(ArtifactStoreEngine, EngineClearDropsComponentSpectra) {
   request.memories = {4.0};
   request.methods = {"spectral"};
   engine.evaluate(request);
-  EXPECT_EQ(engine.artifact_store()->stats().spectrum.entries, 1);
+  EXPECT_EQ(engine.artifact_store()->stats()[kSpectrum].entries, 1);
   engine.clear();
-  EXPECT_EQ(engine.artifact_store()->stats().spectrum.entries, 0);
+  EXPECT_EQ(engine.artifact_store()->stats()[kSpectrum].entries, 0);
   const BoundReport again = engine.evaluate(request);
   EXPECT_EQ(again.cache.eigensolves, 1);  // really recomputed
 }
@@ -263,8 +309,8 @@ TEST(ArtifactStoreEngine, BatchFanOutSharesComponents) {
   // Workers race, so up to hardware-parallelism requests may miss before
   // the first store lands; the store still converges to one entry and
   // every lookup is accounted for.
-  EXPECT_EQ(stats.spectrum.entries, 1);
-  EXPECT_EQ(stats.spectrum.hits + stats.spectrum.misses, 4);
+  EXPECT_EQ(stats[kSpectrum].entries, 1);
+  EXPECT_EQ(stats[kSpectrum].hits + stats[kSpectrum].misses, 4);
   // A serial re-evaluation of the same spec is a pure component hit.
   BoundRequest again;
   again.spec = "fft:4";

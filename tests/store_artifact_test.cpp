@@ -7,8 +7,8 @@
 //   * torn/garbage log lines are counted and skipped, never served,
 //   * erase() is memory-tier-only (the disk tier warms restarts),
 //   * a cold-restarted StreamSession against a warm directory answers
-//     every method with zero eigensolves/topo/min-cut/memsim computes and
-//     bit-identical bounds (ISSUE satellite 3),
+//     every method with zero eigensolves/topo/min-cut/memsim/partition
+//     computes and bit-identical bounds,
 //   * a corrupted disk tier degrades to recompute, never to wrong results
 //     (ISSUE satellite 4).
 #include <gtest/gtest.h>
@@ -184,29 +184,30 @@ TEST(ArtifactStore, TopoMincutMemsimRoundTripAcrossRestart) {
   row.writes = 34;
   {
     ArtifactStore a(dir.path);
-    a.store_topo(11, topo);
-    a.store_mincut(11, sweep);
-    a.store_memsim(11, /*memory=*/8, /*random_orders=*/3, row);
+    a.insert<ArtifactKind::kTopoOrder>({11}, topo);
+    a.insert<ArtifactKind::kMincutSweep>({11}, sweep);
+    a.insert<ArtifactKind::kMemsimRow>(
+        {11, /*memory=*/8, /*random_orders=*/3}, row);
     EXPECT_EQ(a.stats().appended, 3);
   }
   ArtifactStore b(dir.path);
   EXPECT_EQ(b.stats().loaded, 3);
-  const auto t = b.lookup_topo(11);
+  const auto t = b.lookup<ArtifactKind::kTopoOrder>({11});
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->order, topo.order);
-  const auto c = b.lookup_mincut(11);
+  const auto c = b.lookup<ArtifactKind::kMincutSweep>({11});
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->best_cut, sweep.best_cut);
   EXPECT_EQ(c->best_vertex, sweep.best_vertex);
   EXPECT_EQ(c->vertices_processed, sweep.vertices_processed);
   EXPECT_TRUE(c->completed);
-  const auto m = b.lookup_memsim(11, 8, 3);
+  const auto m = b.lookup<ArtifactKind::kMemsimRow>({11, 8, 3});
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->reads, row.reads);
   EXPECT_EQ(m->writes, row.writes);
   // Key dimensions are honored: other memory / orders miss.
-  EXPECT_FALSE(b.lookup_memsim(11, 16, 3));
-  EXPECT_FALSE(b.lookup_memsim(11, 8, 4));
+  EXPECT_FALSE(b.lookup<ArtifactKind::kMemsimRow>({11, 16, 3}));
+  EXPECT_FALSE(b.lookup<ArtifactKind::kMemsimRow>({11, 8, 4}));
 }
 
 TEST(ArtifactStore, IncompleteMincutSweepsStayMemoryOnly) {
@@ -216,18 +217,18 @@ TEST(ArtifactStore, IncompleteMincutSweepsStayMemoryOnly) {
   partial.completed = false;
   {
     ArtifactStore a(dir.path);
-    a.store_mincut(5, partial);
+    a.insert<ArtifactKind::kMincutSweep>({5}, partial);
     EXPECT_EQ(a.stats().appended, 0);
   }
   ArtifactStore b(dir.path);
-  EXPECT_FALSE(b.lookup_mincut(5));
+  EXPECT_FALSE(b.lookup<ArtifactKind::kMincutSweep>({5}));
 }
 
 TEST(ArtifactStore, MincutLineBytesAndUnknownEngineReplay) {
   const TempDir dir("graphio_artifacts_mincut_line");
   {
     ArtifactStore a(dir.path);
-    a.store_mincut(0xAB, MincutSweepArtifact{7, 3, 12});
+    a.insert<ArtifactKind::kMincutSweep>({0xAB}, MincutSweepArtifact{7, 3, 12});
   }
   std::ifstream in(dir.path / "artifacts.jsonl");
   std::string line;
@@ -247,8 +248,8 @@ TEST(ArtifactStore, MincutLineBytesAndUnknownEngineReplay) {
   ArtifactStore b(dir.path);
   EXPECT_EQ(b.stats().loaded, 1);
   EXPECT_EQ(b.stats().corrupt, 1);
-  EXPECT_TRUE(b.lookup_mincut(0xAB));
-  EXPECT_FALSE(b.lookup_mincut(0xCD));
+  EXPECT_TRUE(b.lookup<ArtifactKind::kMincutSweep>({0xAB}));
+  EXPECT_FALSE(b.lookup<ArtifactKind::kMincutSweep>({0xCD}));
 }
 
 // ------------------------------------------------- corruption tolerance
@@ -259,8 +260,8 @@ TEST(ArtifactStore, SkipsCorruptLinesOnLoad) {
     ArtifactStore a(dir.path);
     TopoOrderArtifact topo;
     topo.order = {0, 1};
-    a.store_topo(1, topo);
-    a.store_memsim(1, 4, 0, MemsimRowArtifact{3, 4});
+    a.insert<ArtifactKind::kTopoOrder>({1}, topo);
+    a.insert<ArtifactKind::kMemsimRow>({1, 4, 0}, MemsimRowArtifact{3, 4});
   }
   {
     // Torn write, plain garbage, wrong JSON shape, unknown kind.
@@ -274,17 +275,20 @@ TEST(ArtifactStore, SkipsCorruptLinesOnLoad) {
   EXPECT_EQ(b.stats().loaded, 2);
   EXPECT_EQ(b.stats().corrupt, 4);
   // The valid entries still serve — corruption never poisons results.
-  const auto t = b.lookup_topo(1);
+  const auto t = b.lookup<ArtifactKind::kTopoOrder>({1});
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->order, (std::vector<VertexId>{0, 1}));
-  const auto m = b.lookup_memsim(1, 4, 0);
+  const auto m = b.lookup<ArtifactKind::kMemsimRow>({1, 4, 0});
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->reads, 3);
 }
 
 TEST(ArtifactStore, TornTailWithoutNewlineKeepsTheNextArtifact) {
   const TempDir dir("graphio_artifacts_torn_tail");
-  { ArtifactStore(dir.path).store_topo(1, TopoOrderArtifact{{0, 1}}); }
+  {
+    ArtifactStore(dir.path).insert<ArtifactKind::kTopoOrder>(
+        {1}, TopoOrderArtifact{{0, 1}});
+  }
   {
     // A crash mid-append: the fragment has no trailing newline.
     std::ofstream log(dir.path / "artifacts.jsonl", std::ios::app);
@@ -293,14 +297,14 @@ TEST(ArtifactStore, TornTailWithoutNewlineKeepsTheNextArtifact) {
   {
     ArtifactStore a(dir.path);
     EXPECT_EQ(a.stats().corrupt, 1);
-    a.store_memsim(2, 4, 0, MemsimRowArtifact{5, 6});
+    a.insert<ArtifactKind::kMemsimRow>({2, 4, 0}, MemsimRowArtifact{5, 6});
     EXPECT_EQ(a.stats().appended, 1);
   }
   // The new artifact landed on its own line: it survives the next restart.
   ArtifactStore b(dir.path);
   EXPECT_EQ(b.stats().loaded, 2);
   EXPECT_EQ(b.stats().corrupt, 1);
-  const auto m = b.lookup_memsim(2, 4, 0);
+  const auto m = b.lookup<ArtifactKind::kMemsimRow>({2, 4, 0});
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->reads, 5);
   EXPECT_EQ(m->writes, 6);
@@ -344,22 +348,23 @@ TEST(ArtifactStore, EraseDropsMemoryTierOnly) {
     ArtifactStore a(dir.path);
     a.store_spectrum(9, LaplacianKind::kOutDegreeNormalized, 2, lanczos_options(),
                      sample_solve());
-    a.store_topo(9, TopoOrderArtifact{{0}});
-    a.store_mincut(9, MincutSweepArtifact{1, 0, 1});
-    a.store_memsim(9, 4, 0, MemsimRowArtifact{1, 1});
-    a.store_topo(10, TopoOrderArtifact{{0}});  // unrelated fingerprint
-    EXPECT_EQ(a.stats().entries(), 5);
+    a.insert<ArtifactKind::kTopoOrder>({9}, TopoOrderArtifact{{0}});
+    a.insert<ArtifactKind::kMincutSweep>({9}, MincutSweepArtifact{1, 0, 1});
+    a.insert<ArtifactKind::kMemsimRow>({9, 4, 0}, MemsimRowArtifact{1, 1});
+    // An unrelated fingerprint.
+    a.insert<ArtifactKind::kTopoOrder>({10}, TopoOrderArtifact{{0}});
+    EXPECT_EQ(a.stats().total().entries, 5);
     EXPECT_EQ(a.erase(9), 4);  // all kinds, one call
-    EXPECT_EQ(a.stats().entries(), 1);
-    EXPECT_EQ(a.stats().evicted(), 4);
-    EXPECT_FALSE(a.lookup_topo(9));
-    EXPECT_TRUE(a.lookup_topo(10));
+    EXPECT_EQ(a.stats().total().entries, 1);
+    EXPECT_EQ(a.stats().total().evicted, 4);
+    EXPECT_FALSE(a.lookup<ArtifactKind::kTopoOrder>({9}));
+    EXPECT_TRUE(a.lookup<ArtifactKind::kTopoOrder>({10}));
     EXPECT_EQ(a.erase(9), 0);  // idempotent
   }
   // The disk tier is append-only: a restart resurrects everything.
   ArtifactStore b(dir.path);
   EXPECT_EQ(b.stats().loaded, 5);
-  EXPECT_TRUE(b.lookup_topo(9));
+  EXPECT_TRUE(b.lookup<ArtifactKind::kTopoOrder>({9}));
   EXPECT_TRUE(b.lookup_spectrum(9, LaplacianKind::kOutDegreeNormalized, 2,
                                 lanczos_options()));
 }
@@ -369,38 +374,38 @@ TEST(ArtifactStore, CompactRewritesLogToLiveEntries) {
   ArtifactStore a(dir.path);
   // Erase-then-restore cycles accumulate duplicate log lines.
   for (int round = 0; round < 3; ++round) {
-    a.store_topo(1, TopoOrderArtifact{{0, 1}});
-    a.store_memsim(1, 4, 0, MemsimRowArtifact{2, 2});
+    a.insert<ArtifactKind::kTopoOrder>({1}, TopoOrderArtifact{{0, 1}});
+    a.insert<ArtifactKind::kMemsimRow>({1, 4, 0}, MemsimRowArtifact{2, 2});
     a.erase(1);
   }
-  a.store_topo(1, TopoOrderArtifact{{0, 1}});
+  a.insert<ArtifactKind::kTopoOrder>({1}, TopoOrderArtifact{{0, 1}});
   EXPECT_EQ(line_count(dir.path / "artifacts.jsonl"), 7);
   EXPECT_EQ(a.compact(), 1);  // only the topo order is live
   EXPECT_EQ(line_count(dir.path / "artifacts.jsonl"), 1);
   // The compacted log replays cleanly.
   ArtifactStore b(dir.path);
   EXPECT_EQ(b.stats().loaded, 1);
-  EXPECT_TRUE(b.lookup_topo(1));
+  EXPECT_TRUE(b.lookup<ArtifactKind::kTopoOrder>({1}));
 }
 
 TEST(ArtifactStore, PerKindStatsCountHitsAndMisses) {
   ArtifactStore store;  // memory-only
   EXPECT_FALSE(store.durable());
-  EXPECT_FALSE(store.lookup_topo(1));
-  store.store_topo(1, TopoOrderArtifact{{0}});
-  EXPECT_TRUE(store.lookup_topo(1));
-  EXPECT_FALSE(store.lookup_mincut(1));
-  EXPECT_FALSE(store.lookup_memsim(1, 4, 0));
+  EXPECT_FALSE(store.lookup<ArtifactKind::kTopoOrder>({1}));
+  store.insert<ArtifactKind::kTopoOrder>({1}, TopoOrderArtifact{{0}});
+  EXPECT_TRUE(store.lookup<ArtifactKind::kTopoOrder>({1}));
+  EXPECT_FALSE(store.lookup<ArtifactKind::kMincutSweep>({1}));
+  EXPECT_FALSE(store.lookup<ArtifactKind::kMemsimRow>({1, 4, 0}));
   const ArtifactStore::Stats s = store.stats();
-  EXPECT_EQ(s.topo.hits, 1);
-  EXPECT_EQ(s.topo.misses, 1);
-  EXPECT_EQ(s.topo.entries, 1);
-  EXPECT_EQ(s.mincut.misses, 1);
-  EXPECT_EQ(s.memsim.misses, 1);
-  EXPECT_EQ(s.spectrum.hits, 0);
-  EXPECT_EQ(s.hits(), 1);
-  EXPECT_EQ(s.misses(), 3);
-  EXPECT_EQ(s.entries(), 1);
+  EXPECT_EQ(s[ArtifactKind::kTopoOrder].hits, 1);
+  EXPECT_EQ(s[ArtifactKind::kTopoOrder].misses, 1);
+  EXPECT_EQ(s[ArtifactKind::kTopoOrder].entries, 1);
+  EXPECT_EQ(s[ArtifactKind::kMincutSweep].misses, 1);
+  EXPECT_EQ(s[ArtifactKind::kMemsimRow].misses, 1);
+  EXPECT_EQ(s[ArtifactKind::kSpectrum].hits, 0);
+  EXPECT_EQ(s.total().hits, 1);
+  EXPECT_EQ(s.total().misses, 3);
+  EXPECT_EQ(s.total().entries, 1);
 }
 
 TEST(ArtifactStore, CompactRequiresDurableTier) {
@@ -432,6 +437,7 @@ TEST(ArtifactStoreStream, ColdRestartWarmPathAnswersAllMethods) {
     EXPECT_GT(cold.cache.topo_computes, 0);
     EXPECT_GT(cold.cache.mincut_sweeps, 0);
     EXPECT_GT(cold.cache.memsim_runs, 0);
+    EXPECT_GT(cold.cache.partition_runs, 0);
   }  // session gone; only the JSONL log survives
 
   stream::StreamSession session(
@@ -444,6 +450,7 @@ TEST(ArtifactStoreStream, ColdRestartWarmPathAnswersAllMethods) {
   EXPECT_EQ(warm.cache.topo_computes, 0);
   EXPECT_EQ(warm.cache.mincut_sweeps, 0);
   EXPECT_EQ(warm.cache.memsim_runs, 0);
+  EXPECT_EQ(warm.cache.partition_runs, 0);
 
   // Bit-identical bounds, row by row (doubles compared with ==, not near:
   // the JSONL tier serializes binary64 exactly).
@@ -478,7 +485,7 @@ TEST(ArtifactStore, EigenbasisTierOffByDefault) {
   EXPECT_EQ(store.eigenbasis_budget(), 0);
   store.store_eigenbasis(1, LaplacianKind::kPlain, sample_basis(8, 2, 1));
   EXPECT_FALSE(store.lookup_eigenbasis(1, LaplacianKind::kPlain));
-  EXPECT_EQ(store.stats().eigenbasis.entries, 0);
+  EXPECT_EQ(store.stats()[ArtifactKind::kEigenbasis].entries, 0);
   EXPECT_EQ(store.eigenbasis_bytes(), 0);
 }
 
@@ -489,21 +496,21 @@ TEST(ArtifactStore, EigenbasisLruEvictsLeastRecentlyUsedWithinBudget) {
 
   store.store_eigenbasis(1, LaplacianKind::kPlain, sample_basis(64, 4, 1));
   store.store_eigenbasis(2, LaplacianKind::kPlain, sample_basis(64, 4, 2));
-  EXPECT_EQ(store.stats().eigenbasis.entries, 2);
+  EXPECT_EQ(store.stats()[ArtifactKind::kEigenbasis].entries, 2);
   EXPECT_LE(store.eigenbasis_bytes(), 2 * one);
 
   // Touch 1 so 2 becomes the LRU victim when 3 arrives.
   EXPECT_TRUE(store.lookup_eigenbasis(1, LaplacianKind::kPlain));
   store.store_eigenbasis(3, LaplacianKind::kPlain, sample_basis(64, 4, 3));
-  EXPECT_EQ(store.stats().eigenbasis.entries, 2);
-  EXPECT_EQ(store.stats().eigenbasis.evicted, 1);
+  EXPECT_EQ(store.stats()[ArtifactKind::kEigenbasis].entries, 2);
+  EXPECT_EQ(store.stats()[ArtifactKind::kEigenbasis].evicted, 1);
   EXPECT_TRUE(store.lookup_eigenbasis(1, LaplacianKind::kPlain));
   EXPECT_FALSE(store.lookup_eigenbasis(2, LaplacianKind::kPlain));
   EXPECT_TRUE(store.lookup_eigenbasis(3, LaplacianKind::kPlain));
 
   // Shrinking the budget to zero drops everything resident.
   store.set_eigenbasis_budget(0);
-  EXPECT_EQ(store.stats().eigenbasis.entries, 0);
+  EXPECT_EQ(store.stats()[ArtifactKind::kEigenbasis].entries, 0);
   EXPECT_EQ(store.eigenbasis_bytes(), 0);
   EXPECT_FALSE(store.lookup_eigenbasis(1, LaplacianKind::kPlain));
 }
@@ -527,7 +534,7 @@ TEST(ArtifactStore, EigenbasisAdoptRekeysAndEraseDrops) {
       store.lookup_eigenbasis(11, LaplacianKind::kOutDegreeNormalized);
   ASSERT_TRUE(norm.has_value());
   EXPECT_EQ(norm->source_iterations, 2);
-  EXPECT_EQ(store.stats().eigenbasis.entries, 2);
+  EXPECT_EQ(store.stats()[ArtifactKind::kEigenbasis].entries, 2);
 
   // A successor that already retained its own basis keeps it.
   store.store_eigenbasis(20, LaplacianKind::kPlain, sample_basis(8, 2, 5));
@@ -542,7 +549,7 @@ TEST(ArtifactStore, EigenbasisAdoptRekeysAndEraseDrops) {
   EXPECT_GT(store.erase(11), 0);
   EXPECT_FALSE(store.lookup_eigenbasis(11, LaplacianKind::kPlain));
   EXPECT_LT(store.eigenbasis_bytes(), bytes_before);
-  EXPECT_GT(store.stats().eigenbasis.evicted, 0);
+  EXPECT_GT(store.stats()[ArtifactKind::kEigenbasis].evicted, 0);
 }
 
 // ------------------------------------------------------- partition rows
@@ -555,28 +562,28 @@ TEST(ArtifactStore, PartitionRowRoundTripsBitExactAcrossRestart) {
   const double memory = 3.0000000000000004;  // must key exactly
   {
     ArtifactStore a(dir.path);
-    a.store_partition(42, memory, row);
+    a.insert<ArtifactKind::kPartitionRow>({42, memory}, row);
     EXPECT_EQ(a.stats().appended, 1);
-    const auto hit = a.lookup_partition(42, memory);
+    const auto hit = a.lookup<ArtifactKind::kPartitionRow>({42, memory});
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->objective, row.objective);
   }
   ArtifactStore b(dir.path);
   EXPECT_EQ(b.stats().loaded, 1);
-  const auto hit = b.lookup_partition(42, memory);
+  const auto hit = b.lookup<ArtifactKind::kPartitionRow>({42, memory});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->objective, row.objective);  // bit-exact
   EXPECT_EQ(hit->segments, row.segments);
   // A nearby-but-different memory value is a different key.
-  EXPECT_FALSE(b.lookup_partition(42, 3.0));
-  EXPECT_EQ(b.stats().partition.hits, 1);
-  EXPECT_EQ(b.stats().partition.misses, 1);
+  EXPECT_FALSE(b.lookup<ArtifactKind::kPartitionRow>({42, 3.0}));
+  EXPECT_EQ(b.stats()[ArtifactKind::kPartitionRow].hits, 1);
+  EXPECT_EQ(b.stats()[ArtifactKind::kPartitionRow].misses, 1);
 
   // erase() is memory-tier-only for partition rows too.
   EXPECT_GT(b.erase(42), 0);
-  EXPECT_FALSE(b.lookup_partition(42, memory));
+  EXPECT_FALSE(b.lookup<ArtifactKind::kPartitionRow>({42, memory}));
   ArtifactStore c(dir.path);
-  EXPECT_TRUE(c.lookup_partition(42, memory));
+  EXPECT_TRUE(c.lookup<ArtifactKind::kPartitionRow>({42, memory}));
 }
 
 }  // namespace

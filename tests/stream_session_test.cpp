@@ -258,7 +258,7 @@ TEST(StreamSessionTest, EvictsComponentCacheEntriesWhenContentDisappears) {
   session.load("multi:3:fft:3");
   session.evaluate(spectral_request("dense"));
   const auto& cache = *session.engine().artifact_store();
-  const std::int64_t entries_before = cache.stats().entries();
+  const std::int64_t entries_before = cache.stats().total().entries;
   ASSERT_GT(entries_before, 0);
 
   // Patch one copy: its content becomes unique, but the fft:3 content
@@ -269,7 +269,7 @@ TEST(StreamSessionTest, EvictsComponentCacheEntriesWhenContentDisappears) {
   EXPECT_EQ(first.evicted, 0);
 
   session.evaluate(spectral_request("dense"));  // caches the patched comp
-  const std::int64_t entries_mid = cache.stats().entries();
+  const std::int64_t entries_mid = cache.stats().total().entries;
   EXPECT_GT(entries_mid, entries_before);
 
   // Revert: the patched content disappears — its entries must go.
@@ -277,8 +277,8 @@ TEST(StreamSessionTest, EvictsComponentCacheEntriesWhenContentDisappears) {
   revert.mutations.push_back(Mutation::remove_edge(0, 9));
   const PatchReport second = session.apply(revert);
   EXPECT_GT(second.evicted, 0);
-  EXPECT_LT(cache.stats().entries(), entries_mid);
-  EXPECT_GT(cache.stats().evicted(), 0);
+  EXPECT_LT(cache.stats().total().entries, entries_mid);
+  EXPECT_GT(cache.stats().total().evicted, 0);
 }
 
 TEST(StreamSessionTest, FingerprintIsOrderIndependentAndRevertsExactly) {

@@ -260,7 +260,7 @@ TEST(StreamWarmTest, EvictionDropsBasesOfDeadContent) {
   req.spectral.max_eigenvalues = 4;
   session.evaluate(req);
   // Two distinct contents, one Laplacian kind: two retained bases.
-  EXPECT_EQ(cache.stats().eigenbasis.entries, 2);
+  EXPECT_EQ(cache.stats()[store::ArtifactKind::kEigenbasis].entries, 2);
   EXPECT_GT(cache.eigenbasis_bytes(), 0);
 
   // Delete every vertex of the second part: its content dies, and the
@@ -271,8 +271,8 @@ TEST(StreamWarmTest, EvictionDropsBasesOfDeadContent) {
     wipe.mutations.push_back(Mutation::remove_vertex(v));
   const PatchReport applied = session.apply(wipe);
   EXPECT_GT(applied.evicted, 0);
-  EXPECT_EQ(cache.stats().eigenbasis.entries, 1);
-  EXPECT_GT(cache.stats().eigenbasis.evicted, 0);
+  EXPECT_EQ(cache.stats()[store::ArtifactKind::kEigenbasis].entries, 1);
+  EXPECT_GT(cache.stats()[store::ArtifactKind::kEigenbasis].evicted, 0);
 
   // The surviving component still answers warm after further patches.
   Patch touch;

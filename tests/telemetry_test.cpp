@@ -580,10 +580,6 @@ TEST(TelemetryIntegrationTest, ArtifactStoreStatsEqualRegistryDelta) {
   using KindStats = store::ArtifactStore::KindStats;
   const std::vector<std::string> kinds = {"spectrum", "topo",      "mincut",
                                           "memsim",   "partition", "eigenbasis"};
-  const auto kind_stats = [](const Stats& s) {
-    return std::vector<KindStats>{s.spectrum, s.topo,      s.mincut,
-                                  s.memsim,   s.partition, s.eigenbasis};
-  };
   const auto snapshot = [&kinds] {
     Values out = registry_values<Stats>("store.disk.");
     for (const std::string& kind : kinds)
@@ -592,9 +588,9 @@ TEST(TelemetryIntegrationTest, ArtifactStoreStatsEqualRegistryDelta) {
   };
   const auto instance = [&](const Stats& s) {
     Values out = stats_values(s, "store.disk.");
-    const std::vector<KindStats> per_kind = kind_stats(s);
+    // Stats::kinds is indexed by ArtifactKind, in the order of `kinds`.
     for (std::size_t k = 0; k < kinds.size(); ++k)
-      out.merge(stats_values(per_kind[k], "store." + kinds[k] + "."));
+      out.merge(stats_values(s.kinds[k], "store." + kinds[k] + "."));
     return out;
   };
   const Values before = snapshot();
@@ -619,22 +615,22 @@ TEST(TelemetryIntegrationTest, ArtifactStoreStatsEqualRegistryDelta) {
     store::ArtifactStore a(dir);
     a.set_eigenbasis_budget(std::int64_t{1} << 20);
     EXPECT_FALSE(a.lookup_spectrum(kFp, kLap, 2, options));
-    EXPECT_FALSE(a.lookup_topo(kFp));
-    EXPECT_FALSE(a.lookup_mincut(kFp));
-    EXPECT_FALSE(a.lookup_memsim(kFp, 4, 1));
-    EXPECT_FALSE(a.lookup_partition(kFp, 4.0));
+    EXPECT_FALSE(a.lookup<store::ArtifactKind::kTopoOrder>({kFp}));
+    EXPECT_FALSE(a.lookup<store::ArtifactKind::kMincutSweep>({kFp}));
+    EXPECT_FALSE(a.lookup<store::ArtifactKind::kMemsimRow>({kFp, 4, 1}));
+    EXPECT_FALSE(a.lookup<store::ArtifactKind::kPartitionRow>({kFp, 4.0}));
     EXPECT_FALSE(a.lookup_eigenbasis(kFp, kLap));
     a.store_spectrum(kFp, kLap, 2, options, solve);
-    a.store_topo(kFp, {{0, 1}});
-    a.store_mincut(kFp, {1, 0, 2, true});
-    a.store_memsim(kFp, 4, 1, {3, 2});
-    a.store_partition(kFp, 4.0, {-1.0, 1});
+    a.insert<store::ArtifactKind::kTopoOrder>({kFp}, {{0, 1}});
+    a.insert<store::ArtifactKind::kMincutSweep>({kFp}, {1, 0, 2, true});
+    a.insert<store::ArtifactKind::kMemsimRow>({kFp, 4, 1}, {3, 2});
+    a.insert<store::ArtifactKind::kPartitionRow>({kFp, 4.0}, {-1.0, 1});
     a.store_eigenbasis(kFp, kLap, basis);
     EXPECT_TRUE(a.lookup_spectrum(kFp, kLap, 2, options));
-    EXPECT_TRUE(a.lookup_topo(kFp));
-    EXPECT_TRUE(a.lookup_mincut(kFp));
-    EXPECT_TRUE(a.lookup_memsim(kFp, 4, 1));
-    EXPECT_TRUE(a.lookup_partition(kFp, 4.0));
+    EXPECT_TRUE(a.lookup<store::ArtifactKind::kTopoOrder>({kFp}));
+    EXPECT_TRUE(a.lookup<store::ArtifactKind::kMincutSweep>({kFp}));
+    EXPECT_TRUE(a.lookup<store::ArtifactKind::kMemsimRow>({kFp, 4, 1}));
+    EXPECT_TRUE(a.lookup<store::ArtifactKind::kPartitionRow>({kFp, 4.0}));
     EXPECT_TRUE(a.lookup_eigenbasis(kFp, kLap));
     EXPECT_EQ(a.erase(kFp), 6);
     written = instance(a.stats());

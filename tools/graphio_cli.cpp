@@ -682,14 +682,6 @@ int cmd_stream(const Args& a) {
                                                                       : 1;
 }
 
-void append_kind_stats(io::JsonWriter& w, const char* name,
-                       const store::ArtifactStore::KindStats& kind) {
-  w.key(name).begin_object();
-  for (const auto& row : store::ArtifactStore::KindStats::fields())
-    w.key(row.key).value(kind.*row.count);
-  w.end_object();
-}
-
 int cmd_store(const Args& a) {
   // `graphio store stats|compact DIR`: the subcommand and directory both
   // arrive as positional "graph" arguments.
@@ -712,28 +704,24 @@ int cmd_store(const Args& a) {
     io::JsonWriter w;
     w.begin_object();
     w.key("path").value(artifacts.path().string());
-    w.key("entries").value(stats.entries());
+    w.key("entries").value(stats.total().entries);
     w.key("loaded").value(stats.loaded);
     w.key("corrupt").value(stats.corrupt);
-    append_kind_stats(w, "spectrum", stats.spectrum);
-    append_kind_stats(w, "topo", stats.topo);
-    append_kind_stats(w, "mincut", stats.mincut);
-    append_kind_stats(w, "memsim", stats.memsim);
-    append_kind_stats(w, "partition", stats.partition);
-    append_kind_stats(w, "eigenbasis", stats.eigenbasis);
+    for (std::size_t k = 0; k < store::kKindNames.size(); ++k) {
+      w.key(store::kKindNames[k]).begin_object();
+      for (const auto& row : store::ArtifactStore::KindStats::fields())
+        w.key(row.key).value(stats.kinds[k].*row.count);
+      w.end_object();
+    }
     w.key("eigenbasis_bytes").value(stats.eigenbasis_bytes);
     w.end_object();
     std::cout << w.str() << "\n";
     return 0;
   }
   Table t({"kind", "entries"});
-  t.add_row({"spectrum", std::to_string(stats.spectrum.entries)});
-  t.add_row({"topo", std::to_string(stats.topo.entries)});
-  t.add_row({"mincut", std::to_string(stats.mincut.entries)});
-  t.add_row({"memsim", std::to_string(stats.memsim.entries)});
-  t.add_row({"partition", std::to_string(stats.partition.entries)});
-  t.add_row({"eigenbasis", std::to_string(stats.eigenbasis.entries)});
-  t.add_row({"total", std::to_string(stats.entries())});
+  for (std::size_t k = 0; k < store::kKindNames.size(); ++k)
+    t.add_row({store::kKindNames[k], std::to_string(stats.kinds[k].entries)});
+  t.add_row({"total", std::to_string(stats.total().entries)});
   t.print(std::cout);
   std::cout << artifacts.path().string() << ": " << stats.loaded
             << " loaded, " << stats.corrupt << " corrupt line(s) skipped\n";
