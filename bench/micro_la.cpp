@@ -5,10 +5,16 @@
 // Householder reduction alone); tridiagonal QL; Sturm bisection; the
 // iterative tiers (block Lanczos, LOBPCG); and the Jacobi cross-check.
 // Dense sizes cover the Rayleigh–Ritz and Gram solves (n = 100–256) and
-// the largest dense-tier components (n = 448–512). Run one thread:
-// OMP_NUM_THREADS=1 ./bench_micro_la.
+// the largest dense-tier components (n = 448–512). BM_StreamPatchSolve
+// times the warm tier's crossover end to end: one patch-and-solve on a
+// one-component stream session with eigenbasis retention on and off.
+// Run one thread: OMP_NUM_THREADS=1 ./bench_micro_la.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "graphio/engine/engine.hpp"
 #include "graphio/graph/builders.hpp"
 #include "graphio/graph/laplacian.hpp"
 #include "graphio/la/bisection.hpp"
@@ -18,7 +24,10 @@
 #include "graphio/la/lobpcg.hpp"
 #include "graphio/la/symmetric_eigen.hpp"
 #include "graphio/la/vector_ops.hpp"
+#include "graphio/store/artifact_store.hpp"
+#include "graphio/stream/session.hpp"
 #include "graphio/support/prng.hpp"
+#include "graphio/telemetry/metrics.hpp"
 
 namespace {
 
@@ -143,5 +152,62 @@ void BM_HouseholderTridiagonalize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HouseholderTridiagonalize)->Arg(256)->Arg(512);
+
+/// One patch-and-solve on a stream session holding a single connected
+/// Erdős–Rényi component of n vertices (mean degree 9), queried for the
+/// h smallest eigenvalues; the third argument turns the session's
+/// eigenbasis budget on (1) or off (0). Each iteration toggles one edge,
+/// so the component alternates between two contents and every query
+/// solves it again: with the budget off that is a cold dense solve, with
+/// it on the warm tier wherever choose_solver takes it (n > 3h). The
+/// warm_hits counter is per iteration.
+void BM_StreamPatchSolve(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  const int h = static_cast<int>(state.range(1));
+  const bool retain = state.range(2) != 0;
+  const Digraph g =
+      builders::erdos_renyi_dag(n, 9.0 / static_cast<double>(n), 1);
+  // A forward edge the graph lacks: toggling it keeps the DAG acyclic.
+  VertexId toggle_to = 1;
+  while (std::ranges::find(g.children(0), toggle_to) != g.children(0).end())
+    ++toggle_to;
+
+  auto artifacts = std::make_shared<store::ArtifactStore>();
+  if (retain) artifacts->set_eigenbasis_budget(std::int64_t{64} << 20);
+  stream::StreamSession session("micro-patch", artifacts);
+  session.load(g);
+  engine::BoundRequest request;
+  request.memories = {4.0, 16.0};
+  request.methods = {"spectral"};
+  request.spectral.max_eigenvalues = h;
+  session.evaluate(request);  // the first solve retains the basis
+
+  telemetry::Counter& warm_hits =
+      telemetry::MetricsRegistry::global().counter("solver.warm_hits");
+  const std::int64_t hits_before = warm_hits.value();
+  bool present = false;
+  for (auto _ : state) {
+    stream::Patch patch;
+    patch.mutations.push_back(
+        present ? stream::Mutation::remove_edge(0, toggle_to)
+                : stream::Mutation::add_edge(0, toggle_to));
+    present = !present;
+    session.apply(patch);
+    const engine::BoundReport report = session.evaluate(request);
+    benchmark::DoNotOptimize(report.rows.data());
+  }
+  state.counters["warm_hits"] = benchmark::Counter(
+      static_cast<double>(warm_hits.value() - hits_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_StreamPatchSolve)
+    ->ArgNames({"n", "h", "retain"})
+    ->Args({200, 32, 0})
+    ->Args({200, 32, 1})
+    ->Args({200, 100, 0})
+    ->Args({200, 100, 1})
+    ->Args({450, 32, 0})
+    ->Args({450, 32, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -252,8 +252,9 @@ int main(int argc, char** argv) {
   // Basis retention on: the session's store keeps converged component
   // eigenbases under a 64 MiB LRU budget, so a patched component's solve
   // warm-starts from its predecessor's basis instead of a random block
-  // (the auto policy picks the warm LOBPCG tier whenever the basis is
-  // resident).
+  // (the auto policy picks the warm LOBPCG tier when the basis is
+  // resident and, below the dense threshold, n > 3h — as here, n >= 450
+  // against h = 32).
   const auto session_store = std::make_shared<store::ArtifactStore>();
   session_store->set_eigenbasis_budget(std::int64_t{64} << 20);
   stream::StreamSession session("bench-stream", session_store);

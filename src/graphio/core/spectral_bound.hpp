@@ -71,8 +71,13 @@ struct SpectralOptions {
   /// Retain converged per-component eigenbases (Ritz vectors) in the
   /// artifact store's memory-only eigenbasis tier, keyed by component
   /// fingerprint, so a later solve of a patched successor can warm-start
-  /// from them. Excluded from solver_options_equal on purpose: retention
-  /// never changes what a solve computes, only what it keeps.
+  /// from them. Only components inside the warm tier retain (a basis is
+  /// read only where la::choose_solver would pick it: n > kDenseMaxN, or
+  /// n > 3h, under "auto" or a forced iterative tier); every other
+  /// component answers exactly as it would with retention off, cold and
+  /// without computing eigenvectors. Excluded from solver_options_equal
+  /// on purpose: retention never changes what a cold solve computes, only
+  /// what it keeps.
   bool retain_basis = false;
   /// Soft deadline for one pipeline run in seconds (0 = none), checked at
   /// component boundaries: once elapsed, remaining component solves are

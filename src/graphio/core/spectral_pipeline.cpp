@@ -162,7 +162,8 @@ bool warm_subspace_refresh(const la::CsrMatrix& lap,
 /// The Lanczos or LOBPCG solve of `lap` into `solve`: certified lower
 /// estimates θ − ‖r‖, ascending, with the widest residual, the iteration
 /// count and the convergence flag. `warm_columns` (nullable) seeds the
-/// block; `retained` (nullable) receives the returned eigenvectors.
+/// block, and marks the solve warm when an iteration consumed it;
+/// `retained` (nullable) receives the returned eigenvectors.
 void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
                      const SpectralOptions& options,
                      const std::vector<std::vector<double>>* warm_columns,
@@ -181,7 +182,6 @@ void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
       // tightening here would only trade the warm head start back for
       // extra iterations.
       lopts.warm_start = *warm_columns;
-      solve.warm_started = true;
     }
     la::LobpcgResult res = la::lobpcg_smallest(lap, h, lopts);
     values = std::move(res.values);
@@ -193,16 +193,26 @@ void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
     la::LanczosOptions lopts = options.lanczos;
     lopts.rel_tol = options.eig_rel_tol;
     lopts.return_vectors = retained != nullptr;
-    if (warm_columns != nullptr) {
-      lopts.warm_start = *warm_columns;
-      solve.warm_started = true;
-    }
+    if (warm_columns != nullptr) lopts.warm_start = *warm_columns;
     la::LanczosResult res = la::smallest_eigenvalues(lap, h, lopts);
     values = std::move(res.values);
     residuals = std::move(res.residuals);
     vectors = std::move(res.vectors);
     solve.converged = res.converged;
     solve.iterations = res.cycles;
+  }
+  if (warm_columns != nullptr) {
+    // Both solvers hand small problems to their internal dense fallback
+    // (LOBPCG at n <= max(320, 2h), Lanczos at n <= max(320, 3·block)),
+    // which never reads the seed: only a solve that iterated consumed
+    // the basis. A fallback is reported as what it was, a dense solve.
+    solve.warm_started = solve.iterations > 0;
+    if (!solve.warm_started) {
+      solve.solver_reason = std::string(la::to_string(tier)) +
+                            " dense fallback at n=" +
+                            std::to_string(lap.size());
+      solve.solver = la::SolverKind::kDense;
+    }
   }
   if (retained != nullptr) *retained = std::move(vectors);
   // Certified lower estimates θ − ‖r‖: sound for the lower bound at any
@@ -420,13 +430,24 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
     }
   }
 
-  // Miss: this component must materialize and solve. Before extracting,
-  // look up a retained eigenbasis — its own fingerprint first (stream
-  // sessions re-key the predecessor's basis to the successor fingerprint
-  // at patch time), then the threaded pre-patch fingerprint.
+  // Miss: this component must materialize and solve. The warm-start
+  // layer engages only where a warm solve would read a basis, i.e. where
+  // la::choose_solver's warm choice (the one home of the crossover) is
+  // an iterative tier. A dense warm choice — a forced dense policy, or
+  // "auto" on a dense-sized component with h large against n — never
+  // reads one, so the component neither looks one up, nor accumulates
+  // eigenvectors, nor publishes one, and answers exactly as it would
+  // with retention off. Before extracting, look up a retained eigenbasis
+  // — its own fingerprint first (stream sessions re-key the
+  // predecessor's basis to the successor fingerprint at patch time),
+  // then the threaded pre-patch fingerprint.
+  const bool warm_tier =
+      options_.retain_basis && !custom_solver_ &&
+      la::choose_solver(options_.solver,
+                        {entry.vertices, nnz, h_c, /*warm=*/true})
+              .kind != la::SolverKind::kDense;
   std::optional<Eigenbasis> warm_basis;
-  if (options_.retain_basis && basis_resolver_ != nullptr &&
-      !custom_solver_) {
+  if (warm_tier && basis_resolver_ != nullptr) {
     if (have_fingerprint) warm_basis = basis_resolver_(fingerprint, kind);
     if (!warm_basis && entry.has_predecessor)
       warm_basis = basis_resolver_(entry.predecessor, kind);
@@ -461,8 +482,8 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
   solve_span.attr("vertices", entry.vertices).attr("edges", entry.edges);
   ComponentSolve solve;
   std::vector<std::vector<double>> fresh_vectors;
-  const bool retain = options_.retain_basis && basis_publisher_ != nullptr &&
-                      have_fingerprint && !custom_solver_;
+  const bool retain =
+      warm_tier && basis_publisher_ != nullptr && have_fingerprint;
   if (custom_solver_) {
     solve = solver_(*component, kind, h_c, options_);
   } else {

@@ -61,8 +61,10 @@ struct ComponentSolve {
   /// (JSONL replay) rather than this process — only meaningful together
   /// with from_cache.
   bool from_disk = false;
-  /// True when the solve was seeded from a retained predecessor
-  /// eigenbasis (the warm tier).
+  /// True when the solve consumed a retained predecessor eigenbasis (the
+  /// warm tier): an accepted refresh or a seeded block iteration. A
+  /// seeded solve handed to a solver's internal dense fallback does not
+  /// count; it reports the dense tier.
   bool warm_started = false;
   /// True when the warm tier's single certified Rayleigh–Ritz refresh
   /// was accepted (implies warm_started and iterations == 1).

@@ -17,6 +17,21 @@ constexpr int kLobpcgMaxH = 8;
 /// matvec block dominate).
 constexpr double kLobpcgMaxDensity = 3.0;
 
+/// The warm tier's crossover below kDenseMaxN: a Rayleigh–Ritz refresh
+/// over a retained basis undercuts a cold values-only dense solve only
+/// while n > kWarmMinNPerH · h. The refresh is a dense m×m eigenproblem
+/// plus O(n·h²) Gram and rotation work, so its cost grows with h while
+/// the dense solve's does not. One patch-and-solve on a one-component
+/// stream session (bench/micro_la's BM_StreamPatchSolve with the warm
+/// tier taken at every shape; one thread, Release), warm vs cold dense
+/// values in ms: n=200 h=32 1.8 vs 4.6, n=200 h=64 3.9 vs 4.6, n=200
+/// h=100 9.8 vs 4.3, n=300 h=100 11.8 vs 11.1, n=400 h=100 17.5 vs 22.3,
+/// n=100 h=32 0.87 vs 0.91, n=96 h=32 0.99 vs 0.84, n=64 h=32 0.74 vs
+/// 0.48. Across n = 64…1600 and h = 8…100 the line n = 3h separates the
+/// wins from the losses, with at most ~20 % lost either way in the few
+/// points near it.
+constexpr std::int64_t kWarmMinNPerH = 3;
+
 }  // namespace
 
 std::string_view to_string(SolverKind kind) {
@@ -46,11 +61,16 @@ std::string_view solver_policy_name(std::optional<SolverKind> policy) {
 SolverChoice choose_solver(std::optional<SolverKind> policy,
                            const SolverProblem& problem) {
   if (policy) return {*policy, "forced by policy"};
-  // Warm tier first: a resident predecessor basis makes the block
-  // iteration converge in O(1) iterations, so it wins even below the
-  // cold dense threshold (the caller decorates the reason with the
-  // predecessor fingerprint).
-  if (problem.warm) return {SolverKind::kLobpcg, "warm"};
+  // Warm tier first where it pays: a resident predecessor basis makes the
+  // block iteration converge in O(1) iterations, which beats every cold
+  // tier above kDenseMaxN and beats the cold dense solve below it only
+  // on tall-thin shapes (n > kWarmMinNPerH · h). Elsewhere a warm
+  // problem answers exactly as a cold one would (the caller decorates a
+  // warm reason with the predecessor fingerprint).
+  if (problem.warm &&
+      (problem.n > kDenseMaxN ||
+       problem.n > kWarmMinNPerH * static_cast<std::int64_t>(problem.h)))
+    return {SolverKind::kLobpcg, "warm"};
   if (problem.n <= kDenseMaxN)
     return {SolverKind::kDense, "n=" + std::to_string(problem.n) +
                                     " <= dense_n=" +

@@ -63,8 +63,9 @@ struct SolverProblem {
   int h = 0;
   /// True when a predecessor eigenbasis is resident for this component —
   /// the warm tier: a block iteration seeded with the old basis converges
-  /// in a handful of iterations, beating the dense solver even below the
-  /// cold thresholds.
+  /// in a handful of iterations. It beats every cold tier above
+  /// kDenseMaxN, but below it only while h is small against n; "auto"
+  /// takes it only there (choose_solver).
   bool warm = false;
 };
 
@@ -78,8 +79,11 @@ struct SolverChoice {
 /// Picks the tier for one problem. Pure: equal inputs yield equal
 /// choices, so cached spectra stay valid under replay. A forced policy
 /// ignores the shape ("forced by policy"); "auto" takes the warm tier
-/// (LOBPCG) when a basis is resident, dense up to kDenseMaxN, LOBPCG for
-/// large, very sparse, tiny-h problems, and Lanczos otherwise.
+/// (LOBPCG) when a basis is resident and either n > kDenseMaxN or n > 3h
+/// (where a refresh undercuts a cold dense solve), dense up to
+/// kDenseMaxN, LOBPCG for large, very sparse, tiny-h problems, and
+/// Lanczos otherwise. A caller asks whether a retained basis would ever
+/// be read by asking for the warm choice: a dense answer means no.
 SolverChoice choose_solver(std::optional<SolverKind> policy,
                            const SolverProblem& problem);
 

@@ -74,6 +74,40 @@ TEST(SolverPolicy, ForcedPoliciesIgnoreShape) {
             SolverKind::kLanczos);
 }
 
+// "auto" takes the warm tier only where it undercuts a cold solve: above
+// the dense threshold at any h, below it only while n > 3h (a
+// Rayleigh–Ritz refresh over h columns loses to a values-only dense
+// solve once h exceeds about n/3).
+TEST(SolverPolicy, AutoTakesWarmTierOnlyWhereItPays) {
+  const auto warm = [](std::int64_t n, int h) {
+    return choose_solver(std::nullopt, {n, 3 * n, h, /*warm=*/true}).kind;
+  };
+  EXPECT_EQ(warm(301, 100), SolverKind::kLobpcg);
+  EXPECT_EQ(warm(300, 100), SolverKind::kDense);  // n = 3h: on the line
+  EXPECT_EQ(warm(450, 32), SolverKind::kLobpcg);
+  EXPECT_EQ(warm(200, 64), SolverKind::kLobpcg);
+  EXPECT_EQ(warm(200, 67), SolverKind::kDense);
+  EXPECT_EQ(warm(200, 100), SolverKind::kDense);
+  EXPECT_EQ(warm(64, 16), SolverKind::kLobpcg);
+  EXPECT_EQ(warm(64, 32), SolverKind::kDense);
+  EXPECT_EQ(warm(2048, 683), SolverKind::kDense);
+  // Above kDenseMaxN the only cold tiers are iterative: warm at any h.
+  EXPECT_EQ(warm(2049, 100), SolverKind::kLobpcg);
+  EXPECT_EQ(warm(2049, 2049), SolverKind::kLobpcg);
+  EXPECT_EQ(warm(5000, 4000), SolverKind::kLobpcg);
+  // The same shapes without a resident basis keep their cold tiers.
+  EXPECT_EQ(choose_solver(std::nullopt, {450, 1350, 32}).kind,
+            SolverKind::kDense);
+  EXPECT_EQ(choose_solver(std::nullopt, {5000, 15000, 4000}).kind,
+            SolverKind::kLanczos);
+  // A forced dense policy never takes the warm tier; forced iterative
+  // tiers always read a resident basis.
+  EXPECT_EQ(choose_solver(SolverKind::kDense, {450, 1350, 32, true}).kind,
+            SolverKind::kDense);
+  EXPECT_EQ(choose_solver(SolverKind::kLobpcg, {200, 600, 100, true}).kind,
+            SolverKind::kLobpcg);
+}
+
 // The reasons are persisted in artifacts.jsonl ("reason") and shown by
 // --explain, so their bytes are pinned.
 TEST(SolverPolicy, ChoicesCarryReasons) {
@@ -83,10 +117,14 @@ TEST(SolverPolicy, ChoicesCarryReasons) {
             "h=8 and nnz/n=2.000000 fit the LOBPCG niche");
   EXPECT_EQ(choose_solver(std::nullopt, {5000, 20000, 100}).reason,
             "n=5000 above dense threshold");
-  EXPECT_EQ(choose_solver(std::nullopt, {10, 20, 4, /*warm=*/true}).kind,
-            SolverKind::kLobpcg);
-  EXPECT_EQ(choose_solver(std::nullopt, {10, 20, 4, /*warm=*/true}).reason,
+  EXPECT_EQ(choose_solver(std::nullopt, {301, 903, 100, /*warm=*/true}).reason,
             "warm");
+  // A declined warm tier answers with the cold choice's reason, byte for
+  // byte what a fresh solve of the component records.
+  EXPECT_EQ(choose_solver(std::nullopt, {200, 600, 100, /*warm=*/true}).reason,
+            "n=200 <= dense_n=2048");
+  EXPECT_EQ(choose_solver(std::nullopt, {10, 20, 4, /*warm=*/true}).reason,
+            "n=10 <= dense_n=2048");
   for (const SolverKind kind :
        {SolverKind::kDense, SolverKind::kLanczos, SolverKind::kLobpcg})
     EXPECT_EQ(choose_solver(kind, {10, 20, 4}).reason, "forced by policy");

@@ -13,11 +13,15 @@
 //   * a patch that disconnects a component falls back to a cold solve
 //     without error (the split halves cannot both inherit the
 //     predecessor basis),
+//   * the warm tier engages only where it pays: a dense-sized component
+//     queried for more than n/3 eigenvalues retains no basis and answers
+//     exactly a fresh Engine's values, while n > 3h warm-starts,
 //   * refcounted stream eviction drops the eigenbases of dead content
 //     along with its spectra (ISSUE satellite: eviction respects the
 //     stream's refcount discipline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -28,8 +32,10 @@
 
 #include "graphio/engine/engine.hpp"
 #include "graphio/graph/builders.hpp"
+#include "graphio/graph/components.hpp"
 #include "graphio/store/artifact_store.hpp"
 #include "graphio/stream/session.hpp"
+#include "graphio/telemetry/metrics.hpp"
 
 namespace graphio::stream {
 namespace {
@@ -114,25 +120,31 @@ struct RandomMutator {
 /// (1e-8) to a from-scratch Engine, across specs and every solver
 /// policy. The refresh fast path is disabled so this isolates the
 /// seeding layer — a warm *start* must change iteration counts only,
-/// never converged values.
+/// never converged values. Each session solves once before its first
+/// patch, so every round has a basis to seed from. fft:6 (448 vertices)
+/// is the spec whose component exceeds both solvers' 320-vertex dense
+/// fallback, so seeded iterations really run (one round keeps its seeded
+/// Lanczos solves inside the test's time budget); the smaller specs stay
+/// below it, where the fallback ignores the seed and no hit is counted.
 TEST(StreamWarmTest, SeededSolversMatchScratchAcrossSpecs) {
-  const std::vector<std::string> specs = {"fft:4", "er:40:0.1:3",
-                                          "multi:3:fft:3"};
+  const std::vector<std::pair<std::string, int>> specs = {
+      {"fft:4", 5}, {"er:40:0.1:3", 5}, {"multi:3:fft:3", 5}, {"fft:6", 1}};
   const std::vector<std::string> solvers = {"auto", "dense", "lanczos",
                                             "lobpcg"};
   std::uint64_t seed = 17;
   std::int64_t warm_hits_total = 0;
-  for (const std::string& spec : specs) {
+  for (const auto& [spec, rounds] : specs) {
     for (const std::string& solver : solvers) {
       StreamSession session("warm-" + spec + "-" + solver, warm_store());
       session.load(spec);
+      engine::BoundRequest req = spectral_request(solver);
+      req.spectral.warm_refresh_rel_tol = 0.0;  // seeding only
+      session.evaluate(req);
       RandomMutator mutator(session.graph(), seed++);
-      for (int round = 0; round < 5; ++round) {
+      for (int round = 0; round < rounds; ++round) {
         const Patch patch =
             mutator.next_patch(1 + static_cast<int>(mutator.rng() % 4));
         session.apply(patch);
-        engine::BoundRequest req = spectral_request(solver);
-        req.spectral.warm_refresh_rel_tol = 0.0;  // seeding only
         const engine::BoundReport incremental = session.evaluate(req);
         warm_hits_total += incremental.cache.warm_hits;
 
@@ -161,6 +173,103 @@ TEST(StreamWarmTest, SeededSolversMatchScratchAcrossSpecs) {
   EXPECT_GT(warm_hits_total, 0);
 }
 
+/// The warm tier engages only where it pays (la::choose_solver): on a
+/// 200-vertex component a query for h = 100 eigenvalues solves cold and
+/// values-only, retains no basis and answers bit for bit what a fresh
+/// Engine answers; at h = 32 (n > 3h) the same session warm-starts every
+/// component a small patch dirties. A large patch there trips the refresh
+/// gate, and at n <= 320 LOBPCG's dense fallback then answers without
+/// reading the seed: counted cold and reported under the dense tier.
+TEST(StreamWarmTest, WarmTierEngagesOnlyWhereItPays) {
+  const Digraph g = builders::erdos_renyi_dag(200, 0.045, 1);
+  ASSERT_EQ(weakly_connected_components(g).count, 1);
+  telemetry::Counter& iterations =
+      telemetry::MetricsRegistry::global().counter("solver.iterations");
+  for (const int h : {100, 32}) {
+    StreamSession session("warm-crossover", warm_store());
+    session.load(g);
+    const auto& artifacts = *session.engine().artifact_store();
+    engine::BoundRequest req;
+    req.memories = {4.0, 16.0};
+    req.methods = {"spectral"};
+    req.spectral.max_eigenvalues = h;
+    session.evaluate(req);
+
+    std::mt19937_64 rng(23);
+    constexpr int kRounds = 5;
+    for (int round = 0; round < kRounds; ++round) {
+      // One absent forward edge, so the patch dirties the one component.
+      // A small patch adds it out of a vertex of out-degree >= 3, moving
+      // that vertex's existing L̃ entries by at most 1/12; the last patch
+      // adds it out of a vertex of out-degree 1, halving its only entry.
+      const bool large = round == kRounds - 1;
+      const Digraph current = session.graph();
+      VertexId u = 0;
+      VertexId v = 0;
+      do {
+        u = static_cast<VertexId>(rng() % 199);
+        v = u + 1 +
+            static_cast<VertexId>(rng() % static_cast<std::uint64_t>(199 - u));
+      } while ((large ? current.out_degree(u) != 1
+                      : current.out_degree(u) < 3) ||
+               std::ranges::find(current.children(u), v) !=
+                   current.children(u).end());
+      Patch patch;
+      patch.mutations.push_back(Mutation::add_edge(u, v));
+      const PatchReport applied = session.apply(patch);
+      ASSERT_EQ(applied.dirty_components, 1);
+
+      const std::int64_t iterations_before = iterations.value();
+      const engine::BoundReport incremental = session.evaluate(req);
+      const std::int64_t solve_iterations =
+          iterations.value() - iterations_before;
+      const engine::ArtifactCache* cache =
+          session.engine().cache("warm-crossover");
+      ASSERT_NE(cache, nullptr);
+      const ComponentSolve& solve =
+          cache->spectrum_runs().back().per_component.front();
+      engine::BoundRequest scratch_req = req;
+      scratch_req.graph = session.graph();
+      engine::Engine scratch;
+      const engine::BoundReport reference = scratch.evaluate(scratch_req);
+      ASSERT_EQ(incremental.rows.size(), reference.rows.size());
+      EXPECT_EQ(incremental.cache.eigensolves, 1) << "round " << round;
+
+      if (h == 100) {
+        EXPECT_EQ(incremental.cache.warm_hits, 0) << "round " << round;
+        EXPECT_EQ(solve_iterations, 0) << "round " << round;  // no refresh
+        EXPECT_EQ(solve.solver_reason, "n=200 <= dense_n=2048");
+        EXPECT_EQ(artifacts.stats()[store::ArtifactKind::kEigenbasis].entries,
+                  0)
+            << "round " << round;
+        for (std::size_t i = 0; i < incremental.rows.size(); ++i)
+          EXPECT_EQ(incremental.rows[i].value, reference.rows[i].value)
+              << "round " << round << " M=" << incremental.rows[i].memory;
+        continue;
+      }
+      EXPECT_EQ(artifacts.stats()[store::ArtifactKind::kEigenbasis].entries, 1)
+          << "round " << round;
+      if (large) {
+        EXPECT_EQ(incremental.cache.warm_hits, 0);
+        EXPECT_EQ(solve_iterations, 0);
+        EXPECT_FALSE(solve.warm_started);
+        EXPECT_EQ(solve.solver, la::SolverKind::kDense);
+        EXPECT_EQ(solve.solver_reason, "lobpcg dense fallback at n=200");
+      } else {
+        EXPECT_EQ(incremental.cache.warm_hits, applied.dirty_components)
+            << "round " << round;
+        EXPECT_TRUE(solve.refresh) << "round " << round;
+      }
+      // Warm answers are certified lower estimates: never above the fresh
+      // Engine's exact dense values.
+      for (std::size_t i = 0; i < incremental.rows.size(); ++i)
+        EXPECT_LE(incremental.rows[i].value,
+                  reference.rows[i].value * (1.0 + 1e-12))
+            << "round " << round << " M=" << incremental.rows[i].memory;
+    }
+  }
+}
+
 /// The refresh fast path answers exactly the dirty components warm and
 /// keeps the merged zero modes (one per weak component) exact — so the
 /// multi-component bound it feeds agrees with a scratch Engine even
@@ -174,6 +283,12 @@ TEST(StreamWarmTest, RefreshReportsWarmHitsForDirtyComponentsOnly) {
   req.spectral.solver = la::SolverKind::kLobpcg;  // force the iterative (refreshable) tier
   req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 4;  // = #components: merged zeros only
+  // An added edge re-weights a whole row of an fft:3 copy's L̃ (32
+  // vertices), moving its Ritz residuals past the default 1e-2 gate; a
+  // 1e-1 gate accepts them, so each round really takes the refresh.
+  req.spectral.warm_refresh_rel_tol = 1e-1;
+  telemetry::Counter& iterations =
+      telemetry::MetricsRegistry::global().counter("solver.iterations");
 
   const engine::BoundReport cold = session.evaluate(req);
   EXPECT_EQ(cold.cache.warm_hits, 0);  // nothing retained yet
@@ -185,8 +300,11 @@ TEST(StreamWarmTest, RefreshReportsWarmHitsForDirtyComponentsOnly) {
     patch.mutations.push_back(Mutation::add_edge(round, round + 17));
     const PatchReport applied = session.apply(patch);
     ASSERT_EQ(applied.dirty_components, 1);
+    const std::int64_t iterations_before = iterations.value();
     const engine::BoundReport warm = session.evaluate(req);
     EXPECT_EQ(warm.cache.warm_hits, 1) << "round " << round;
+    // A refresh is the one-iteration warm solve.
+    EXPECT_EQ(iterations.value() - iterations_before, 1) << "round " << round;
     EXPECT_EQ(warm.cache.eigensolves, 1) << "round " << round;
     EXPECT_GE(warm.cache.warm_iterations_saved, 0) << "round " << round;
 
