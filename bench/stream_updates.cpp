@@ -201,10 +201,6 @@ engine::BoundRequest make_request() {
   // max(0, theta - ||r||) pins an approximated zero to exactly 0.0 at
   // any tolerance.
   req.spectral.solver = std::nullopt;
-  // Fixed h: adaptive doubling would re-request a larger spectrum and
-  // re-solve the dirty components once per doubling — identical on both
-  // sides, but it blurs the one-solve-per-dirty-component accounting.
-  req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 32;
   return req;
 }
@@ -458,7 +454,6 @@ int main(int argc, char** argv) {
     req.memories = {memsim_memory};
     req.methods = {"spectral", "partition-dp", "mincut", "memsim"};
     req.spectral.solver = la::SolverKind::kDense;
-    req.spectral.adaptive = false;
     req.spectral.max_eigenvalues = 32;
 
     // Both sides time the whole restart path — store construction (for

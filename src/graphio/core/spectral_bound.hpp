@@ -9,8 +9,8 @@
 // bench/ablation_k verifies). Each weak component's eigenvalues come from
 // the tier la::choose_solver picks: the dense QL solver for small
 // components, deflated block Lanczos or block LOBPCG for large ones, and
-// the warm tier (a refresh or seeded LOBPCG from a retained predecessor
-// basis) for patched components of a stream session.
+// the warm tier (a refresh or seeded LOBPCG from a retained basis) for
+// patched components of a stream session.
 #pragma once
 
 #include <cstdint>
@@ -54,19 +54,6 @@ struct SpectralOptions {
   /// 1e-6 is often orders of magnitude faster than to eigensolver-grade
   /// 1e-9 on the clustered spectra the evaluation graphs produce.
   double eig_rel_tol = 1e-6;
-  /// Warm-refresh acceptance tolerance, relative to the Gershgorin scale
-  /// of the component Laplacian. With a retained predecessor basis, a
-  /// patched component first gets a single Rayleigh–Ritz pass over that
-  /// basis; when every refreshed pair's residual is at or below this
-  /// fraction of the scale, the certified lower estimates θ − ‖r‖ are
-  /// accepted as a one-iteration warm solve. Rejections (big patches,
-  /// stale bases) fall through to the warm-seeded iterative tiers. The
-  /// certification is the same θ − ‖r‖ the iterative tiers emit, so
-  /// soundness does not depend on this value; it only trades bound
-  /// tightness on the patched component for solve latency. 0 disables
-  /// the fast path. Dense solves never refresh — a dense tier (forced or
-  /// shape-chosen for a cold start) is a request for exact values.
-  double warm_refresh_rel_tol = 1e-2;
   la::LanczosOptions lanczos = {};
   /// Retain converged per-component eigenbases (Ritz vectors) in the
   /// artifact store's memory-only eigenbasis tier, keyed by component
@@ -75,7 +62,10 @@ struct SpectralOptions {
   /// read only where la::choose_solver would pick it: n > kDenseMaxN, or
   /// n > 3h, under "auto" or a forced iterative tier); every other
   /// component answers exactly as it would with retention off, cold and
-  /// without computing eigenvectors. Excluded from solver_options_equal
+  /// without computing eigenvectors. A warm solve first tries one
+  /// Rayleigh–Ritz refresh over the basis, accepted within the fixed
+  /// la::kWarmRefreshRelTol gate; a rejected refresh seeds LOBPCG, and a
+  /// forced Lanczos tier then solves cold. Excluded from solver_options_equal
   /// on purpose: retention never changes what a cold solve computes, only
   /// what it keeps.
   bool retain_basis = false;
@@ -154,11 +144,12 @@ std::vector<double> smallest_laplacian_eigenvalues(
 
 /// The inputs that change what the eigensolver computes, in the order of
 /// ArtifactStore::spectral_options_key — the one list behind both that key
-/// and solver_options_equal. The tier thresholds are constants, listed so
-/// that changing one also changes every stored key.
+/// and solver_options_equal. The warm refresh gate and the tier thresholds
+/// are constants, listed so that changing one also changes every stored
+/// key (the gate keeps the slot it had as a per-call option).
 inline auto solve_inputs(const SpectralOptions& o) {
   return std::tie(o.solver, o.decompose, o.eig_rel_tol,
-                  o.warm_refresh_rel_tol, la::kDenseMaxN, la::kDenseRescueMaxN,
+                  la::kWarmRefreshRelTol, la::kDenseMaxN, la::kDenseRescueMaxN,
                   o.lanczos.block_size, o.lanczos.max_basis,
                   o.lanczos.stall_basis_cap, o.lanczos.max_cycles);
 }

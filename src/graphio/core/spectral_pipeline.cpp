@@ -162,8 +162,9 @@ bool warm_subspace_refresh(const la::CsrMatrix& lap,
 /// The Lanczos or LOBPCG solve of `lap` into `solve`: certified lower
 /// estimates θ − ‖r‖, ascending, with the widest residual, the iteration
 /// count and the convergence flag. `warm_columns` (nullable) seeds the
-/// block, and marks the solve warm when an iteration consumed it;
-/// `retained` (nullable) receives the returned eigenvectors.
+/// LOBPCG block, and marks the solve warm when an iteration consumed it;
+/// Lanczos takes no seed (la/lanczos.hpp). `retained` (nullable) receives
+/// the returned eigenvectors.
 void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
                      const SpectralOptions& options,
                      const std::vector<std::vector<double>>* warm_columns,
@@ -189,30 +190,27 @@ void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
     vectors = std::move(res.vectors);
     solve.converged = res.converged;
     solve.iterations = res.iterations;
+    if (warm_columns != nullptr) {
+      // LOBPCG hands n <= max(320, 2h) to its internal dense fallback,
+      // which never reads the seed: only a solve that iterated consumed
+      // the basis. A fallback is reported as what it was, a dense solve.
+      solve.warm_started = solve.iterations > 0;
+      if (!solve.warm_started) {
+        solve.solver_reason =
+            "lobpcg dense fallback at n=" + std::to_string(lap.size());
+        solve.solver = la::SolverKind::kDense;
+      }
+    }
   } else {
     la::LanczosOptions lopts = options.lanczos;
     lopts.rel_tol = options.eig_rel_tol;
     lopts.return_vectors = retained != nullptr;
-    if (warm_columns != nullptr) lopts.warm_start = *warm_columns;
     la::LanczosResult res = la::smallest_eigenvalues(lap, h, lopts);
     values = std::move(res.values);
     residuals = std::move(res.residuals);
     vectors = std::move(res.vectors);
     solve.converged = res.converged;
     solve.iterations = res.cycles;
-  }
-  if (warm_columns != nullptr) {
-    // Both solvers hand small problems to their internal dense fallback
-    // (LOBPCG at n <= max(320, 2h), Lanczos at n <= max(320, 3·block)),
-    // which never reads the seed: only a solve that iterated consumed
-    // the basis. A fallback is reported as what it was, a dense solve.
-    solve.warm_started = solve.iterations > 0;
-    if (!solve.warm_started) {
-      solve.solver_reason = std::string(la::to_string(tier)) +
-                            " dense fallback at n=" +
-                            std::to_string(lap.size());
-      solve.solver = la::SolverKind::kDense;
-    }
   }
   if (retained != nullptr) *retained = std::move(vectors);
   // Certified lower estimates θ − ‖r‖: sound for the lower bound at any
@@ -275,9 +273,8 @@ ComponentSolve solve_component_impl(
   // iterative solver, like warm-seeding it, asks for its family of
   // certified estimates, and the refresh is the 1-iteration member.
   const bool refreshed =
-      warm && options.warm_refresh_rel_tol > 0.0 &&
-      warm_subspace_refresh(lap, *warm_columns, h,
-                            options.warm_refresh_rel_tol, solve, retained);
+      warm && warm_subspace_refresh(lap, *warm_columns, h,
+                                    la::kWarmRefreshRelTol, solve, retained);
   if (!refreshed)
     solve_iterative(lap, choice.kind, h, options,
                     warm ? warm_columns : nullptr, retained, solve);
@@ -437,21 +434,18 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
   // "auto" on a dense-sized component with h large against n — never
   // reads one, so the component neither looks one up, nor accumulates
   // eigenvectors, nor publishes one, and answers exactly as it would
-  // with retention off. Before extracting, look up a retained eigenbasis
-  // — its own fingerprint first (stream sessions re-key the
-  // predecessor's basis to the successor fingerprint at patch time),
-  // then the threaded pre-patch fingerprint.
+  // with retention off. Before extracting, look up the retained
+  // eigenbasis under the component's own fingerprint: a stream patch
+  // re-keys the predecessor's basis to the successor fingerprint
+  // (ArtifactStore::adopt_eigenbasis), which is the one handoff.
   const bool warm_tier =
       options_.retain_basis && !custom_solver_ &&
       la::choose_solver(options_.solver,
                         {entry.vertices, nnz, h_c, /*warm=*/true})
               .kind != la::SolverKind::kDense;
   std::optional<Eigenbasis> warm_basis;
-  if (warm_tier && basis_resolver_ != nullptr) {
-    if (have_fingerprint) warm_basis = basis_resolver_(fingerprint, kind);
-    if (!warm_basis && entry.has_predecessor)
-      warm_basis = basis_resolver_(entry.predecessor, kind);
-  }
+  if (warm_tier && basis_resolver_ != nullptr && have_fingerprint)
+    warm_basis = basis_resolver_(fingerprint, kind);
 
   std::optional<Digraph> extracted;
   const Digraph* component = entry.in_place;
@@ -523,10 +517,11 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
   if (solve.warm_started) {
     ++result.warm_hits;
     counters.hits.increment();
+    // An adopted basis names the content it was solved for; one this
+    // fingerprint retained itself names its own.
     const std::uint64_t pred = warm_basis->predecessor != 0
                                    ? warm_basis->predecessor
-                                   : (entry.has_predecessor ? entry.predecessor
-                                                            : fingerprint);
+                                   : fingerprint;
     solve.solver_reason = "warm(pred=" + std::to_string(pred) + ")";
     solve.warm_predecessor = pred;
     const int saved = warm_basis->source_iterations - solve.iterations;
@@ -542,8 +537,6 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
     Eigenbasis fresh;
     fresh.vectors = std::move(fresh_vectors);
     fresh.row_ids = entry.external_ids;
-    fresh.predecessor =
-        entry.has_predecessor ? entry.predecessor : 0;
     fresh.source_iterations = solve.iterations;
     basis_publisher_(fingerprint, kind, std::move(fresh));
   }

@@ -78,7 +78,9 @@ struct ComponentSolve {
   double max_residual = 0.0;
   /// The solver choice's reason string; `warm(pred=<fp>)` on warm hits.
   std::string solver_reason;
-  /// Predecessor fingerprint the warm seed came from (0 when cold).
+  /// Fingerprint the warm basis was solved for: its adopted
+  /// Eigenbasis::predecessor, or this component's own fingerprint for a
+  /// basis it retained itself (0 when cold).
   std::uint64_t warm_predecessor = 0;
   /// Content fingerprint of the component, stamped by run_plan whenever
   /// one was available (precomputed or computed for the lookup); 0 with
@@ -110,8 +112,10 @@ struct Eigenbasis {
   /// External id per row, ascending; empty means rows are positional
   /// (reusable only by a successor with the identical vertex count).
   std::vector<VertexId> row_ids;
-  /// Fingerprint of the solve that produced the basis (0 for an original
-  /// retention; the pre-patch fingerprint after a stream adoption).
+  /// The pre-patch fingerprint when a stream patch re-keyed this basis to
+  /// its successor (ArtifactStore::adopt_eigenbasis, the one record of
+  /// the warm predecessor link); 0 for a basis retained under its own
+  /// fingerprint, whose warm hits then name that fingerprint.
   std::uint64_t predecessor = 0;
   /// Iterations the producing solve spent (its cold cost — what a warm
   /// successor saves against).
@@ -195,15 +199,11 @@ struct PlannedComponent {
   /// a connected graph, or decomposition disabled) — solved in place,
   /// never copied.
   const Digraph* in_place = nullptr;
-  /// Pre-patch fingerprint of this component's predecessor (stream dirty
-  /// components); consulted by the warm-start layer when its own
-  /// fingerprint has no retained basis, and recorded in the solver
-  /// choice's `warm(pred=<fp>)` reason.
-  std::uint64_t predecessor = 0;
-  bool has_predecessor = false;
   /// External id per local vertex, ascending — lets a retained eigenbasis
   /// remap rows across vertex add/remove patches. Empty when unavailable
-  /// (warm reuse then requires an identical vertex count).
+  /// (warm reuse then requires an identical vertex count). A warm basis
+  /// is looked up under `fingerprint`; it carries its own predecessor
+  /// (Eigenbasis::predecessor).
   std::vector<VertexId> external_ids;
 };
 

@@ -168,8 +168,6 @@ ArtifactCache::Decomposition& ArtifactCache::decomposition() {
       d.known.push_back(true);
       d.source_index.push_back(src);
       d.external_ids.push_back(std::move(comp.external_ids));
-      d.predecessors.push_back(comp.predecessor);
-      d.has_predecessor.push_back(comp.has_predecessor);
     }
     GIO_EXPECTS_MSG(covered == n,
                     "component seed must cover every vertex of the graph");
@@ -184,8 +182,6 @@ ArtifactCache::Decomposition& ArtifactCache::decomposition() {
     d.fingerprints.assign(static_cast<std::size_t>(d.wc.count), 0);
     d.known.assign(static_cast<std::size_t>(d.wc.count), false);
     d.external_ids.resize(static_cast<std::size_t>(d.wc.count));
-    d.predecessors.assign(static_cast<std::size_t>(d.wc.count), 0);
-    d.has_predecessor.assign(static_cast<std::size_t>(d.wc.count), false);
   }
   decomp_ = std::move(d);
   return *decomp_;
@@ -243,8 +239,6 @@ ComponentPlan ArtifactCache::build_plan(const SpectralOptions& options) {
     entry.vertices = static_cast<std::int64_t>(
         d.wc.vertices[static_cast<std::size_t>(c)].size());
     entry.edges = d.edges[static_cast<std::size_t>(c)];
-    entry.predecessor = d.predecessors[static_cast<std::size_t>(c)];
-    entry.has_predecessor = d.has_predecessor[static_cast<std::size_t>(c)];
     entry.external_ids = d.external_ids[static_cast<std::size_t>(c)];
     if (d.known[static_cast<std::size_t>(c)]) {
       entry.fingerprint = d.fingerprints[static_cast<std::size_t>(c)];

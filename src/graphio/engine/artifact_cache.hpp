@@ -56,13 +56,10 @@ struct ComponentSeed {
     /// Session-stable external id per vertex, aligned with `vertices`
     /// (ascending). Lets a retained eigenbasis remap its rows across
     /// vertex add/remove patches; empty when unavailable (warm reuse
-    /// then requires an identical vertex count).
+    /// then requires an identical vertex count). A dirty component's
+    /// warm basis is found under `fingerprint`: the session re-keys it
+    /// at patch time (store::ArtifactStore::adopt_eigenbasis).
     std::vector<VertexId> external_ids;
-    /// Pre-patch content fingerprint of this component (stream dirty
-    /// components) — the key the warm-start layer falls back to when the
-    /// component's own fingerprint has no retained basis.
-    std::uint64_t predecessor = 0;
-    bool has_predecessor = false;
   };
   std::vector<Component> components;
 };
@@ -361,9 +358,6 @@ class ArtifactCache {
     /// Session-stable external ids per component (seeded caches only;
     /// inner vectors may be empty) — the eigenbasis row-remap key.
     std::vector<std::vector<VertexId>> external_ids;
-    /// Pre-patch predecessor fingerprints per component (0 = none).
-    std::vector<std::uint64_t> predecessors;
-    std::vector<bool> has_predecessor;
   };
   Decomposition& decomposition();
   /// The lookup-then-extract plan for one spectrum query (monolithic

@@ -211,19 +211,8 @@ LanczosResult smallest_eigenvalues(const CsrMatrix& a, int want,
   };
 
   // Continuation directions for the next expansion (residual block carried
-  // over a thick restart); starts empty so the first cycle seeds randomly —
-  // unless a warm-start basis is supplied, in which case its columns
-  // (mutually orthonormalized; collapsed ones dropped) seed the first
-  // cycle and the Krylov space starts next to the predecessor invariant
-  // subspace.
+  // over a thick restart); starts empty so the first cycle seeds randomly.
   ColumnSet continuation;
-  for (const std::vector<double>& wc : opts.warm_start) {
-    if (static_cast<std::int64_t>(wc.size()) != n) continue;
-    if (static_cast<int>(continuation.size()) >= max_basis) break;
-    Column col = wc;
-    project_out_once(col, continuation);
-    if (normalize(col) > 1e-8) continuation.push_back(std::move(col));
-  }
 
   // Chebyshev window top, learned from the first Rayleigh–Ritz solve
   // (0 = no filter yet).

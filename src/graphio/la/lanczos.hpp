@@ -34,6 +34,11 @@
 
 namespace graphio::la {
 
+/// Lanczos always starts from a random block and takes no warm seed:
+/// seed columns on top of a full random block widen the first Krylov
+/// block, so the capped basis reaches less depth, and a seeded solve
+/// measured slower than a cold one. The warm tier seeds LOBPCG only
+/// (LobpcgOptions::warm_start).
 struct LanczosOptions {
   /// Krylov block width.
   int block_size = 8;
@@ -60,11 +65,6 @@ struct LanczosOptions {
   std::uint64_t seed = 0x5EEDBA5EULL;
   /// n at or below which the problem is handed to the dense solver.
   int dense_fallback = 320;
-  /// Optional warm-start basis: columns of length n seeding the first
-  /// cycle's continuation block in place of the random start (surplus or
-  /// wrong-length columns are dropped). Warm starts change only the cycle
-  /// count — T stays exact and the locking certification is untouched.
-  std::vector<std::vector<double>> warm_start;
   /// Retain the locked eigenvectors in LanczosResult::vectors.
   bool return_vectors = false;
 };

@@ -37,7 +37,8 @@ struct LobpcgOptions {
   std::uint64_t seed = 0x10BCD6ULL;
   /// n at or below which the problem is handed to the dense solver.
   int dense_fallback = 320;
-  /// Optional warm-start block: columns of length n that seed X in place
+  /// Optional warm-start block — the warm tier's one seeded solver
+  /// (core/spectral_pipeline.cpp): columns of length n that seed X in place
   /// of the random start (surplus columns are dropped, missing ones are
   /// random-filled, wrong-length columns are ignored). Warm starts change
   /// only the iteration count — convergence criteria, explicit-residual

@@ -51,6 +51,13 @@ inline constexpr std::int64_t kDenseMaxN = 2048;
 /// An "auto" iterative solve that fails to converge is redone densely at
 /// or below this dimension rather than returning a partial spectrum.
 inline constexpr std::int64_t kDenseRescueMaxN = 4096;
+/// The warm tier's refresh gate: a Rayleigh–Ritz pass over a retained
+/// basis is accepted when every pair's residual is at or below this
+/// fraction of the component Laplacian's Gershgorin scale
+/// (core/spectral_pipeline.cpp). Soundness never depends on it — the
+/// accepted values are certified θ − ‖r‖ — it only trades bound
+/// tightness on a patched component for latency.
+inline constexpr double kWarmRefreshRelTol = 1e-2;
 /// Adaptive h starts from this many eigenvalues and doubles while the
 /// maximizing k runs into the ceiling (core/spectral_bound.cpp).
 inline constexpr int kInitialEigenvalues = 16;

@@ -207,7 +207,8 @@ class ArtifactStore {
   void store_eigenbasis(std::uint64_t fingerprint, LaplacianKind kind,
                         Eigenbasis basis);
   /// Re-keys every retained basis of `from` to `to`, recording `from` as
-  /// the predecessor — the stream session calls this while
+  /// the predecessor (Eigenbasis::predecessor — the one link a warm solve
+  /// has to the content it replaced) — the stream session calls this while
   /// re-fingerprinting a dirty component, BEFORE releasing the old
   /// fingerprint, so refcount eviction of dead content (which also drops
   /// its basis) cannot race the warm solve that needs it.

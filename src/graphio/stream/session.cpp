@@ -156,7 +156,6 @@ void StreamSession::refingerprint_locked(const std::vector<int>& dirty) {
   // for the warm solve of the very component whose patch retired it.
   // Incrementing the new fingerprint before releasing the old also keeps
   // store entries alive when a patch leaves a component's content equal.
-  predecessor_fingerprint_.clear();
   const bool warm = engine_->artifact_store()->eigenbasis_budget() > 0;
   for (int c : dirty) {
     const std::uint64_t fp =
@@ -170,7 +169,6 @@ void StreamSession::refingerprint_locked(const std::vector<int>& dirty) {
     const std::uint64_t old_fp = it->second;
     if (old_fp == fp) continue;  // content returned unchanged
     ++fingerprint_refcount_[fp];
-    predecessor_fingerprint_.emplace(c, old_fp);
     if (warm) engine_->artifact_store()->adopt_eigenbasis(old_fp, fp);
     it->second = fp;
     release(old_fp);
@@ -235,14 +233,8 @@ PatchReport StreamSession::finish_patch_locked(const Patch& patch,
       comp.edges += static_cast<std::int64_t>(graph_.children(v).size());
     }
     // Session-stable external ids let a retained eigenbasis remap its
-    // rows across vertex add/remove patches; the predecessor fingerprint
-    // is the warm-start fallback key for this patch's dirty components.
+    // rows across vertex add/remove patches.
     comp.external_ids = ext;
-    const auto pred = predecessor_fingerprint_.find(c);
-    if (pred != predecessor_fingerprint_.end()) {
-      comp.predecessor = pred->second;
-      comp.has_predecessor = true;
-    }
     seed.components.push_back(std::move(comp));
   }
   // The callbacks capture `this` and read graph_/components_ without the

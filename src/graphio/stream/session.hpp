@@ -159,9 +159,6 @@ class StreamSession {
   bool loaded_ = false;
   /// Content fingerprint per alive component id.
   std::map<int, std::uint64_t> component_fingerprint_;
-  /// Pre-patch fingerprint per component dirtied by the most recent
-  /// patch — the predecessor key the warm-start layer falls back to.
-  std::map<int, std::uint64_t> predecessor_fingerprint_;
   /// How many current components share each content fingerprint; an
   /// eviction fires when a count reaches zero.
   std::map<std::uint64_t, int> fingerprint_refcount_;

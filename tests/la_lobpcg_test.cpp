@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graphio/core/spectral_bound.hpp"
 #include "graphio/graph/builders.hpp"
@@ -77,6 +78,44 @@ TEST(Lobpcg, DenseFallbackOnTinyProblems) {
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.matvecs, 0);  // dense path does no sparse matvecs
   EXPECT_EQ(res.values.size(), 5u);
+}
+
+TEST(Lobpcg, WarmStartFromConvergedVectorsTakesFewerIterations) {
+  // fft:6's L̃ has n = 448, above the default 320-vertex dense fallback,
+  // so every solve below iterates. Seeding X with the cold solve's own
+  // eigenvectors (what a retained eigenbasis hands a patched successor)
+  // must converge sooner to the same values.
+  const la::CsrMatrix lap =
+      laplacian(builders::fft(6), LaplacianKind::kOutDegreeNormalized);
+  ASSERT_EQ(lap.size(), 448);
+  constexpr int kWant = 6;
+  la::LobpcgOptions cold_opts;
+  cold_opts.return_vectors = true;
+  const la::LobpcgResult cold = la::lobpcg_smallest(lap, kWant, cold_opts);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_EQ(cold.vectors.size(), static_cast<std::size_t>(kWant));
+
+  la::LobpcgOptions warm_opts;
+  warm_opts.warm_start = cold.vectors;
+  const la::LobpcgResult warm = la::lobpcg_smallest(lap, kWant, warm_opts);
+  ASSERT_TRUE(warm.converged);
+  EXPECT_LT(warm.iterations, cold.iterations);
+  // Each value is within its residual (<= tol) of the same eigenvalue.
+  const double tol = cold_opts.rel_tol * lap.gershgorin_upper_bound();
+  ASSERT_EQ(warm.values.size(), cold.values.size());
+  for (std::size_t i = 0; i < warm.values.size(); ++i)
+    EXPECT_NEAR(warm.values[i], cold.values[i], 2.0 * tol) << "index " << i;
+
+  // Wrong-length columns are ignored: the block is random-filled exactly
+  // as a cold start's, so the solve repeats the cold one.
+  la::LobpcgOptions misfit_opts;
+  misfit_opts.warm_start.assign(
+      kWant, std::vector<double>(static_cast<std::size_t>(lap.size() - 1),
+                                 1.0));
+  const la::LobpcgResult misfit =
+      la::lobpcg_smallest(lap, kWant, misfit_opts);
+  EXPECT_EQ(misfit.iterations, cold.iterations);
+  EXPECT_EQ(misfit.values, cold.values);
 }
 
 TEST(Lobpcg, WantZeroAndWantClampedToN) {

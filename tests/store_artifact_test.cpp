@@ -93,22 +93,21 @@ TEST(ArtifactStore, SpectralOptionsKeyBytesArePinned) {
 // changing any solve input changes both, changing anything else neither.
 TEST(ArtifactStore, SpectralOptionsKeyAgreesWithSolverOptionsEqual) {
   const SpectralOptions base;
-  std::vector<SpectralOptions> variants(9, base);
+  std::vector<SpectralOptions> variants(8, base);
   variants[0].solver = la::SolverKind::kDense;
   variants[1].decompose = false;
   variants[2].eig_rel_tol = 1e-9;
-  variants[3].warm_refresh_rel_tol = 0.0;
-  variants[4].lanczos.block_size = 4;
-  variants[5].lanczos.max_basis = 64;
-  variants[6].lanczos.stall_basis_cap = 512;
-  variants[7].lanczos.max_cycles = 7;
-  variants[8].retain_basis = true;
-  variants[8].deadline_seconds = 1.0;
-  variants[8].max_eigenvalues = 10;
-  variants[8].adaptive = false;
+  variants[3].lanczos.block_size = 4;
+  variants[4].lanczos.max_basis = 64;
+  variants[5].lanczos.stall_basis_cap = 512;
+  variants[6].lanczos.max_cycles = 7;
+  variants[7].retain_basis = true;
+  variants[7].deadline_seconds = 1.0;
+  variants[7].max_eigenvalues = 10;
+  variants[7].adaptive = false;
   const std::string base_key = ArtifactStore::spectral_options_key(base);
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    const bool same = i == 8;
+    const bool same = i == 7;
     EXPECT_EQ(solver_options_equal(base, variants[i]), same) << i;
     EXPECT_EQ(ArtifactStore::spectral_options_key(variants[i]) == base_key,
               same)
@@ -424,7 +423,6 @@ TEST(ArtifactStoreStream, ColdRestartWarmPathAnswersAllMethods) {
   engine::BoundRequest req;
   req.memories = {4.0, 8.0};
   req.methods = {"all"};
-  req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 6;
 
   engine::BoundReport cold;

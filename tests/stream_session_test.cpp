@@ -24,9 +24,8 @@ engine::BoundRequest spectral_request(const std::string& solver) {
   req.memories = {3.0, 7.5};
   req.methods = {"spectral", "spectral-plain"};
   req.spectral.solver = la::parse_solver_policy(solver);
-  // Small fixed h keeps the forced sparse tiers well-posed on the tiny
+  // Small h keeps the forced sparse tiers well-posed on the tiny
   // property-test components.
-  req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 6;
   return req;
 }
@@ -166,7 +165,6 @@ TEST(StreamSessionTest, ExtractionsEqualDirtyAfterEveryPatch) {
   req.memories = {8.0};
   req.methods = {"spectral"};  // one Laplacian kind: clean accounting
   req.spectral.solver = la::SolverKind::kDense;
-  req.spectral.adaptive = false;
   req.spectral.max_eigenvalues = 8;
 
   const engine::BoundReport warm = session.evaluate(req);
