@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
     for (int h : budgets) {
       SpectralOptions opts;
       opts.max_eigenvalues = h;
-      opts.adaptive = false;  // the sweep IS the adaptivity study
       const SpectralBound b = spectral_bound(c.graph, c.memory, opts);
       row.push_back(format_double(b.bound, 1));
       if (h == 100) final_k = b.best_k;

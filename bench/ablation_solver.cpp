@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
       SpectralOptions opts;
       opts.solver = la::SolverKind::kLanczos;
       opts.max_eigenvalues = h;
-      opts.adaptive = false;
       WallTimer timer;
       const la::CsrMatrix lap =
           laplacian(c.graph, LaplacianKind::kOutDegreeNormalized);

@@ -1,10 +1,8 @@
 #include "graphio/core/spectral_bound.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "graphio/core/spectral_pipeline.hpp"
-#include "graphio/graph/components.hpp"
 #include "graphio/support/contracts.hpp"
 #include "graphio/support/timer.hpp"
 
@@ -59,60 +57,19 @@ std::vector<SpectralBound> bound_impl_multi(const Digraph& g,
   for (double memory : memories)
     GIO_EXPECTS_MSG(memory >= 0.0, "memory size must be non-negative");
   WallTimer timer;
-
-  const int h_cap = static_cast<int>(std::min<std::int64_t>(
+  // One solve of h = min(max_eigenvalues, n), exactly what an Engine
+  // request resolves, so the two agree bit for bit.
+  const int h = static_cast<int>(std::min<std::int64_t>(
       options.max_eigenvalues, g.num_vertices()));
-  // The dense path produces the whole spectrum in one decomposition, so
-  // adaptivity only pays when some component actually takes a sparse
-  // tier. Preview on the *largest component's* shape (under
-  // decomposition the whole-graph verdict is too pessimistic: a union
-  // above the dense threshold usually splits into components below it,
-  // and re-running fully dense component solves per h-doubling would
-  // quadruple the cubic work for nothing). Auto-policy tiers are
-  // monotone in n, so the largest component being dense means all are.
-  std::int64_t preview_n = g.num_vertices();
-  std::int64_t preview_edges = g.num_edges();
-  if (options.decompose) {
-    const WeakComponents components = weakly_connected_components(g);
-    preview_n = 0;
-    for (int c = 0; c < components.count; ++c) {
-      const auto n_c = static_cast<std::int64_t>(
-          components.vertices[static_cast<std::size_t>(c)].size());
-      if (n_c <= preview_n) continue;
-      preview_n = n_c;
-      preview_edges = components.edges_in(g, c);
-    }
-  }
-  const la::SolverChoice preview = la::choose_solver(
-      options.solver, {preview_n, preview_n + 2 * preview_edges, h_cap});
-  const bool adapt =
-      options.adaptive && preview.kind != la::SolverKind::kDense;
-  int h = adapt ? std::min(la::kInitialEigenvalues, h_cap) : h_cap;
-
-  std::vector<double> lambda;
   bool converged = true;
-  std::vector<BoundOverK> best(memories.size());
-  for (;;) {
-    lambda = smallest_laplacian_eigenvalues(g, kind, h, options, &converged);
-    bool any_at_ceiling = false;
-    for (std::size_t i = 0; i < memories.size(); ++i) {
-      best[i] = bound_from_spectrum(lambda, g.num_vertices(), memories[i],
-                                    processors, scale);
-      any_at_ceiling |=
-          best[i].best_k == static_cast<int>(lambda.size());
-    }
-    if (!adapt || h >= h_cap || !converged) break;
-    // Interior maxima: more eigenvalues cannot move those k's values, and
-    // the curves have already turned over — stop once every memory size's
-    // maximizing k sits strictly inside the computed prefix.
-    if (!any_at_ceiling) break;
-    h = std::min(2 * h, h_cap);
-  }
-
+  const std::vector<double> lambda =
+      smallest_laplacian_eigenvalues(g, kind, h, options, &converged);
   std::vector<SpectralBound> out(memories.size());
   for (std::size_t i = 0; i < memories.size(); ++i) {
-    out[i].bound = best[i].bound;
-    out[i].best_k = best[i].best_k;
+    const BoundOverK best = bound_from_spectrum(
+        lambda, g.num_vertices(), memories[i], processors, scale);
+    out[i].bound = best.bound;
+    out[i].best_k = best.best_k;
     out[i].eigenvalues = lambda;
     out[i].eigensolver_converged = converged;
     // Decomposition time is charged to the first entry; re-evaluations of
@@ -120,14 +77,6 @@ std::vector<SpectralBound> bound_impl_multi(const Digraph& g,
     out[i].seconds = i == 0 ? timer.seconds() : 0.0;
   }
   return out;
-}
-
-SpectralBound bound_impl(const Digraph& g, double memory,
-                         std::int64_t processors, LaplacianKind kind,
-                         double scale, const SpectralOptions& options) {
-  const double memories[] = {memory};
-  return std::move(
-      bound_impl_multi(g, memories, processors, kind, scale, options)[0]);
 }
 
 }  // namespace
@@ -159,31 +108,20 @@ std::vector<SpectralBound> spectral_bounds_plain(
 
 SpectralBound spectral_bound(const Digraph& g, double memory,
                              const SpectralOptions& options) {
-  return bound_impl(g, memory, 1, LaplacianKind::kOutDegreeNormalized, 1.0,
-                    options);
+  return std::move(spectral_bounds(g, {&memory, 1}, options)[0]);
 }
 
 SpectralBound spectral_bound_plain(const Digraph& g, double memory,
                                    const SpectralOptions& options) {
-  const std::int64_t dmax = g.max_out_degree();
-  if (dmax == 0) {
-    // Edgeless graph: every Laplacian is zero and the bound is trivial.
-    SpectralBound out;
-    out.eigenvalues.assign(
-        static_cast<std::size_t>(std::min<std::int64_t>(
-            options.max_eigenvalues, g.num_vertices())),
-        0.0);
-    return out;
-  }
-  return bound_impl(g, memory, 1, LaplacianKind::kPlain,
-                    1.0 / static_cast<double>(dmax), options);
+  return std::move(spectral_bounds_plain(g, {&memory, 1}, options)[0]);
 }
 
 SpectralBound parallel_spectral_bound(const Digraph& g, double memory,
                                       std::int64_t processors,
                                       const SpectralOptions& options) {
-  return bound_impl(g, memory, processors,
-                    LaplacianKind::kOutDegreeNormalized, 1.0, options);
+  return std::move(bound_impl_multi(g, {&memory, 1}, processors,
+                                    LaplacianKind::kOutDegreeNormalized, 1.0,
+                                    options)[0]);
 }
 
 }  // namespace graphio

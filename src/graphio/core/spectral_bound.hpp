@@ -6,7 +6,9 @@
 //
 // Any k yields a valid bound, so only the h = min(100, n) smallest
 // eigenvalues are needed (Section 6.5: the optimal k stays far below 100;
-// bench/ablation_k verifies). Each weak component's eigenvalues come from
+// bench/ablation_k verifies). Every entry point below, like every Engine
+// request, solves h = min(max_eigenvalues, n) once and maximizes over
+// k ≤ h for each memory size. Each weak component's eigenvalues come from
 // the tier la::choose_solver picks: the dense QL solver for small
 // components, deflated block Lanczos or block LOBPCG for large ones, and
 // the warm tier (a refresh or seeded LOBPCG from a retained basis) for
@@ -27,18 +29,9 @@
 namespace graphio {
 
 struct SpectralOptions {
-  /// h — how many of the smallest Laplacian eigenvalues to compute (cap).
+  /// h — how many of the smallest Laplacian eigenvalues to compute,
+  /// capped at the vertex count.
   int max_eigenvalues = 100;
-  /// Adaptive h (sparse tiers only): start with la::kInitialEigenvalues,
-  /// and double while the maximizing k runs into the ceiling — the optimal
-  /// k is usually far below 100 (paper §6.5), so this avoids resolving
-  /// eigenvalues the bound never uses. Every intermediate answer is a
-  /// valid bound, so adaptivity cannot affect soundness. Only the
-  /// spectral_bound* free functions below read it (the CLI's `anneal`,
-  /// `parallel` and `hierarchy` commands, the benches); Engine requests
-  /// ignore it and solve h = min(max_eigenvalues, n) once, so that every
-  /// method and memory size shares one cached spectrum.
-  bool adaptive = true;
   /// Solver policy (la/solver_policy.hpp): empty is "auto", which picks a
   /// tier per connected component; a kind forces that tier everywhere.
   std::optional<la::SolverKind> solver;

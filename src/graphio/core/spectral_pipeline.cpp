@@ -223,11 +223,10 @@ void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
   solve.values = std::move(values);
 }
 
-/// The shared per-component solve behind both the public
-/// solve_component_spectrum (no warm seed, no retention) and the
-/// pipeline's warm-start path. `warm_columns` (nullable) seeds the
-/// iterative tiers; `retained` (nullable) receives the converged
-/// eigenvectors for the eigenbasis tier.
+/// The per-component solve behind solve_component_spectrum, cold or warm.
+/// `warm_columns` (nullable) seeds the iterative tiers; `retained`
+/// (nullable) receives the converged eigenvectors for the eigenbasis
+/// tier.
 ComponentSolve solve_component_impl(
     const Digraph& component, LaplacianKind kind, int h,
     const SpectralOptions& options,
@@ -309,13 +308,13 @@ ComponentSolve solve_component_impl(
 /// new rows with a small deterministic pseudo-random fill so the block
 /// spans fresh directions. Returns empty when the basis cannot apply.
 std::vector<std::vector<double>> remap_basis_rows(
-    const Eigenbasis& basis, const std::vector<VertexId>& external_ids,
+    const Eigenbasis& basis, std::span<const VertexId> external_ids,
     std::int64_t n) {
   if (basis.vectors.empty()) return {};
   const auto rows = static_cast<std::int64_t>(basis.vectors.front().size());
   if (rows == n &&
       (basis.row_ids.empty() || external_ids.empty() ||
-       basis.row_ids == external_ids))
+       std::ranges::equal(basis.row_ids, external_ids)))
     return basis.vectors;
   if (basis.row_ids.empty() || external_ids.empty() ||
       static_cast<std::int64_t>(external_ids.size()) != n)
@@ -351,159 +350,27 @@ std::vector<std::vector<double>> remap_basis_rows(
 
 ComponentSolve solve_component_spectrum(const Digraph& component,
                                         LaplacianKind kind, int h,
-                                        const SpectralOptions& options) {
-  return solve_component_impl(component, kind, h, options,
-                              /*warm_columns=*/nullptr, /*retained=*/nullptr);
-}
-
-SpectralPipeline::SpectralPipeline(SpectralOptions options)
-    : options_(std::move(options)), solver_(solve_component_spectrum) {}
-
-void SpectralPipeline::set_component_solver(ComponentSolver solver) {
-  GIO_EXPECTS_MSG(solver != nullptr, "component solver must be callable");
-  solver_ = std::move(solver);
-  custom_solver_ = true;
-}
-
-void SpectralPipeline::set_component_resolver(ComponentResolver resolver,
-                                              ComponentPublisher publisher) {
-  GIO_EXPECTS_MSG(resolver != nullptr, "component resolver must be callable");
-  resolver_ = std::move(resolver);
-  publisher_ = std::move(publisher);
-}
-
-void SpectralPipeline::set_basis_hooks(BasisResolver resolver,
-                                       BasisPublisher publisher) {
-  GIO_EXPECTS_MSG(resolver != nullptr && publisher != nullptr,
-                  "basis hooks must both be callable");
-  basis_resolver_ = std::move(resolver);
-  basis_publisher_ = std::move(publisher);
-}
-
-ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
-                                               LaplacianKind kind, int h,
-                                               PipelineResult& result) const {
-  const int h_c = static_cast<int>(std::min<std::int64_t>(h, entry.vertices));
-  if (h_c <= 0) {
-    ComponentSolve solve;
-    solve.vertices = entry.vertices;
-    solve.edges = entry.edges;
-    return solve;
-  }
-  if (entry.edges == 0) {
-    // Every Laplacian of an edgeless component is zero: no fingerprint,
-    // no extraction, no solver — recomputing zeros beats hashing them.
-    ComponentSolve solve;
-    solve.vertices = entry.vertices;
-    solve.edges = entry.edges;
-    solve.values.assign(static_cast<std::size_t>(h_c), 0.0);
-    return solve;
-  }
-
-  // Lookup first: with a resolver installed and a fingerprint available
-  // (precomputed, or computable without extraction), a clean component
-  // never touches vertex data.
-  std::uint64_t fingerprint = entry.fingerprint;
-  bool have_fingerprint = entry.fingerprinted;
-  // nnz upper estimate without assembling the matrix: the diagonal plus
-  // one symmetric pair per edge.
-  const std::int64_t nnz = entry.vertices + 2 * entry.edges;
-  if (resolver_ != nullptr) {
-    if (!have_fingerprint && entry.fingerprint_fn != nullptr) {
-      telemetry::Span fp_span("fingerprint");
-      fingerprint = entry.fingerprint_fn();
-      fp_span.end();
-      result.phases.fingerprint_seconds += fp_span.seconds();
-      ++result.fingerprint_computes;
-      have_fingerprint = true;
-    }
-    if (have_fingerprint) {
-      if (std::optional<ComponentSolve> hit = resolver_(
-              fingerprint, entry.vertices, nnz, kind, h_c, options_)) {
-        hit->fingerprint = fingerprint;
-        hit->fingerprinted = true;
-        return *std::move(hit);
-      }
-    }
-  }
-
-  // Miss: this component must materialize and solve. The warm-start
-  // layer engages only where a warm solve would read a basis, i.e. where
-  // la::choose_solver's warm choice (the one home of the crossover) is
-  // an iterative tier. A dense warm choice — a forced dense policy, or
-  // "auto" on a dense-sized component with h large against n — never
-  // reads one, so the component neither looks one up, nor accumulates
-  // eigenvectors, nor publishes one, and answers exactly as it would
-  // with retention off. Before extracting, look up the retained
-  // eigenbasis under the component's own fingerprint: a stream patch
-  // re-keys the predecessor's basis to the successor fingerprint
-  // (ArtifactStore::adopt_eigenbasis), which is the one handoff.
-  const bool warm_tier =
-      options_.retain_basis && !custom_solver_ &&
-      la::choose_solver(options_.solver,
-                        {entry.vertices, nnz, h_c, /*warm=*/true})
-              .kind != la::SolverKind::kDense;
-  std::optional<Eigenbasis> warm_basis;
-  if (warm_tier && basis_resolver_ != nullptr && have_fingerprint)
-    warm_basis = basis_resolver_(fingerprint, kind);
-
-  std::optional<Digraph> extracted;
-  const Digraph* component = entry.in_place;
-  if (component == nullptr) {
-    GIO_EXPECTS_MSG(entry.materialize != nullptr,
-                    "planned component needs a materializer or an in-place "
-                    "graph");
-    telemetry::Span extract_span("extract");
-    extract_span.attr("vertices", entry.vertices).attr("edges", entry.edges);
-    extracted.emplace(entry.materialize());
-    extract_span.end();
-    result.phases.extract_seconds += extract_span.seconds();
-    ++result.subgraph_extractions;
-    component = &*extracted;
-  }
-  GIO_EXPECTS_MSG(component->num_vertices() == entry.vertices &&
-                      component->num_edges() == entry.edges,
-                  "planned component shape does not match its subgraph");
-  std::vector<std::vector<double>> warm_columns;
-  if (warm_basis)
-    warm_columns =
-        remap_basis_rows(*warm_basis, entry.external_ids, entry.vertices);
-
+                                        const SpectralOptions& options,
+                                        WarmStart* warm) {
   // The "solve" span brackets exactly the eigensolver invocations: clean
-  // components resolve above and never reach here, so a warm trace has
-  // zero solve spans (CI asserts this).
+  // components resolve from the store and never reach here, so a warm
+  // trace has zero solve spans (CI asserts this).
   telemetry::Span solve_span("solve");
-  solve_span.attr("vertices", entry.vertices).attr("edges", entry.edges);
-  ComponentSolve solve;
+  solve_span.attr("vertices", component.num_vertices())
+      .attr("edges", component.num_edges());
+  std::vector<std::vector<double>> warm_columns;
+  if (warm != nullptr && warm->basis != nullptr)
+    warm_columns = remap_basis_rows(*warm->basis, warm->external_ids,
+                                    component.num_vertices());
   std::vector<std::vector<double>> fresh_vectors;
-  const bool retain =
-      warm_tier && basis_publisher_ != nullptr && have_fingerprint;
-  if (custom_solver_) {
-    solve = solver_(*component, kind, h_c, options_);
-  } else {
-    solve = solve_component_impl(
-        *component, kind, h_c, options_,
-        warm_columns.empty() ? nullptr : &warm_columns,
-        retain ? &fresh_vectors : nullptr);
-  }
+  ComponentSolve solve = solve_component_impl(
+      component, kind, h, options,
+      warm_columns.empty() ? nullptr : &warm_columns,
+      warm != nullptr ? &fresh_vectors : nullptr);
   solve_span.attr("converged", solve.converged ? "true" : "false");
   if (solve.warm_started) solve_span.attr("warm", "true");
   solve_span.end();
-  result.phases.solve_seconds += solve_span.seconds();
 
-  // Fault seam: force this solve to report non-convergence. The values
-  // are genuine, so the certified-cutoff truncation in run_plan keeps the
-  // merge sound; the site only exercises the degraded path. Tripped
-  // solves are never published — a fault must not pollute shared caches.
-  const bool convergence_fault =
-      solve.solver_ran && faults::trip("solver.converge");
-  if (convergence_fault) {
-    solve.converged = false;
-    solve.solver_reason = "fault(solver.converge)";
-  }
-
-  solve.fingerprint = have_fingerprint ? fingerprint : 0;
-  solve.fingerprinted = have_fingerprint;
   struct WarmCounters {
     telemetry::Counter& hits;
     telemetry::Counter& saved;
@@ -515,155 +382,141 @@ ComponentSolve SpectralPipeline::solve_planned(const PlannedComponent& entry,
           "solver.warm_iterations_saved"),
       telemetry::MetricsRegistry::global().counter("solver.iterations")};
   if (solve.warm_started) {
-    ++result.warm_hits;
     counters.hits.increment();
     // An adopted basis names the content it was solved for; one this
     // fingerprint retained itself names its own.
-    const std::uint64_t pred = warm_basis->predecessor != 0
-                                   ? warm_basis->predecessor
-                                   : fingerprint;
+    const std::uint64_t pred = warm->basis->predecessor != 0
+                                   ? warm->basis->predecessor
+                                   : warm->fingerprint;
     solve.solver_reason = "warm(pred=" + std::to_string(pred) + ")";
     solve.warm_predecessor = pred;
-    const int saved = warm_basis->source_iterations - solve.iterations;
-    if (saved > 0) {
-      result.warm_iterations_saved += saved;
-      counters.saved.add(saved);
-    }
+    warm->iterations_saved =
+        std::max(0, warm->basis->source_iterations - solve.iterations);
+    counters.saved.add(warm->iterations_saved);
   }
   if (solve.iterations > 0) counters.iterations.add(solve.iterations);
 
-  if (retain && solve.solver_ran && solve.converged &&
+  if (warm != nullptr && solve.solver_ran && solve.converged &&
       !fresh_vectors.empty()) {
-    Eigenbasis fresh;
+    Eigenbasis& fresh = warm->retained.emplace();
     fresh.vectors = std::move(fresh_vectors);
-    fresh.row_ids = entry.external_ids;
+    fresh.row_ids.assign(warm->external_ids.begin(), warm->external_ids.end());
     fresh.source_iterations = solve.iterations;
-    basis_publisher_(fingerprint, kind, std::move(fresh));
   }
-  if (publisher_ != nullptr && have_fingerprint && solve.solver_ran &&
-      !convergence_fault)
-    publisher_(fingerprint, kind, h_c, options_, solve);
   return solve;
 }
 
-PipelineResult SpectralPipeline::run_plan(const ComponentPlan& plan,
-                                          LaplacianKind kind, int h) const {
-  WallTimer timer;
-  PipelineResult result;
-  std::int64_t total_vertices = 0;
-  for (const PlannedComponent& entry : plan.components)
-    total_vertices += entry.vertices;
-  h = static_cast<int>(std::min<std::int64_t>(h, total_vertices));
-  result.components = static_cast<int>(plan.components.size());
-  if (h <= 0 || plan.components.empty()) {
-    result.components = std::max(result.components, 1);
-    result.seconds = timer.seconds();
-    return result;
-  }
+SpectrumMerge::SpectrumMerge(int components, std::int64_t vertices, int h,
+                             const SpectralOptions& options)
+    : h_(static_cast<int>(
+          std::clamp<std::int64_t>(h, 0, std::max<std::int64_t>(vertices, 0)))),
+      deadline_seconds_(options.deadline_seconds) {
+  result_.components = std::max(components, 1);
+}
 
-  result.per_component.reserve(plan.components.size());
-  std::vector<double> pooled;
-  // Soundness cutoff for partial solves: a non-converged component's
-  // unreturned eigenvalues are all >= its last certified value (both
-  // sparse solvers lock in ascending-prefix order), so merged values at
-  // or below the smallest such cutoff still satisfy merged[i] <= λ_i of
-  // the true union — larger merged values might not, and are dropped.
-  double certified_cutoff = std::numeric_limits<double>::infinity();
-  const double deadline = options_.deadline_seconds;
-  for (const PlannedComponent& entry : plan.components) {
-    if (deadline > 0.0 && timer.seconds() >= deadline) {
-      // Out of budget: claim h_c zeros for this component. Each block of
-      // a Laplacian is PSD, so zeros are a complete pointwise lower bound
-      // on its true spectrum — decreasing pooled elements can only
-      // decrease merged order statistics, so the merge (and every bound
-      // derived from it) stays valid, just weaker. Unlike a truncated
-      // solve, the claim covers all h_c positions, so the cutoff rule
-      // below must NOT engage for skipped components.
-      ComponentSolve solve;
-      solve.vertices = entry.vertices;
-      solve.edges = entry.edges;
-      solve.skipped = true;
-      solve.converged = false;
-      solve.solver_reason = "deadline";
-      solve.values.assign(
-          static_cast<std::size_t>(std::min<std::int64_t>(h, entry.vertices)),
-          0.0);
-      ++result.skipped_components;
-      result.converged = false;
-      pooled.insert(pooled.end(), solve.values.begin(), solve.values.end());
-      result.per_component.push_back(std::move(solve));
-      continue;
-    }
-    ComponentSolve solve = solve_planned(entry, kind, h, result);
-    result.converged = result.converged && solve.converged;
-    if (!solve.converged)
-      certified_cutoff = std::min(
-          certified_cutoff, solve.values.empty() ? 0.0 : solve.values.back());
-    if (solve.solver_ran) ++result.eigensolves;
-    if (solve.from_cache) ++result.component_cache_hits;
-    pooled.insert(pooled.end(), solve.values.begin(), solve.values.end());
-    result.per_component.push_back(std::move(solve));
+int SpectrumMerge::request(std::int64_t vertices) const noexcept {
+  return static_cast<int>(std::min<std::int64_t>(h_, vertices));
+}
+
+bool SpectrumMerge::add_unsolved(std::int64_t vertices, std::int64_t edges) {
+  const bool late =
+      deadline_seconds_ > 0.0 && timer_.seconds() >= deadline_seconds_;
+  if (!late && edges != 0) return false;
+  ComponentSolve solve;
+  solve.vertices = vertices;
+  solve.edges = edges;
+  solve.values.assign(static_cast<std::size_t>(request(vertices)), 0.0);
+  if (late) {
+    // Out of budget. Unlike a truncated solve, the zeros cover all h_c
+    // positions, so the cutoff rule in finish() must NOT engage.
+    solve.skipped = true;
+    solve.converged = false;
+    solve.solver_reason = "deadline";
+    ++result_.skipped_components;
+    result_.converged = false;
   }
-  // One merge over the pooled values — Spectrum::merge semantics with
-  // tolerance 0 (the union must stay exact), built in a single
-  // O(Ch log(Ch)) pass rather than C incremental merges.
-  telemetry::Span merge_span("merge");
-  merge_span.attr("components", result.components);
-  result.values = Spectrum::from_values(pooled, 0.0).smallest(h);
-  while (!result.values.empty() && result.values.back() > certified_cutoff)
-    result.values.pop_back();
-  merge_span.end();
-  result.phases.merge_seconds = merge_span.seconds();
+  pooled_.insert(pooled_.end(), solve.values.begin(), solve.values.end());
+  result_.per_component.push_back(std::move(solve));
+  return true;
+}
+
+bool SpectrumMerge::add(ComponentSolve solve) {
+  // Fault seam: force this solve to report non-convergence. The values
+  // are genuine, so the certified-cutoff truncation keeps the merge
+  // sound; the site only exercises the degraded path.
+  const bool tripped = solve.solver_ran && faults::trip("solver.converge");
+  if (tripped) {
+    solve.converged = false;
+    solve.solver_reason = "fault(solver.converge)";
+  }
+  result_.converged = result_.converged && solve.converged;
+  // A non-converged solve's unreturned eigenvalues are all >= its last
+  // certified value (both sparse solvers lock in ascending-prefix order),
+  // so merged values at or below the smallest such cutoff still satisfy
+  // merged[i] <= λ_i of the true union — larger ones might not.
+  if (!solve.converged)
+    certified_cutoff_ = std::min(
+        certified_cutoff_, solve.values.empty() ? 0.0 : solve.values.back());
+  if (solve.solver_ran) {
+    ++result_.eigensolves;
+    result_.solve_seconds += solve.seconds;
+  }
+  if (solve.from_cache) ++result_.component_cache_hits;
+  pooled_.insert(pooled_.end(), solve.values.begin(), solve.values.end());
+  result_.per_component.push_back(std::move(solve));
+  return !tripped;
+}
+
+PipelineResult SpectrumMerge::finish() {
+  if (h_ > 0) {
+    // One merge over the pooled values — Spectrum::merge semantics with
+    // tolerance 0 (the union must stay exact), built in a single
+    // O(Ch log(Ch)) pass rather than C incremental merges.
+    telemetry::Span merge_span("merge");
+    merge_span.attr("components", result_.components);
+    result_.values = Spectrum::from_values(pooled_, 0.0).smallest(h_);
+    while (!result_.values.empty() &&
+           result_.values.back() > certified_cutoff_)
+      result_.values.pop_back();
+    merge_span.end();
+    result_.merge_seconds = merge_span.seconds();
+  }
   // Any non-converged contribution means the merge was certified-cut to
   // what the completed solves support: still a valid lower-bound
   // spectrum, but weaker than a full run — surface it as degraded.
-  result.degraded = !result.converged;
-  result.seconds = timer.seconds();
-  return result;
+  result_.degraded = !result_.converged;
+  result_.seconds = timer_.seconds();
+  return std::move(result_);
 }
+
+SpectralPipeline::SpectralPipeline(SpectralOptions options)
+    : options_(std::move(options)) {}
 
 PipelineResult SpectralPipeline::run(const Digraph& g, LaplacianKind kind,
                                      int h) const {
   WallTimer timer;
-  PipelineResult result;
-  h = static_cast<int>(std::min<std::int64_t>(h, g.num_vertices()));
-  if (h <= 0) {
-    result.seconds = timer.seconds();
-    return result;
-  }
-
   WeakComponents components;
-  if (options_.decompose) components = weakly_connected_components(g);
-  if (!options_.decompose || components.count <= 1) {
-    // Connected (or decomposition disabled): solve in place, no subgraph
-    // copy — the single component IS the graph, vertex order included.
-    ComponentPlan plan;
-    PlannedComponent whole;
-    whole.vertices = g.num_vertices();
-    whole.edges = g.num_edges();
-    whole.in_place = &g;
-    plan.components.push_back(std::move(whole));
-    result = run_plan(plan, kind, h);
-    result.seconds = timer.seconds();
-    return result;
+  if (options_.decompose && h > 0)
+    components = weakly_connected_components(g);
+  // Connected (or decomposition disabled): solve in place, no subgraph
+  // copy — the single component IS the graph, vertex order included.
+  const bool whole = components.count <= 1;
+  const int parts = whole ? 1 : components.count;
+  SpectrumMerge merge(parts, g.num_vertices(), h, options_);
+  for (int c = 0; c < parts && merge.h() > 0; ++c) {
+    const std::int64_t n =
+        whole ? g.num_vertices()
+              : static_cast<std::int64_t>(
+                    components.vertices[static_cast<std::size_t>(c)].size());
+    const std::int64_t edges =
+        whole ? g.num_edges() : components.edges_in(g, c);
+    if (merge.add_unsolved(n, edges)) continue;
+    Digraph sub;
+    const Digraph& component = whole ? g : (sub = components.subgraph(g, c));
+    merge.add(
+        solve_component_spectrum(component, kind, merge.request(n), options_));
   }
-
-  // Eager plan: no fingerprints (run() callers have no content-addressed
-  // cache), so every non-trivial component extracts — the pre-plan
-  // behavior, now with the extractions counted.
-  ComponentPlan plan;
-  plan.components.reserve(static_cast<std::size_t>(components.count));
-  for (int c = 0; c < components.count; ++c) {
-    PlannedComponent entry;
-    entry.vertices = static_cast<std::int64_t>(
-        components.vertices[static_cast<std::size_t>(c)].size());
-    entry.edges = components.edges_in(g, c);
-    entry.materialize = [&g, &components, c] {
-      return components.subgraph(g, c);
-    };
-    plan.components.push_back(std::move(entry));
-  }
-  result = run_plan(plan, kind, h);
+  PipelineResult result = merge.finish();
   result.seconds = timer.seconds();
   return result;
 }

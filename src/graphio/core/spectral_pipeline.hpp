@@ -5,37 +5,34 @@
 // components (graph/components.hpp), so its spectrum is the multiset
 // union of the components' spectra (Spectrum::merge) — the same
 // decomposition Section 5 exploits analytically (Lemmas 8–11) applied to
-// the numerical path. The pipeline:
+// the numerical path. Every spectrum goes through two pieces:
 //
-//   1. decomposes the graph into weak components (skipped when
-//      options.decompose is off or the graph is connected);
-//   2. solves each component independently, choosing a solver tier per
-//      component with la::choose_solver — a disjoint union
-//      too big for the dense solver usually splits into components that
-//      are not, turning one O(n³) monolithic solve into c solves of
-//      O((n/c)³), and edgeless components into no solve at all (their
-//      spectrum is identically zero);
-//   3. merges the per-component spectra and returns the smallest h values
-//      of the union — exactly what a monolithic solve would have
-//      produced, at any tolerance, because the decomposition is exact.
+//   1. solve_component_spectrum solves one component on the tier
+//      la::choose_solver picks for it — a disjoint union too big for the
+//      dense solver usually splits into components that are not, turning
+//      one O(n³) monolithic solve into c solves of O((n/c)³). It returns
+//      certified lower estimates (multiplicity certificate, dense
+//      rescue), cold or warm from a retained eigenbasis (WarmStart);
+//   2. SpectrumMerge pools the per-component solves and returns the
+//      smallest h values of the union — exactly what a monolithic solve
+//      would have produced, because the decomposition is exact. It also
+//      owns the run's deadline skip, the `solver.converge` fault seam and
+//      the certified-cutoff truncation of partial solves. Edgeless
+//      components never reach a solver: their spectrum is identically
+//      zero.
 //
-// The hot path is *lookup-then-extract*: callers that know the
-// decomposition up front (the engine's ArtifactCache, the stream
-// session) describe it as a ComponentPlan — shape, content fingerprint,
-// and a lazy materializer per component — and run_plan consults a
-// fingerprint-first resolver (the content-addressed ArtifactStore,
-// store/artifact_store.hpp) before touching any vertex data. A
-// resolved (clean) component is never materialized, never re-hashed,
-// and never solved: a cache hit costs one map lookup and zero
-// allocations. Only resolver misses build their subgraph and run a
-// solver, so batch/serve workloads sharing components across specs
-// eigensolve — and extract — each distinct component once per process,
-// and a stream query pays only for the components its patch dirtied.
+// SpectralPipeline::run drives both over an eager decomposition, for the
+// spectral_bound* free functions. The engine's ArtifactCache drives them
+// over its cached decomposition instead, resolving each component from
+// the content-addressed ArtifactStore by fingerprint before extracting
+// it (engine/artifact_cache.hpp), so only store misses extract and solve.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "graphio/core/spectral_bound.hpp"
@@ -43,6 +40,7 @@
 #include "graphio/graph/digraph.hpp"
 #include "graphio/graph/laplacian.hpp"
 #include "graphio/la/solver_policy.hpp"
+#include "graphio/support/timer.hpp"
 
 namespace graphio {
 
@@ -82,9 +80,9 @@ struct ComponentSolve {
   /// Eigenbasis::predecessor, or this component's own fingerprint for a
   /// basis it retained itself (0 when cold).
   std::uint64_t warm_predecessor = 0;
-  /// Content fingerprint of the component, stamped by run_plan whenever
-  /// one was available (precomputed or computed for the lookup); 0 with
-  /// fingerprinted == false otherwise (trivial or unplanned components).
+  /// Content fingerprint of the component, stamped by the engine's
+  /// ArtifactCache, which keys the store by it; 0 with fingerprinted ==
+  /// false otherwise (trivial components, store-less runs).
   std::uint64_t fingerprint = 0;
   bool fingerprinted = false;
   /// Certified smallest eigenvalues of the component's Laplacian block,
@@ -148,164 +146,106 @@ struct PipelineResult {
   /// cache hits) — the count BENCH_solver.json and the ArtifactCache
   /// stats report.
   std::int64_t eigensolves = 0;
-  /// Component solves served by an injected cache.
+  /// Component solves served by the artifact store.
   std::int64_t component_cache_hits = 0;
-  /// Component subgraphs actually built. On the fingerprint-first path
-  /// this equals the resolver misses that reached a solver — the
-  /// "extractions == dirty components" invariant of the stream bench.
-  std::int64_t subgraph_extractions = 0;
-  /// Component fingerprints computed by this run (entries that arrived
-  /// pre-fingerprinted, e.g. from a stream session, cost zero).
-  std::int64_t fingerprint_computes = 0;
-  /// Solves seeded from a retained predecessor eigenbasis.
-  std::int64_t warm_hits = 0;
-  /// Σ max(0, producing solve's iterations − warm solve's iterations)
-  /// across warm hits — the iteration count the warm starts avoided.
-  std::int64_t warm_iterations_saved = 0;
-  /// Where the wall time went — the stream bench's per-phase breakdown.
-  struct Phases {
-    double fingerprint_seconds = 0.0;
-    double extract_seconds = 0.0;
-    double solve_seconds = 0.0;
-    double merge_seconds = 0.0;
-  };
-  Phases phases;
+  /// Wall time of the solves that ran, and of the final merge.
+  double solve_seconds = 0.0;
+  double merge_seconds = 0.0;
   /// Per-component detail, in component order.
   std::vector<ComponentSolve> per_component;
   double seconds = 0.0;
 };
 
-/// One component of a precomputed decomposition, described without its
-/// vertex data: shape up front, content fingerprint either precomputed or
-/// computable on demand, and the subgraph itself built only when a
-/// fingerprint-first resolver cannot answer. This is what lets a
-/// ArtifactStore hit cost one map lookup and zero allocations.
-struct PlannedComponent {
-  std::int64_t vertices = 0;
-  std::int64_t edges = 0;
-  /// Content fingerprint (engine/fingerprint.hpp scheme); consulted only
-  /// when `fingerprinted` is true.
+/// The warm tier of one component solve — a stream session's
+/// options.retain_basis path, engaged only where la::choose_solver's warm
+/// choice is an iterative tier.
+struct WarmStart {
+  /// The component's content fingerprint: the key its basis is retained
+  /// under, and the predecessor a warm hit names when `basis` was
+  /// retained under it (Eigenbasis::predecessor == 0).
   std::uint64_t fingerprint = 0;
-  bool fingerprinted = false;
-  /// Computes the fingerprint on demand (null when unavailable — the
-  /// resolver is then skipped for this component). Each call is counted
-  /// in PipelineResult::fingerprint_computes.
-  std::function<std::uint64_t()> fingerprint_fn;
-  /// Builds the induced subgraph; called only when the solve cannot be
-  /// resolved by fingerprint. Each call is counted in
-  /// PipelineResult::subgraph_extractions.
-  std::function<Digraph()> materialize;
-  /// When non-null, the component IS this graph (single-component plans:
-  /// a connected graph, or decomposition disabled) — solved in place,
-  /// never copied.
-  const Digraph* in_place = nullptr;
-  /// External id per local vertex, ascending — lets a retained eigenbasis
-  /// remap rows across vertex add/remove patches. Empty when unavailable
-  /// (warm reuse then requires an identical vertex count). A warm basis
-  /// is looked up under `fingerprint`; it carries its own predecessor
-  /// (Eigenbasis::predecessor).
-  std::vector<VertexId> external_ids;
-};
-
-/// A full decomposition handed to SpectralPipeline::run_plan. Invariant:
-/// the components partition one graph (their vertex counts sum to its
-/// order), in the deterministic smallest-original-vertex order of
-/// weakly_connected_components.
-struct ComponentPlan {
-  std::vector<PlannedComponent> components;
+  /// The basis found under `fingerprint`, or null: the solve then runs
+  /// cold and only retains.
+  const Eigenbasis* basis = nullptr;
+  /// External id per local vertex, ascending — remaps `basis` rows across
+  /// vertex add/remove patches and keys the retained basis's rows. Empty
+  /// when unavailable (reuse then requires an identical vertex count).
+  std::span<const VertexId> external_ids;
+  /// Out: the converged eigenvectors to retain under `fingerprint`; empty
+  /// when the solve did not converge.
+  std::optional<Eigenbasis> retained;
+  /// Out: iterations a warm hit saved against basis->source_iterations.
+  int iterations_saved = 0;
 };
 
 /// Solves one graph as a single block on the tier la::choose_solver picks
-/// for options.solver and returns certified smallest eigenvalues. The
-/// pipeline's default component solver, exposed for cache layers that
-/// wrap it.
+/// for options.solver and returns certified smallest eigenvalues, under a
+/// "solve" trace span. With `warm`, seeds from warm->basis (one certified
+/// Rayleigh–Ritz refresh first, then seeded LOBPCG) and fills
+/// warm->retained.
 ComponentSolve solve_component_spectrum(const Digraph& component,
                                         LaplacianKind kind, int h,
-                                        const SpectralOptions& options);
+                                        const SpectralOptions& options,
+                                        WarmStart* warm = nullptr);
 
+/// The certified merge of per-component solves, added in component order,
+/// into the smallest h values of their union.
+class SpectrumMerge {
+ public:
+  /// Merges `components` components toward the h smallest values of a
+  /// graph of `vertices` vertices (h is clamped to it); the clock of
+  /// options.deadline_seconds starts here.
+  SpectrumMerge(int components, std::int64_t vertices, int h,
+                const SpectralOptions& options);
+
+  /// The clamped h; 0 means there is nothing to merge.
+  [[nodiscard]] int h() const noexcept { return h_; }
+  /// A component's share of the request: min(h, vertices).
+  [[nodiscard]] int request(std::int64_t vertices) const noexcept;
+
+  /// Adds a component that needs no solve and returns true, or returns
+  /// false. Edgeless components contribute zeros (their spectrum). Once
+  /// options.deadline_seconds has elapsed, every component is skipped and
+  /// claims request() zeros — a complete pointwise lower bound on its
+  /// spectrum (each Laplacian block is PSD), so the merge stays sound
+  /// without engaging the truncation cutoff.
+  bool add_unsolved(std::int64_t vertices, std::int64_t edges);
+
+  /// Adds one component's solve, fresh or served from a cache. A solve
+  /// that ran first passes the `solver.converge` fault seam, which can
+  /// force it to report non-convergence; returns false when it did — a
+  /// tripped solve must not be shared through any cache.
+  bool add(ComponentSolve solve);
+
+  /// The merged result. Values above the smallest last value of a
+  /// non-converged solve are cut: each solver locks eigenvalues in
+  /// ascending order, so only those below that cutoff are certified.
+  [[nodiscard]] PipelineResult finish();
+
+ private:
+  WallTimer timer_;
+  int h_ = 0;
+  double deadline_seconds_ = 0.0;
+  double certified_cutoff_ = std::numeric_limits<double>::infinity();
+  std::vector<double> pooled_;
+  PipelineResult result_;
+};
+
+/// The store-less pipeline behind the spectral_bound* free functions:
+/// decomposes eagerly and solves every component with edges cold.
 class SpectralPipeline {
  public:
-  /// Hook signature for replacing the per-component solve (an
-  /// instrumented or caching wrapper). Receives the component subgraph
-  /// and the clamped per-component h. Runs only after the resolver (if
-  /// any) missed — i.e. on components that must materialize.
-  using ComponentSolver = std::function<ComponentSolve(
-      const Digraph&, LaplacianKind, int, const SpectralOptions&)>;
-
-  /// Fingerprint-first resolver: the cached solve for
-  /// (fingerprint, kind, h, options), or nullopt. Never sees vertex data
-  /// — (n, nnz) describe the component's shape so a resolver can reason
-  /// about tiers without the graph.
-  using ComponentResolver = std::function<std::optional<ComponentSolve>(
-      std::uint64_t fingerprint, std::int64_t n, std::int64_t nnz,
-      LaplacianKind kind, int h, const SpectralOptions&)>;
-
-  /// Publishes a freshly computed solve under its fingerprint so the next
-  /// run resolves it without materializing.
-  using ComponentPublisher =
-      std::function<void(std::uint64_t fingerprint, LaplacianKind kind,
-                         int requested, const SpectralOptions&,
-                         const ComponentSolve&)>;
-
-  /// Eigenbasis hooks (the warm-start layer). The resolver returns the
-  /// retained basis of (fingerprint, kind) or nullopt; the publisher
-  /// retains a freshly converged basis. Consulted only when
-  /// options().retain_basis is set.
-  using BasisResolver = std::function<std::optional<Eigenbasis>(
-      std::uint64_t fingerprint, LaplacianKind kind)>;
-  using BasisPublisher = std::function<void(
-      std::uint64_t fingerprint, LaplacianKind kind, Eigenbasis basis)>;
-
   explicit SpectralPipeline(SpectralOptions options = {});
 
-  /// Replaces the default solve_component_spectrum with a caching or
-  /// instrumented wrapper.
-  void set_component_solver(ComponentSolver solver);
-
-  /// Installs the fingerprint-first hooks (the engine's
-  /// ArtifactStore). With a resolver installed, run_plan
-  /// consults it before ever touching a component's vertex data;
-  /// components it resolves are neither materialized nor solved.
-  void set_component_resolver(ComponentResolver resolver,
-                              ComponentPublisher publisher = nullptr);
-
-  /// Installs the eigenbasis retention/warm-start hooks (the artifact
-  /// store's memory-only eigenbasis tier).
-  void set_basis_hooks(BasisResolver resolver, BasisPublisher publisher);
-
-  [[nodiscard]] const SpectralOptions& options() const noexcept {
-    return options_;
-  }
-
   /// Computes the smallest h eigenvalues of g's Laplacian by per-component
-  /// decomposition (per options().decompose). h is clamped to the vertex
-  /// count. Decomposes and extracts eagerly — callers that already know
-  /// the decomposition (and fingerprints) use run_plan instead.
+  /// decomposition (per options.decompose). h is clamped to the vertex
+  /// count. A connected graph (or decomposition disabled) is solved in
+  /// place, never copied.
   [[nodiscard]] PipelineResult run(const Digraph& g, LaplacianKind kind,
                                    int h) const;
 
-  /// Lookup-then-extract: for each planned component, resolve by
-  /// fingerprint first and materialize the subgraph only on a miss. The
-  /// merged result is identical to run() on the assembled graph (the
-  /// decomposition is exact); the difference is pure overhead — resolved
-  /// components cost one lookup and zero allocations.
-  [[nodiscard]] PipelineResult run_plan(const ComponentPlan& plan,
-                                        LaplacianKind kind, int h) const;
-
  private:
-  ComponentSolve solve_planned(const PlannedComponent& entry,
-                               LaplacianKind kind, int h,
-                               PipelineResult& result) const;
-
   SpectralOptions options_;
-  ComponentSolver solver_;
-  /// True after set_component_solver: a custom solver cannot accept warm
-  /// seeds or emit a basis, so the warm-start layer steps aside.
-  bool custom_solver_ = false;
-  ComponentResolver resolver_;
-  ComponentPublisher publisher_;
-  BasisResolver basis_resolver_;
-  BasisPublisher basis_publisher_;
 };
 
 }  // namespace graphio

@@ -188,89 +188,50 @@ ArtifactCache::Decomposition& ArtifactCache::decomposition() {
 }
 
 std::uint64_t ArtifactCache::component_fingerprint(int c) {
+  const auto timed = [this](auto&& hash) {
+    telemetry::Span fp_span("fingerprint");
+    const std::uint64_t fp = hash();
+    fp_span.end();
+    bump<&Stats::fingerprint_computes>(1);
+    bump<&Stats::fingerprint_seconds>(fp_span.seconds());
+    return fp;
+  };
+  if (c == kWholeGraph) {
+    // Memoized for fingerprint() too, without counting as its hit/miss.
+    if (!fingerprint_.has_value())
+      fingerprint_ = timed([this] { return graph_fingerprint(graph()); });
+    return *fingerprint_;
+  }
   Decomposition& d = decomposition();
   const auto i = static_cast<std::size_t>(c);
   if (d.known[i]) return d.fingerprints[i];
   // In-place hash of the still-unextracted component; memoized so every
-  // later artifact kind (and the spectral plan) pays zero.
-  d.fingerprints[i] = subgraph_fingerprint(graph(), d.wc, c);
+  // later artifact kind pays zero.
+  d.fingerprints[i] =
+      timed([&] { return subgraph_fingerprint(graph(), d.wc, c); });
   d.known[i] = true;
-  bump<&Stats::fingerprint_computes>(1);
   return d.fingerprints[i];
 }
 
 const Digraph& ArtifactCache::component_graph(int c, Digraph& scratch) {
+  if (c == kWholeGraph) return graph();
   Decomposition& d = decomposition();
   if (d.wc.count == 1 && materialized_) return graph_;
+  const auto i = static_cast<std::size_t>(c);
+  telemetry::Span extract_span("extract");
+  extract_span.attr("vertices", d.wc.vertices[i].size())
+      .attr("edges", d.edges[i]);
+  scratch = lazy_.has_value() ? lazy_->component(d.source_index[i])
+                              : d.wc.subgraph(graph_, c);
+  extract_span.end();
+  GIO_EXPECTS_MSG(
+      scratch.num_vertices() ==
+              static_cast<std::int64_t>(d.wc.vertices[i].size()) &&
+          scratch.num_edges() == d.edges[i],
+      "extracted component shape does not match the decomposition");
   bump<&Stats::subgraph_extractions>(1);
-  scratch = lazy_.has_value()
-                ? lazy_->component(d.source_index[static_cast<std::size_t>(c)])
-                : d.wc.subgraph(graph_, c);
+  bump<&Stats::extract_seconds>(extract_span.seconds());
   return scratch;
-}
-
-ComponentPlan ArtifactCache::build_plan(const SpectralOptions& options) {
-  ComponentPlan plan;
-  if (!options.decompose) {
-    // Monolithic: one in-place entry covering the whole graph, content-
-    // addressed by the whole-graph fingerprint (its cache entries stay
-    // distinct from decomposed ones — solver_options_equal keys the
-    // decompose switch).
-    PlannedComponent whole;
-    whole.vertices = num_vertices();
-    whole.edges = num_edges();
-    whole.in_place = &graph();
-    if (fingerprint_.has_value()) {
-      whole.fingerprint = *fingerprint_;
-      whole.fingerprinted = true;
-    } else {
-      whole.fingerprint_fn = [this] {
-        fingerprint_ = graph_fingerprint(graph_);
-        return *fingerprint_;
-      };
-    }
-    plan.components.push_back(std::move(whole));
-    return plan;
-  }
-  Decomposition& d = decomposition();
-  plan.components.reserve(static_cast<std::size_t>(d.wc.count));
-  for (int c = 0; c < d.wc.count; ++c) {
-    PlannedComponent entry;
-    entry.vertices = static_cast<std::int64_t>(
-        d.wc.vertices[static_cast<std::size_t>(c)].size());
-    entry.edges = d.edges[static_cast<std::size_t>(c)];
-    entry.external_ids = d.external_ids[static_cast<std::size_t>(c)];
-    if (d.known[static_cast<std::size_t>(c)]) {
-      entry.fingerprint = d.fingerprints[static_cast<std::size_t>(c)];
-      entry.fingerprinted = true;
-    } else {
-      // In-place hash of the still-unextracted component; memoized so a
-      // later kind (or a re-request with new options) pays zero.
-      entry.fingerprint_fn = [this, c] {
-        Decomposition& dd = *decomp_;
-        const auto i = static_cast<std::size_t>(c);
-        dd.fingerprints[i] = subgraph_fingerprint(graph(), dd.wc, c);
-        dd.known[i] = true;
-        return dd.fingerprints[i];
-      };
-    }
-    if (d.wc.count == 1 && materialized_) {
-      // A connected graph's single component reproduces the graph
-      // verbatim — solve in place, never copy.
-      entry.in_place = &graph_;
-    } else if (lazy_.has_value()) {
-      entry.materialize = [this, c] {
-        return lazy_->component(
-            decomp_->source_index[static_cast<std::size_t>(c)]);
-      };
-    } else {
-      entry.materialize = [this, c] {
-        return decomp_->wc.subgraph(graph_, c);
-      };
-    }
-    plan.components.push_back(std::move(entry));
-  }
-  return plan;
 }
 
 std::uint64_t ArtifactCache::fingerprint() {
@@ -375,6 +336,67 @@ const la::CsrMatrix& ArtifactCache::laplacian(LaplacianKind kind) {
       .first->second;
 }
 
+void ArtifactCache::merge_component_spectrum(SpectrumMerge& merge, int c,
+                                             LaplacianKind kind,
+                                             const SpectralOptions& options) {
+  const bool whole = c == kWholeGraph;
+  const auto i = static_cast<std::size_t>(c);
+  const std::int64_t n =
+      whole ? num_vertices()
+            : static_cast<std::int64_t>(decomp_->wc.vertices[i].size());
+  const std::int64_t edges = whole ? num_edges() : decomp_->edges[i];
+  // Edgeless components never touch the store — recomputing zeros is
+  // cheaper than fingerprinting them — and past the deadline nothing is
+  // solved.
+  if (merge.add_unsolved(n, edges)) return;
+  const std::uint64_t fp = component_fingerprint(c);
+  const int h = merge.request(n);
+  if (std::optional<ComponentSolve> hit =
+          store_->lookup_spectrum(fp, kind, h, options)) {
+    hit->fingerprint = fp;
+    hit->fingerprinted = true;
+    merge.add(*std::move(hit));
+    return;
+  }
+
+  // Miss: this component must extract and solve. The warm-start layer
+  // engages only where a warm solve would read a basis, i.e. where
+  // la::choose_solver's warm choice (the one home of the crossover) is
+  // an iterative tier. A dense warm choice — a forced dense policy, or
+  // "auto" on a dense-sized component with h large against n — never
+  // reads one, so the component neither looks one up, nor accumulates
+  // eigenvectors, nor publishes one, and answers exactly as it would
+  // with retention off. The basis is looked up under the component's own
+  // fingerprint before extracting: a stream patch re-keys the
+  // predecessor's basis to the successor fingerprint
+  // (ArtifactStore::adopt_eigenbasis), which is the one handoff.
+  std::optional<Eigenbasis> basis;
+  std::optional<WarmStart> warm;
+  if (options.retain_basis &&
+      la::choose_solver(options.solver, {n, n + 2 * edges, h, /*warm=*/true})
+              .kind != la::SolverKind::kDense) {
+    basis = store_->lookup_eigenbasis(fp, kind);
+    warm.emplace();
+    warm->fingerprint = fp;
+    warm->basis = basis ? &*basis : nullptr;
+    if (!whole) warm->external_ids = decomp_->external_ids[i];
+  }
+  Digraph scratch;
+  ComponentSolve solve =
+      solve_component_spectrum(component_graph(c, scratch), kind, h, options,
+                               warm ? &*warm : nullptr);
+  solve.fingerprint = fp;
+  solve.fingerprinted = true;
+  if (solve.warm_started) {
+    bump<&Stats::warm_hits>(1);
+    bump<&Stats::warm_iterations_saved>(warm->iterations_saved);
+  }
+  if (!merge.add(solve)) return;
+  if (warm && warm->retained)
+    store_->store_eigenbasis(fp, kind, *std::move(warm->retained));
+  store_->store_spectrum(fp, kind, h, options, solve);
+}
+
 const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
     LaplacianKind kind, int count, const SpectralOptions& options) {
   GIO_EXPECTS(count >= 0);
@@ -392,38 +414,20 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
   bump<&Stats::misses>(1);
   WallTimer timer;
 
-  // Lookup-then-extract: the plan describes every component without its
-  // vertex data, the resolver answers clean components straight from the
-  // fingerprint-keyed store (zero allocations), and only misses
-  // materialize their subgraph and eigensolve. Equal components (within
-  // this graph or, via an Engine-shared store, across specs and — with a
-  // disk tier — across restarts) eigensolve once; trivial (edgeless)
-  // components never touch the store — recomputing zeros is cheaper than
-  // fingerprinting them.
-  SpectralPipeline pipeline(options);
-  pipeline.set_component_resolver(
-      [this](std::uint64_t fp, std::int64_t, std::int64_t, LaplacianKind k,
-             int h, const SpectralOptions& opts) {
-        return store_->lookup_spectrum(fp, k, h, opts);
-      },
-      [this](std::uint64_t fp, LaplacianKind k, int requested,
-             const SpectralOptions& opts, const ComponentSolve& solve) {
-        store_->store_spectrum(fp, k, requested, opts, solve);
-      });
-  if (options.retain_basis) {
-    // The warm-start layer: converged component bases are retained in the
-    // store's memory-only eigenbasis tier, and solves of patched
-    // successors seed from them (store/artifact_store.hpp).
-    pipeline.set_basis_hooks(
-        [this](std::uint64_t fp, LaplacianKind k) {
-          return store_->lookup_eigenbasis(fp, k);
-        },
-        [this](std::uint64_t fp, LaplacianKind k, Eigenbasis basis) {
-          store_->store_eigenbasis(fp, k, std::move(basis));
-        });
-  }
-  PipelineResult result = pipeline.run_plan(build_plan(options), kind,
-                                            count);
+  // Lookup-then-extract, per component: clean components answer straight
+  // from the fingerprint-keyed store (zero allocations), and only misses
+  // extract their subgraph and eigensolve. Equal components (within this
+  // graph or, via an Engine-shared store, across specs and — with a disk
+  // tier — across restarts) eigensolve once. A monolithic request is one
+  // component, the whole graph, solved in place; its store entries stay
+  // distinct from decomposed ones (solver_options_equal keys the
+  // decompose switch).
+  const int parts = options.decompose ? decomposition().wc.count : 1;
+  SpectrumMerge merge(parts, num_vertices(), count, options);
+  for (int c = 0; c < parts && merge.h() > 0; ++c)
+    merge_component_spectrum(merge, options.decompose ? c : kWholeGraph, kind,
+                             options);
+  PipelineResult result = merge.finish();
 
   SpectrumArtifact artifact;
   artifact.requested = count;
@@ -444,14 +448,8 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
   artifact.computed_serial = artifact.touched_serial = ++spectrum_touches_;
   bump<&Stats::eigensolves>(result.eigensolves);
   bump<&Stats::component_hits>(result.component_cache_hits);
-  bump<&Stats::subgraph_extractions>(result.subgraph_extractions);
-  bump<&Stats::fingerprint_computes>(result.fingerprint_computes);
-  bump<&Stats::warm_hits>(result.warm_hits);
-  bump<&Stats::warm_iterations_saved>(result.warm_iterations_saved);
-  bump<&Stats::fingerprint_seconds>(result.phases.fingerprint_seconds);
-  bump<&Stats::extract_seconds>(result.phases.extract_seconds);
-  bump<&Stats::solve_seconds>(result.phases.solve_seconds);
-  bump<&Stats::merge_seconds>(result.phases.merge_seconds);
+  bump<&Stats::solve_seconds>(result.solve_seconds);
+  bump<&Stats::merge_seconds>(result.merge_seconds);
   eigensolves_by_kind_[kind] += result.eigensolves;
   spectra_options_.insert_or_assign(kind, options);
   return spectra_.insert_or_assign(kind, std::move(artifact)).first->second;

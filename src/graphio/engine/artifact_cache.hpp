@@ -9,8 +9,11 @@
 // sweeps, memsim rows, partition rows) additionally resolve through the
 // content-addressed store::ArtifactStore before computing, so equal
 // components across specs, stream patches, and (with a disk tier)
-// process restarts compute once; the four uniform kinds share one
-// resolve-or-compute loop (resolve_each). Hit/miss counters are exposed
+// process restarts compute once. Every kind takes a component's
+// fingerprint from component_fingerprint and its subgraph from
+// component_graph; the four uniform kinds share one resolve-or-compute
+// loop (resolve_each), and spectra add the warm tier and the certified
+// merge (core/spectral_pipeline.hpp). Hit/miss counters are exposed
 // so tests (and the CLI's JSON reports) can certify the reuse, e.g. that
 // a full `--method all --memory 4,8,16` run performs exactly one
 // eigendecomposition per Laplacian kind.
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "graphio/core/spectral_bound.hpp"
+#include "graphio/core/spectral_pipeline.hpp"
 #include "graphio/flow/convex_mincut.hpp"
 #include "graphio/graph/components.hpp"
 #include "graphio/graph/digraph.hpp"
@@ -259,17 +263,20 @@ class ArtifactCache {
     /// Component solves served by the shared artifact store instead of an
     /// eigensolver run.
     std::int64_t component_hits = 0;
-    /// Component subgraphs materialized (fingerprint-first resolver
-    /// misses) — the stream invariant is extractions == dirty components.
+    /// Component subgraphs extracted (store misses, every artifact kind)
+    /// — the stream invariant is extractions == dirty components.
     std::int64_t subgraph_extractions = 0;
-    /// Component fingerprints computed (zero for seeded stream queries).
+    /// Component fingerprints computed, every artifact kind (zero for
+    /// seeded stream queries).
     std::int64_t fingerprint_computes = 0;
     /// Component eigensolves warm-started from a retained basis.
     std::int64_t warm_hits = 0;
     /// Iterations those warm starts avoided versus their producing solves.
     std::int64_t warm_iterations_saved = 0;
-    /// Cumulative per-phase pipeline wall time (the stream bench's
-    /// fingerprint / extract / solve / merge breakdown).
+    /// Cumulative per-phase wall time (the stream bench's fingerprint /
+    /// extract / solve / merge breakdown). Fingerprint and extract time
+    /// cover the same events as their counts, for every artifact kind;
+    /// solve and merge time are the spectrum's.
     double fingerprint_seconds = 0.0;
     double extract_seconds = 0.0;
     double solve_seconds = 0.0;
@@ -360,15 +367,25 @@ class ArtifactCache {
     std::vector<std::vector<VertexId>> external_ids;
   };
   Decomposition& decomposition();
-  /// The lookup-then-extract plan for one spectrum query (monolithic
-  /// single-entry plan when options.decompose is off).
-  ComponentPlan build_plan(const SpectralOptions& options);
-  /// The content fingerprint of component c, computed (and counted) on
-  /// first use.
+  /// The component index that names the whole graph as one component —
+  /// a monolithic spectrum (options.decompose off), content-addressed by
+  /// the whole-graph fingerprint and never decomposed.
+  static constexpr int kWholeGraph = -1;
+  /// The content fingerprint of component c, computed on first use under
+  /// a "fingerprint" span, counted in fingerprint_computes and timed in
+  /// fingerprint_seconds.
   std::uint64_t component_fingerprint(int c);
   /// Component c as a graph: the materialized graph itself when it is the
-  /// only component, else its extracted subgraph (counted) in `scratch`.
+  /// only component, else its extracted subgraph in `scratch`, built
+  /// under an "extract" span, counted in subgraph_extractions and timed
+  /// in extract_seconds.
   const Digraph& component_graph(int c, Digraph& scratch);
+  /// Component c's spectrum into `merge`: the store's solve, else a fresh
+  /// one (warm where the warm tier applies) published to the store unless
+  /// the merge's fault seam tripped it.
+  void merge_component_spectrum(SpectrumMerge& merge, int c,
+                                LaplacianKind kind,
+                                const SpectralOptions& options);
   /// Component c's K artifact under (fingerprint, options...): the store's
   /// entry, else compute(c, sub) on the component graph — `*sub` when
   /// given, else extracted — published to the store.

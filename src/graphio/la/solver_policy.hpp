@@ -58,9 +58,6 @@ inline constexpr std::int64_t kDenseRescueMaxN = 4096;
 /// accepted values are certified θ − ‖r‖ — it only trades bound
 /// tightness on a patched component for latency.
 inline constexpr double kWarmRefreshRelTol = 1e-2;
-/// Adaptive h starts from this many eigenvalues and doubles while the
-/// maximizing k runs into the ceiling (core/spectral_bound.cpp).
-inline constexpr int kInitialEigenvalues = 16;
 
 /// Shape of one eigenproblem: the operator's dimension, its nonzero
 /// count, and how many of the smallest eigenvalues are wanted.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -147,178 +148,148 @@ TEST(SpectralPipeline, IterativeTiersNeverOvershootPlantedMultiplicities) {
   }
 }
 
-TEST(SpectralPipeline, ComponentSolverHookIsUsed) {
-  const Digraph g = engine::GraphSpec::parse("multi:4:path:3").build();
-  int calls = 0;
-  SpectralPipeline pipeline((SpectralOptions()));
-  pipeline.set_component_solver(
-      [&calls](const Digraph& component, LaplacianKind kind, int h,
-               const SpectralOptions& options) {
-        ++calls;
-        return solve_component_spectrum(component, kind, h, options);
-      });
-  const PipelineResult result = pipeline.run(g, LaplacianKind::kPlain, 6);
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(result.components, 4);
-}
+// ------------------------------------------ lookup-then-extract via the store
 
-// ------------------------------------------------- fingerprint-first plans
-
-/// Builds the eager plan run() would use, with counted materializers and
-/// precomputed fingerprints — the shape every resolver test needs.
-ComponentPlan counted_plan(const Digraph& g, const WeakComponents& wc,
-                           int* materialized) {
-  ComponentPlan plan;
+/// An ArtifactCache over `g` the way a stream session hands one over:
+/// unmaterialized, with the decomposition and every component's
+/// fingerprint seeded, resolving against `shared`, and counting each
+/// component it extracts in `*extracted`.
+engine::ArtifactCache seeded_cache(
+    const Digraph& g, const WeakComponents& wc,
+    std::shared_ptr<store::ArtifactStore> shared, int* extracted) {
+  engine::LazyGraph lazy;
+  lazy.vertices = g.num_vertices();
+  lazy.edges = g.num_edges();
+  lazy.materialize = [&g] { return g; };
+  lazy.component = [&g, &wc, extracted](int c) {
+    ++*extracted;
+    return wc.subgraph(g, c);
+  };
+  lazy.max_out_degree = [&g] { return g.max_out_degree(); };
+  lazy.max_in_degree = [&g] { return g.max_in_degree(); };
+  engine::ComponentSeed seed;
   for (int c = 0; c < wc.count; ++c) {
-    PlannedComponent entry;
-    entry.vertices = static_cast<std::int64_t>(
-        wc.vertices[static_cast<std::size_t>(c)].size());
-    entry.edges = wc.edges_in(g, c);
-    entry.fingerprint = engine::subgraph_fingerprint(g, wc, c);
-    entry.fingerprinted = true;
-    entry.materialize = [&g, &wc, c, materialized] {
-      ++*materialized;
-      return wc.subgraph(g, c);
-    };
-    plan.components.push_back(std::move(entry));
+    engine::ComponentSeed::Component comp;
+    comp.vertices = wc.vertices[static_cast<std::size_t>(c)];
+    comp.edges = wc.edges_in(g, c);
+    comp.fingerprint = engine::subgraph_fingerprint(g, wc, c);
+    seed.components.push_back(std::move(comp));
   }
-  return plan;
+  return engine::ArtifactCache(std::move(lazy), std::move(shared),
+                               std::move(seed));
 }
 
-void attach_cache(SpectralPipeline& pipeline,
-                  store::ArtifactStore& cache) {
-  pipeline.set_component_resolver(
-      [&cache](std::uint64_t fp, std::int64_t, std::int64_t,
-               LaplacianKind k, int h, const SpectralOptions& opts) {
-        return cache.lookup_spectrum(fp, k, h, opts);
-      },
-      [&cache](std::uint64_t fp, LaplacianKind k, int requested,
-               const SpectralOptions& opts, const ComponentSolve& solve) {
-        cache.store_spectrum(fp, k, requested, opts, solve);
-      });
+TEST(SpectralPipeline, ComponentSolverHookIsUsed) {
+  // Every component with edges reaches the per-component solve: the first
+  // copy eigensolves, the three equal copies resolve from the store.
+  const Digraph g = engine::GraphSpec::parse("multi:4:path:3").build();
+  engine::ArtifactCache cache(Digraph(g),
+                              std::make_shared<store::ArtifactStore>());
+  const engine::ArtifactCache::SpectrumArtifact& spectrum =
+      cache.spectrum(LaplacianKind::kPlain, 6);
+  EXPECT_EQ(cache.stats().eigensolves + cache.stats().component_hits, 4);
+  EXPECT_EQ(cache.stats().eigensolves, 1);
+  EXPECT_EQ(spectrum.components, 4);
 }
 
 TEST(SpectralPipeline, ResolvedComponentsNeverMaterialize) {
-  // Four content-equal components, cache warm for that content: the whole
-  // run_plan is lookups — zero extractions, zero eigensolves.
+  // Four content-equal components, store warm for that content: the whole
+  // query is lookups — zero extractions, zero eigensolves.
   const Digraph g = engine::GraphSpec::parse("multi:4:fft:3").build();
   const WeakComponents wc = weakly_connected_components(g);
   ASSERT_EQ(wc.count, 4);
   const SpectralOptions options;
   const int h = 6;
 
-  store::ArtifactStore cache;
+  auto shared = std::make_shared<store::ArtifactStore>();
   const Digraph sub0 = wc.subgraph(g, 0);
-  cache.store_spectrum(engine::graph_fingerprint(sub0), LaplacianKind::kPlain, h,
-              options,
-              solve_component_spectrum(sub0, LaplacianKind::kPlain, h,
-                                       options));
+  shared->store_spectrum(
+      engine::graph_fingerprint(sub0), LaplacianKind::kPlain, h, options,
+      solve_component_spectrum(sub0, LaplacianKind::kPlain, h, options));
 
-  int materialized = 0;
-  const ComponentPlan plan = counted_plan(g, wc, &materialized);
-  SpectralPipeline pipeline(options);
-  attach_cache(pipeline, cache);
-  const PipelineResult result =
-      pipeline.run_plan(plan, LaplacianKind::kPlain, h);
+  int extracted = 0;
+  engine::ArtifactCache cache = seeded_cache(g, wc, shared, &extracted);
+  const std::vector<double> values =
+      cache.spectrum(LaplacianKind::kPlain, h, options).values;
 
-  EXPECT_EQ(materialized, 0);
-  EXPECT_EQ(result.subgraph_extractions, 0);
-  EXPECT_EQ(result.fingerprint_computes, 0);
-  EXPECT_EQ(result.component_cache_hits, 4);
-  EXPECT_EQ(result.eigensolves, 0);
+  EXPECT_EQ(extracted, 0);
+  EXPECT_EQ(cache.stats().subgraph_extractions, 0);
+  EXPECT_EQ(cache.stats().fingerprint_computes, 0);
+  EXPECT_EQ(cache.stats().component_hits, 4);
+  EXPECT_EQ(cache.stats().eigensolves, 0);
 
   const PipelineResult direct =
       SpectralPipeline(options).run(g, LaplacianKind::kPlain, h);
-  expect_near_spectra(result.values, direct.values, 1e-8, "resolved plan");
+  expect_near_spectra(values, direct.values, 1e-8, "resolved components");
 }
 
 TEST(SpectralPipeline, MissesMaterializePublishAndThenResolve) {
-  // Cold cache: each *distinct* content extracts and solves once; the
-  // published solves make an immediate second run all-hits.
+  // Cold store: each *distinct* content extracts and solves once; the
+  // published solves make a second cache over the same store all-hits.
   const Digraph g = engine::GraphSpec::parse("multi:3:inner:4").build();
   const WeakComponents wc = weakly_connected_components(g);
   ASSERT_EQ(wc.count, 3);
   const SpectralOptions options;
   const int h = 5;
 
-  store::ArtifactStore cache;
-  int materialized = 0;
-  const ComponentPlan plan = counted_plan(g, wc, &materialized);
-  SpectralPipeline pipeline(options);
-  attach_cache(pipeline, cache);
+  auto shared = std::make_shared<store::ArtifactStore>();
+  int extracted = 0;
+  engine::ArtifactCache first = seeded_cache(g, wc, shared, &extracted);
+  const std::vector<double> first_values =
+      first.spectrum(LaplacianKind::kOutDegreeNormalized, h, options).values;
+  EXPECT_EQ(first.stats().subgraph_extractions, 1);  // 3 equal copies
+  EXPECT_EQ(first.stats().eigensolves, 1);
+  EXPECT_EQ(first.stats().component_hits, 2);
+  EXPECT_EQ(extracted, 1);
 
-  const PipelineResult first =
-      pipeline.run_plan(plan, LaplacianKind::kOutDegreeNormalized, h);
-  EXPECT_EQ(first.subgraph_extractions, 1);  // 3 equal copies, 1 content
-  EXPECT_EQ(first.eigensolves, 1);
-  EXPECT_EQ(first.component_cache_hits, 2);
-  EXPECT_EQ(materialized, 1);
-
-  const PipelineResult second =
-      pipeline.run_plan(plan, LaplacianKind::kOutDegreeNormalized, h);
-  EXPECT_EQ(second.subgraph_extractions, 0);
-  EXPECT_EQ(second.component_cache_hits, 3);
-  EXPECT_EQ(materialized, 1);
-  expect_near_spectra(first.values, second.values, 0.0, "warm replay");
+  engine::ArtifactCache second = seeded_cache(g, wc, shared, &extracted);
+  const std::vector<double> second_values =
+      second.spectrum(LaplacianKind::kOutDegreeNormalized, h, options).values;
+  EXPECT_EQ(second.stats().subgraph_extractions, 0);
+  EXPECT_EQ(second.stats().component_hits, 3);
+  EXPECT_EQ(extracted, 1);
+  expect_near_spectra(first_values, second_values, 0.0, "warm replay");
 }
 
 TEST(SpectralPipeline, LazyFingerprintsAreComputedOnDemandAndCounted) {
   const Digraph g = engine::GraphSpec::parse("multi:2:fft:3").build();
-  const WeakComponents wc = weakly_connected_components(g);
-  const SpectralOptions options;
-  store::ArtifactStore cache;
-
-  int hashed = 0;
-  int materialized = 0;
-  ComponentPlan plan = counted_plan(g, wc, &materialized);
-  for (int c = 0; c < wc.count; ++c) {
-    PlannedComponent& entry =
-        plan.components[static_cast<std::size_t>(c)];
-    entry.fingerprinted = false;
-    entry.fingerprint_fn = [&g, &wc, &hashed, c] {
-      ++hashed;
-      return engine::subgraph_fingerprint(g, wc, c);
-    };
-  }
-  SpectralPipeline pipeline(options);
-  attach_cache(pipeline, cache);
-  const PipelineResult result =
-      pipeline.run_plan(plan, LaplacianKind::kPlain, 4);
-  EXPECT_EQ(result.fingerprint_computes, 2);
-  EXPECT_EQ(hashed, 2);
+  engine::ArtifactCache cache(Digraph(g),
+                              std::make_shared<store::ArtifactStore>());
+  cache.spectrum(LaplacianKind::kPlain, 4);
+  EXPECT_EQ(cache.stats().fingerprint_computes, 2);
   // Equal content: the first copy misses (extracts, publishes), the
   // second resolves off its freshly published fingerprint.
-  EXPECT_EQ(result.subgraph_extractions, 1);
-  EXPECT_EQ(result.component_cache_hits, 1);
+  EXPECT_EQ(cache.stats().subgraph_extractions, 1);
+  EXPECT_EQ(cache.stats().component_hits, 1);
+  // Memoized: another kind hashes nothing again.
+  cache.spectrum(LaplacianKind::kOutDegreeNormalized, 4);
+  EXPECT_EQ(cache.stats().fingerprint_computes, 2);
 }
 
 TEST(SpectralPipeline, TrivialPlannedComponentsSkipEverything) {
-  // Edgeless components: no fingerprint, no resolve, no materialize.
+  // Edgeless components: no fingerprint, no lookup, no extraction.
   Digraph g(4);
   g.add_edge(0, 1);
-  const WeakComponents wc = weakly_connected_components(g);
-  ASSERT_EQ(wc.count, 3);
-  store::ArtifactStore cache;
-  int materialized = 0;
-  const ComponentPlan plan = counted_plan(g, wc, &materialized);
-  SpectralPipeline pipeline((SpectralOptions()));
-  attach_cache(pipeline, cache);
-  const PipelineResult result =
-      pipeline.run_plan(plan, LaplacianKind::kPlain, 4);
-  EXPECT_EQ(result.subgraph_extractions, 1);  // only the edge's component
+  ASSERT_EQ(weakly_connected_components(g).count, 3);
+  auto shared = std::make_shared<store::ArtifactStore>();
+  engine::ArtifactCache cache(Digraph(g), shared);
+  const std::vector<double> values =
+      cache.spectrum(LaplacianKind::kPlain, 4).values;
+  EXPECT_EQ(cache.stats().subgraph_extractions, 1);  // the edge's component
+  EXPECT_EQ(cache.stats().fingerprint_computes, 1);
   const store::ArtifactStore::KindStats spectra =
-      cache.stats()[store::ArtifactKind::kSpectrum];
+      shared->stats()[store::ArtifactKind::kSpectrum];
   EXPECT_EQ(spectra.hits + spectra.misses, 1);
-  ASSERT_EQ(result.values.size(), 4u);
-  EXPECT_EQ(result.values[0], 0.0);
-  EXPECT_EQ(result.values[1], 0.0);
+  ASSERT_EQ(values.size(), 4u);
+  EXPECT_EQ(values[0], 0.0);
+  EXPECT_EQ(values[1], 0.0);
 }
 
-// Satellite (ISSUE 5): lookup-then-extract bounds equal the pre-plan
-// extract-then-lookup path to 1e-8 across specs × every solver policy.
-// The reference reproduces the PR 3/4 control flow literally: extract the
-// subgraph first, hash it, then consult the same cache type. The parameters
-// are std::string so gtest prints their text rather than their addresses,
+// Lookup-then-extract (the engine's ArtifactCache over a shared store)
+// equals extract-then-solve (the store-less SpectralPipeline::run) to
+// 1e-8 across specs × every solver policy, and a second cache over the
+// same store answers from it alone, bit for bit. The parameters are
+// std::string so gtest prints their text rather than their addresses,
 // which keeps the discovered ctest names identical across builds.
 class PlanPathParity
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
@@ -336,31 +307,19 @@ TEST_P(PlanPathParity, LookupFirstEqualsExtractFirst) {
 
   for (const LaplacianKind kind :
        {LaplacianKind::kPlain, LaplacianKind::kOutDegreeNormalized}) {
-    // Lookup-then-extract: the engine's plan-driven artifact cache.
-    engine::ArtifactCache plan_cache{Digraph(g)};
-    const std::vector<double> plan_values =
-        plan_cache.spectrum(kind, h, options).values;
+    const std::string what = spec + "/" + solver;
+    auto shared = std::make_shared<store::ArtifactStore>();
+    engine::ArtifactCache lookup_first{Digraph(g), shared};
+    const std::vector<double> values =
+        lookup_first.spectrum(kind, h, options).values;
 
-    // Extract-then-lookup: materialize every component, hash the
-    // materialized subgraph, then consult the cache — the old hook.
-    store::ArtifactStore cache;
-    SpectralPipeline reference(options);
-    reference.set_component_solver(
-        [&cache](const Digraph& component, LaplacianKind k, int hh,
-                 const SpectralOptions& opts) {
-          if (component.num_edges() == 0)
-            return solve_component_spectrum(component, k, hh, opts);
-          const std::uint64_t fp = engine::graph_fingerprint(component);
-          if (auto cached = cache.lookup_spectrum(fp, k, hh, opts))
-            return *std::move(cached);
-          ComponentSolve solve =
-              solve_component_spectrum(component, k, hh, opts);
-          cache.store_spectrum(fp, k, hh, opts, solve);
-          return solve;
-        });
-    const PipelineResult ref = reference.run(g, kind, h);
-    expect_near_spectra(plan_values, ref.values, 1e-8,
-                        spec + "/" + solver);
+    engine::ArtifactCache replay{Digraph(g), shared};
+    EXPECT_EQ(replay.spectrum(kind, h, options).values, values) << what;
+    EXPECT_EQ(replay.stats().eigensolves, 0) << what;
+
+    const PipelineResult extract_first =
+        SpectralPipeline(options).run(g, kind, h);
+    expect_near_spectra(values, extract_first.values, 1e-8, what);
   }
 }
 
@@ -418,9 +377,7 @@ class BuilderParity : public ::testing::TestWithParam<const char*> {};
 TEST_P(BuilderParity, PipelineBoundMatchesMonolithicDense) {
   const std::string spec = GetParam();
   const Digraph g = engine::GraphSpec::parse(spec).build();
-  SpectralOptions piped;
-  piped.adaptive = false;
-  const SpectralBound a = spectral_bound(g, 8.0, piped);
+  const SpectralBound a = spectral_bound(g, 8.0);
   const SpectralBound b = spectral_bound(g, 8.0, dense_monolithic());
   EXPECT_NEAR(a.bound, b.bound, 1e-8) << spec;
   EXPECT_EQ(a.best_k, b.best_k) << spec;

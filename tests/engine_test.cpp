@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "graphio/core/spectral_bound.hpp"
 #include "graphio/engine/engine.hpp"
@@ -18,15 +19,6 @@
 
 namespace graphio::engine {
 namespace {
-
-// Direct calls compare against the Engine with adaptivity disabled: the
-// cache always resolves the full h = min(max_eigenvalues, n) prefix, and
-// non-adaptive direct calls do the same, so results must agree exactly.
-SpectralOptions exact_options() {
-  SpectralOptions options;
-  options.adaptive = false;
-  return options;
-}
 
 // ----------------------------------------------------------------- registry
 
@@ -124,11 +116,10 @@ TEST_P(EngineParity, SpectralMatchesDirectCall) {
   request.spec = spec_text;
   request.memories = {memory};
   request.methods = {"spectral", "spectral-plain", "mincut"};
-  request.spectral = exact_options();
   const BoundReport report = engine.evaluate(request);
 
   const Digraph g = GraphSpec::parse(spec_text).build();
-  const SpectralBound direct = spectral_bound(g, memory, exact_options());
+  const SpectralBound direct = spectral_bound(g, memory);
   const MethodRow* spectral = report.row("spectral", memory);
   ASSERT_NE(spectral, nullptr);
   EXPECT_TRUE(spectral->applicable);
@@ -136,7 +127,7 @@ TEST_P(EngineParity, SpectralMatchesDirectCall) {
   EXPECT_EQ(spectral->best_k, direct.best_k);
 
   const SpectralBound direct_plain =
-      spectral_bound_plain(g, memory, exact_options());
+      spectral_bound_plain(g, memory);
   const MethodRow* plain = report.row("spectral-plain", memory);
   ASSERT_NE(plain, nullptr);
   EXPECT_DOUBLE_EQ(plain->value, direct_plain.bound);
@@ -167,17 +158,64 @@ TEST(EngineParity, ParallelMatchesTheorem6) {
   request.memories = {4.0};
   request.processors = 4;
   request.methods = {"parallel"};
-  request.spectral = exact_options();
   const BoundReport report = engine.evaluate(request);
 
   const Digraph g = builders::bhk_hypercube(7);
   const SpectralBound direct =
-      parallel_spectral_bound(g, 4.0, 4, exact_options());
+      parallel_spectral_bound(g, 4.0, 4);
   const MethodRow* row = report.row("parallel", 4.0);
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->processors, 4);
   EXPECT_DOUBLE_EQ(row->value, direct.bound);
   EXPECT_EQ(row->best_k, direct.best_k);
+}
+
+// Direct calls and Engine requests both solve h = min(max_eigenvalues, n)
+// once, so they agree bit for bit on every tier — including forced
+// iterative tiers, whose first solve once started at h = 16 in the free
+// functions alone.
+TEST(EngineParity, ForcedIterativeTiersMatchDirectCalls) {
+  for (const char* spec : {"fft:5", "multi:3:fft:4"}) {
+    for (const la::SolverKind tier :
+         {la::SolverKind::kLanczos, la::SolverKind::kLobpcg}) {
+      const std::string what =
+          std::string(spec) + " " + std::string(la::to_string(tier));
+      SpectralOptions options;
+      options.solver = tier;
+      Engine engine;
+      BoundRequest request;
+      request.spec = spec;
+      request.memories = {1.0, 4.0};
+      request.methods = {"spectral", "spectral-plain"};
+      request.spectral = options;
+      const BoundReport report = engine.evaluate(request);
+      const ArtifactCache* cache = engine.cache(spec);
+      ASSERT_NE(cache, nullptr) << what;
+
+      const Digraph g = GraphSpec::parse(spec).build();
+      for (const double memory : request.memories) {
+        const SpectralBound direct = spectral_bound(g, memory, options);
+        const MethodRow* row = report.row("spectral", memory);
+        ASSERT_NE(row, nullptr) << what;
+        EXPECT_EQ(row->value, direct.bound) << what << " M=" << memory;
+        EXPECT_EQ(row->best_k, direct.best_k) << what << " M=" << memory;
+        EXPECT_EQ(cache->cached_spectra()
+                      .at(LaplacianKind::kOutDegreeNormalized)
+                      .values,
+                  direct.eigenvalues)
+            << what;
+
+        const SpectralBound plain = spectral_bound_plain(g, memory, options);
+        const MethodRow* plain_row = report.row("spectral-plain", memory);
+        ASSERT_NE(plain_row, nullptr) << what;
+        EXPECT_EQ(plain_row->value, plain.bound) << what << " M=" << memory;
+        EXPECT_EQ(plain_row->best_k, plain.best_k) << what << " M=" << memory;
+        EXPECT_EQ(cache->cached_spectra().at(LaplacianKind::kPlain).values,
+                  plain.eigenvalues)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(EngineParity, MemsimMatchesBestSchedule) {
@@ -350,7 +388,6 @@ TEST(EngineBatch, MatchesSequentialEvaluation) {
   for (auto& r : requests) {
     r.memories = {3.0, 6.0};
     r.methods = {"spectral", "mincut", "partition-dp"};
-    r.spectral = exact_options();
   }
   Engine parallel_engine;
   const auto parallel = parallel_engine.evaluate_batch(requests);

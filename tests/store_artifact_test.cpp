@@ -104,7 +104,6 @@ TEST(ArtifactStore, SpectralOptionsKeyAgreesWithSolverOptionsEqual) {
   variants[7].retain_basis = true;
   variants[7].deadline_seconds = 1.0;
   variants[7].max_eigenvalues = 10;
-  variants[7].adaptive = false;
   const std::string base_key = ArtifactStore::spectral_options_key(base);
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const bool same = i == 7;

@@ -17,9 +17,11 @@
 //
 // Graph arguments are either a family spec (see `graphio help`) or a path
 // to a graph file (graphio-edgelist, or Graphviz DOT for *.dot / *.gv).
-// All bound evaluation routes through engine::Engine, so artifacts
-// (spectra, wavefront cuts) are shared across methods and memory sizes,
-// and --json uniformly emits BoundReport JSON. batch/serve route through
+// Bound evaluation routes through engine::Engine, so artifacts (spectra,
+// wavefront cuts) are shared across methods, memory sizes and processor
+// counts, and --json uniformly emits BoundReport JSON. Only `anneal` and
+// `hierarchy` call the spectral_bound* free functions, which solve the
+// same h as an Engine request. batch/serve route through
 // serve::BatchSession: results stream to stdout as deterministic JSONL
 // (sortable, timing-free), the summary footer goes to stderr.
 #include <charconv>
@@ -610,9 +612,15 @@ int cmd_parallel(const Args& a) {
   require_memory(a);
   const Digraph g = resolve_graph(a.graph());
   const auto m = static_cast<std::int64_t>(a.memory());
+  // One Engine for every p: the Theorem 6 rows share one eigensolve.
+  engine::Engine eng;
+  engine::BoundRequest request = make_request(a, a.graph());
+  request.memories = {a.memory()};
+  request.methods = {"parallel"};
   Table t({"p", "Theorem 6 bound", "sim busiest", "sim aggregate"});
   for (std::int64_t p = 1; p <= a.processors; p *= 2) {
-    const SpectralBound b = parallel_spectral_bound(g, a.memory(), p);
+    request.processors = p;
+    const double bound = eng.evaluate(request).rows.front().value;
     std::string busiest = "-";
     std::string aggregate = "-";
     if (g.max_in_degree() <= m) {
@@ -621,7 +629,7 @@ int cmd_parallel(const Args& a) {
       aggregate = std::to_string(r.sum_total());
     }
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", b.bound);
+    std::snprintf(buf, sizeof buf, "%.6g", bound);
     t.add_row({std::to_string(p), buf, busiest, aggregate});
   }
   t.print(std::cout);
