@@ -2,20 +2,23 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "graphio/graph/topo.hpp"
 #include "graphio/support/contracts.hpp"
 
 namespace graphio {
 
-OptimalPartitionResult optimal_lemma1_bound(
-    const Digraph& g, const std::vector<VertexId>& order, double memory) {
+std::vector<OptimalPartitionResult> optimal_lemma1_bound(
+    const Digraph& g, const std::vector<VertexId>& order,
+    const std::vector<double>& memories) {
   GIO_EXPECTS_MSG(is_topological(g, order),
                   "optimal_lemma1_bound requires a topological order");
-  GIO_EXPECTS(memory >= 0.0);
+  for (const double memory : memories) GIO_EXPECTS(memory >= 0.0);
   const std::int64_t n = g.num_vertices();
-  OptimalPartitionResult result;
-  if (n == 0) return result;
+  const std::size_t k = memories.size();
+  std::vector<OptimalPartitionResult> results(k);
+  if (n == 0 || k == 0) return results;
 
   std::vector<std::int64_t> position(static_cast<std::size_t>(n), 0);
   for (std::size_t t = 0; t < order.size(); ++t)
@@ -37,16 +40,22 @@ OptimalPartitionResult optimal_lemma1_bound(
   }
 
   const double kNegInf = -std::numeric_limits<double>::infinity();
-  // f[j] = best objective over partitions of the first j positions;
-  // f[0] = 0 and every prefix may also be "not yet started" — Lemma 1
-  // allows the partition to cover all of V, so segments tile [0, n).
-  std::vector<double> f(static_cast<std::size_t>(n) + 1, kNegInf);
-  std::vector<std::int64_t> parent_break(static_cast<std::size_t>(n) + 1, 0);
-  f[0] = 0.0;
+  std::vector<double> charge(k);
+  for (std::size_t m = 0; m < k; ++m) charge[m] = 2.0 * memories[m];
+  // f[j·k + m] = best objective over partitions of the first j positions
+  // at memories[m]; f(0) = 0 and every prefix may also be "not yet
+  // started" — Lemma 1 allows the partition to cover all of V, so
+  // segments tile [0, n). One row per position keeps a memory sweep's
+  // updates for one segment contiguous.
+  std::vector<double> f((static_cast<std::size_t>(n) + 1) * k, kNegInf);
+  std::vector<std::int64_t> parent_break(f.size(), 0);
+  std::fill_n(f.begin(), k, 0.0);
 
   std::vector<std::int64_t> r_stamp(static_cast<std::size_t>(n), -1);
   for (std::int64_t i = 0; i < n; ++i) {
-    if (f[static_cast<std::size_t>(i)] == kNegInf) continue;
+    const double* const fi = &f[static_cast<std::size_t>(i) * k];
+    if (std::all_of(fi, fi + k, [&](double v) { return v == kNegInf; }))
+      continue;
     // Extend a segment anchored at i rightward, maintaining |R| and |W|.
     std::int64_t reads = 0;
     std::int64_t writes = 0;
@@ -66,29 +75,42 @@ OptimalPartitionResult optimal_lemma1_bound(
       for (VertexId v : last_use[static_cast<std::size_t>(j)])
         if (position[static_cast<std::size_t>(v)] >= i) --writes;
 
-      const double candidate =
-          f[static_cast<std::size_t>(i)] +
-          static_cast<double>(reads + writes) - 2.0 * memory;
-      auto& best = f[static_cast<std::size_t>(j + 1)];
-      if (candidate > best) {
-        best = candidate;
-        parent_break[static_cast<std::size_t>(j + 1)] = i;
+      // The segment cost is M-independent; only the 2M charge differs.
+      // An unreachable f(i) = −∞ yields a −∞ candidate that never wins.
+      const auto cost = static_cast<double>(reads + writes);
+      const std::size_t row = static_cast<std::size_t>(j + 1) * k;
+      for (std::size_t m = 0; m < k; ++m) {
+        const double candidate = fi[m] + cost - charge[m];
+        if (candidate > f[row + m]) {
+          f[row + m] = candidate;
+          parent_break[row + m] = i;
+        }
       }
     }
   }
 
-  result.objective = f[static_cast<std::size_t>(n)];
-  for (std::int64_t pos = n; pos > 0;
-       pos = parent_break[static_cast<std::size_t>(pos)])
-    ++result.objective_segments;
-  if (result.objective <= 0.0) return result;
-  result.bound = result.objective;
-  result.segments = result.objective_segments;
-  for (std::int64_t pos = n; pos > 0;
-       pos = parent_break[static_cast<std::size_t>(pos)])
-    result.breakpoints.push_back(parent_break[static_cast<std::size_t>(pos)]);
-  std::reverse(result.breakpoints.begin(), result.breakpoints.end());
-  return result;
+  for (std::size_t m = 0; m < k; ++m) {
+    const auto prev = [&](std::int64_t pos) {
+      return parent_break[static_cast<std::size_t>(pos) * k + m];
+    };
+    OptimalPartitionResult& result = results[m];
+    result.objective = f[static_cast<std::size_t>(n) * k + m];
+    for (std::int64_t pos = n; pos > 0; pos = prev(pos))
+      ++result.objective_segments;
+    if (result.objective <= 0.0) continue;
+    result.bound = result.objective;
+    result.segments = result.objective_segments;
+    for (std::int64_t pos = n; pos > 0; pos = prev(pos))
+      result.breakpoints.push_back(prev(pos));
+    std::reverse(result.breakpoints.begin(), result.breakpoints.end());
+  }
+  return results;
+}
+
+OptimalPartitionResult optimal_lemma1_bound(
+    const Digraph& g, const std::vector<VertexId>& order, double memory) {
+  return std::move(
+      optimal_lemma1_bound(g, order, std::vector<double>{memory}).front());
 }
 
 }  // namespace graphio

@@ -15,7 +15,10 @@
 // where cost(i, j) = |R| + |W| of the segment holding positions [i, j).
 // Per left anchor i the segment costs extend incrementally in O(1)
 // amortized (stamped distinct-parent counting for R; last-consumer
-// buckets for W).
+// buckets for W). The costs do not depend on M — only the flat 2M charge
+// per segment does — so a list of memories shares one cost extension per
+// anchor and updates one f row per memory, each with exactly the
+// arithmetic of a one-memory run.
 //
 // The result lower-bounds J(X) for that specific order — not J*(G) —
 // so it serves as (a) a per-schedule certificate ("this order cannot do
@@ -52,7 +55,15 @@ struct OptimalPartitionResult {
 };
 
 /// Evaluates the Lemma 1 objective at the optimal contiguous partition of
-/// `order` (must be topological). O(n² + n·E) time, O(n) extra space.
+/// `order` (must be topological) at every entry of `memories` (any order,
+/// duplicates allowed; each ≥ 0), one result per entry — bit-identical to
+/// a one-memory call. O(n² · |memories| + n·E) time, O(n · |memories|)
+/// extra space.
+std::vector<OptimalPartitionResult> optimal_lemma1_bound(
+    const Digraph& g, const std::vector<VertexId>& order,
+    const std::vector<double>& memories);
+
+/// The one-memory form of the list evaluation above.
 OptimalPartitionResult optimal_lemma1_bound(
     const Digraph& g, const std::vector<VertexId>& order, double memory);
 

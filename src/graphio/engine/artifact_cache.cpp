@@ -244,11 +244,11 @@ std::uint64_t ArtifactCache::fingerprint() {
   return *fingerprint_;
 }
 
-template <ArtifactKind K, class Compute, class... Options>
-store::ArtifactStore::Artifact<K> ArtifactCache::resolve(
-    int c, const Digraph* sub, Compute&& compute, const Options&... options) {
-  const store::ArtifactStore::Key<K> key{component_fingerprint(c),
-                                         options...};
+template <ArtifactKind K, class Compute>
+store::ArtifactStore::Artifact<K> ArtifactCache::resolve(int c,
+                                                         const Digraph* sub,
+                                                         Compute&& compute) {
+  const store::ArtifactStore::Key<K> key{component_fingerprint(c)};
   auto stored = store_->lookup<K>(key);
   if (stored.has_value() &&
       fits(*stored, decomp_->wc.vertices[static_cast<std::size_t>(c)].size()))
@@ -260,13 +260,44 @@ store::ArtifactStore::Artifact<K> ArtifactCache::resolve(
   return artifact;
 }
 
-template <ArtifactKind K, class Compute, class Use, class... Options>
-void ArtifactCache::resolve_each(Compute&& compute, Use&& use,
-                                 const Options&... options) {
+template <ArtifactKind K, class Compute, class Use>
+void ArtifactCache::resolve_each(Compute&& compute, Use&& use) {
   const Decomposition& d = decomposition();
   for (int c = 0; c < d.wc.count; ++c)
     if (d.edges[static_cast<std::size_t>(c)] != 0)
-      use(c, resolve<K>(c, nullptr, compute, options...));
+      use(c, resolve<K>(c, nullptr, compute));
+}
+
+template <ArtifactKind K, class Memory, class Compute, class Use,
+          class... Options>
+void ArtifactCache::resolve_each_memory(const std::vector<Memory>& memories,
+                                        Compute&& compute, Use&& use,
+                                        const Options&... options) {
+  using Artifact = store::ArtifactStore::Artifact<K>;
+  const Decomposition& d = decomposition();
+  std::vector<std::optional<Artifact>> rows(memories.size());
+  std::vector<Memory> missed;
+  for (int c = 0; c < d.wc.count; ++c) {
+    if (d.edges[static_cast<std::size_t>(c)] == 0) continue;
+    const std::uint64_t fp = component_fingerprint(c);
+    missed.clear();
+    for (std::size_t i = 0; i < memories.size(); ++i) {
+      rows[i] = store_->lookup<K>({fp, memories[i], options...});
+      if (!rows[i].has_value()) missed.push_back(memories[i]);
+    }
+    if (!missed.empty()) {
+      Digraph extracted;
+      std::vector<Artifact> computed =
+          compute(c, component_graph(c, extracted), missed);
+      GIO_ASSERT(computed.size() == missed.size());
+      for (std::size_t i = 0, j = 0; i < memories.size(); ++i) {
+        if (rows[i].has_value()) continue;
+        store_->insert<K>({fp, memories[i], options...}, computed[j]);
+        rows[i] = std::move(computed[j++]);
+      }
+    }
+    for (std::size_t i = 0; i < memories.size(); ++i) use(c, i, *rows[i]);
+  }
 }
 
 store::TopoOrderArtifact ArtifactCache::kahn(int, const Digraph& sub) {
@@ -508,84 +539,112 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
   return max_cut_.emplace(std::move(artifact));
 }
 
-const ArtifactCache::MemsimArtifact& ArtifactCache::memsim_row(
-    std::int64_t memory, int random_orders) {
-  const auto key = std::make_pair(memory, random_orders);
-  const auto it = memsims_.find(key);
-  if (it != memsims_.end()) {
-    bump<&Stats::hits>(1);
-    return it->second;
-  }
-  bump<&Stats::misses>(1);
-  MemsimArtifact artifact;
-  artifact.components = decomposition().wc.count;
-  // Isolated vertices are sources and sinks at once: all their I/O is
-  // trivial and excluded from reads/writes by the simulator.
-  resolve_each<ArtifactKind::kMemsimRow>(
-      [&](int, const Digraph& sub) {
-        bump<&Stats::memsim_runs>(1);
-        telemetry::Span memsim_span("memsim");
-        memsim_span.attr("vertices", sub.num_vertices())
-            .attr("memory", memory)
-            .attr("random_orders", random_orders);
-        const sim::SimResult result =
-            sim::best_schedule_io(sub, memory, random_orders);
-        return store::MemsimRowArtifact{result.reads, result.writes};
-      },
-      [&artifact](int, const store::MemsimRowArtifact& row) {
-        artifact.reads += row.reads;
-        artifact.writes += row.writes;
-      },
-      memory, random_orders);
-  return memsims_.emplace(key, std::move(artifact)).first->second;
-}
-
-const ArtifactCache::PartitionArtifact& ArtifactCache::partition_row(
-    double memory) {
-  const auto it = partitions_.find(memory);
-  if (it != partitions_.end()) {
-    bump<&Stats::hits>(1);
-    return it->second;
-  }
-  bump<&Stats::misses>(1);
-  PartitionArtifact artifact;
-  artifact.components = decomposition().wc.count;
-  double total = 0.0;
-  std::int64_t segments = 0;
-  int nontrivial = 0;
-  // Edgeless: the component's own optimum is one empty segment (−2M),
-  // exactly cancelled by the seam refund of counting it — skip both.
-  resolve_each<ArtifactKind::kPartitionRow>(
-      [&](int c, const Digraph& sub) {
-        // The DP walks the component's own natural order — the
-        // restriction of the merged whole-graph Kahn order, resolved as
-        // topo_order resolves it.
-        const store::TopoOrderArtifact topo =
-            resolve<ArtifactKind::kTopoOrder>(
-                c, &sub, std::bind_front(&ArtifactCache::kahn, this));
-        bump<&Stats::partition_runs>(1);
-        telemetry::Span dp_span("partition_dp");
-        dp_span.attr("vertices", sub.num_vertices())
-            .attr("edges", sub.num_edges());
-        const OptimalPartitionResult r =
-            optimal_lemma1_bound(sub, topo.order, memory);
-        return store::PartitionRowArtifact{r.objective, r.objective_segments};
-      },
-      [&](int, const store::PartitionRowArtifact& row) {
-        ++nontrivial;
-        total += row.objective;
-        segments += row.segments;
-      },
-      memory);
-  if (nontrivial > 0) {
-    const double objective =
-        total + 2.0 * memory * static_cast<double>(nontrivial - 1);
-    if (objective > 0.0) {
-      artifact.bound = objective;
-      artifact.segments = segments - (nontrivial - 1);
+template <class Memory, class Row, class Compute>
+std::vector<Row> ArtifactCache::memoized_rows(
+    const std::vector<Memory>& memories, std::map<Memory, Row>& memo,
+    Compute&& compute) {
+  std::vector<Memory> missed;
+  for (const Memory& memory : memories) {
+    if (memo.contains(memory) ||
+        std::find(missed.begin(), missed.end(), memory) != missed.end()) {
+      bump<&Stats::hits>(1);
+    } else {
+      bump<&Stats::misses>(1);
+      missed.push_back(memory);
     }
   }
-  return partitions_.emplace(memory, std::move(artifact)).first->second;
+  if (!missed.empty()) {
+    std::vector<Row> rows = compute(missed);
+    for (std::size_t i = 0; i < missed.size(); ++i)
+      memo.emplace(missed[i], rows[i]);
+  }
+  std::vector<Row> result;
+  result.reserve(memories.size());
+  for (const Memory& memory : memories) result.push_back(memo.at(memory));
+  return result;
+}
+
+std::vector<ArtifactCache::MemsimArtifact> ArtifactCache::memsim_rows(
+    const std::vector<std::int64_t>& memories, int random_orders) {
+  auto compute = [&](const std::vector<std::int64_t>& missed) {
+    std::vector<MemsimArtifact> rows(
+        missed.size(), MemsimArtifact{0, 0, decomposition().wc.count});
+    // Isolated vertices are sources and sinks at once: all their I/O is
+    // trivial and excluded from reads/writes by the simulator.
+    resolve_each_memory<ArtifactKind::kMemsimRow>(
+        missed,
+        [&](int, const Digraph& sub, const std::vector<std::int64_t>& todo) {
+          bump<&Stats::memsim_runs>(static_cast<std::int64_t>(todo.size()));
+          telemetry::Span memsim_span("memsim");
+          memsim_span.attr("vertices", sub.num_vertices())
+              .attr("memories", todo.size())
+              .attr("random_orders", random_orders);
+          std::vector<store::MemsimRowArtifact> computed;
+          computed.reserve(todo.size());
+          for (const sim::BestSchedule& best :
+               sim::best_schedule(sub, todo, random_orders))
+            computed.push_back({best.result.reads, best.result.writes});
+          return computed;
+        },
+        [&rows](int, std::size_t i, const store::MemsimRowArtifact& row) {
+          rows[i].reads += row.reads;
+          rows[i].writes += row.writes;
+        },
+        random_orders);
+    return rows;
+  };
+  return memoized_rows(memories, memsims_[random_orders], compute);
+}
+
+std::vector<ArtifactCache::PartitionArtifact> ArtifactCache::partition_rows(
+    const std::vector<double>& memories) {
+  auto compute = [&](const std::vector<double>& missed) {
+    const Decomposition& d = decomposition();
+    std::vector<double> totals(missed.size(), 0.0);
+    std::vector<std::int64_t> segments(missed.size(), 0);
+    // Edgeless: the component's own optimum is one empty segment (−2M),
+    // exactly cancelled by the seam refund of counting it — skip both.
+    const auto nontrivial = static_cast<int>(
+        std::count_if(d.edges.begin(), d.edges.end(),
+                      [](std::int64_t edges) { return edges != 0; }));
+    resolve_each_memory<ArtifactKind::kPartitionRow>(
+        missed,
+        [&](int c, const Digraph& sub, const std::vector<double>& todo) {
+          // The DP walks the component's own natural order — the
+          // restriction of the merged whole-graph Kahn order, resolved as
+          // topo_order resolves it.
+          const store::TopoOrderArtifact topo =
+              resolve<ArtifactKind::kTopoOrder>(
+                  c, &sub, std::bind_front(&ArtifactCache::kahn, this));
+          bump<&Stats::partition_runs>(static_cast<std::int64_t>(todo.size()));
+          telemetry::Span dp_span("partition_dp");
+          dp_span.attr("vertices", sub.num_vertices())
+              .attr("edges", sub.num_edges())
+              .attr("memories", todo.size());
+          std::vector<store::PartitionRowArtifact> computed;
+          computed.reserve(todo.size());
+          for (const OptimalPartitionResult& r :
+               optimal_lemma1_bound(sub, topo.order, todo))
+            computed.push_back({r.objective, r.objective_segments});
+          return computed;
+        },
+        [&](int, std::size_t i, const store::PartitionRowArtifact& row) {
+          totals[i] += row.objective;
+          segments[i] += row.segments;
+        });
+    std::vector<PartitionArtifact> rows(missed.size(),
+                                        PartitionArtifact{0.0, 0, d.wc.count});
+    for (std::size_t i = 0; i < missed.size(); ++i) {
+      const double objective =
+          totals[i] + 2.0 * missed[i] * static_cast<double>(nontrivial - 1);
+      if (nontrivial > 0 && objective > 0.0) {
+        rows[i].bound = objective;
+        rows[i].segments = segments[i] - (nontrivial - 1);
+      }
+    }
+    return rows;
+  };
+  return memoized_rows(memories, partitions_, compute);
 }
 
 std::int64_t ArtifactCache::eigensolves(LaplacianKind kind) const noexcept {

@@ -11,12 +11,14 @@
 // components across specs, stream patches, and (with a disk tier)
 // process restarts compute once. Every kind takes a component's
 // fingerprint from component_fingerprint and its subgraph from
-// component_graph; the four uniform kinds share one resolve-or-compute
-// loop (resolve_each), and spectra add the warm tier and the certified
-// merge (core/spectral_pipeline.hpp). Hit/miss counters are exposed
-// so tests (and the CLI's JSON reports) can certify the reuse, e.g. that
-// a full `--method all --memory 4,8,16` run performs exactly one
-// eigendecomposition per Laplacian kind.
+// component_graph; the M-independent uniform kinds share one
+// resolve-or-compute loop (resolve_each), the two M-dependent ones
+// (memsim and partition rows) resolve all of a request's memories in one
+// pass per component (resolve_each_memory), and spectra add the warm
+// tier and the certified merge (core/spectral_pipeline.hpp). Hit/miss
+// counters are exposed so tests (and the CLI's JSON reports) can certify
+// the reuse, e.g. that a full `--method all --memory 4,8,16` run performs
+// exactly one eigendecomposition per Laplacian kind.
 #pragma once
 
 #include <array>
@@ -212,14 +214,18 @@ class ArtifactCache {
   const WavefrontArtifact& max_wavefront_cut(
       const flow::ConvexMinCutOptions& options = {});
 
-  /// Best simulated schedule cost at (memory, random_orders), summed per
+  /// Best simulated schedule cost at (memory, random_orders) for every
+  /// entry of one request's `memories`, one row per entry, each summed per
   /// weak component. Components share no values, so scheduling them one
   /// after another is feasible whenever each fits — the sum is a valid
   /// (and never weaker) upper bound, identical to the whole-graph
   /// simulation on connected graphs. Per-component rows resolve from the
-  /// ArtifactStore by content fingerprint. Requires memory ≥ the graph's
-  /// max in-degree (the caller's feasibility guard); throws
-  /// contract_error like sim::best_schedule_io otherwise.
+  /// ArtifactStore by content fingerprint, one (component, M) key each; a
+  /// component that misses any memory extracts once and simulates every
+  /// missed memory in one sim::best_schedule pass. Each entry counts one
+  /// cache hit or miss, as a one-memory request would. Requires every
+  /// memory ≥ the graph's max in-degree (the caller's feasibility guard);
+  /// throws contract_error like sim::best_schedule_io otherwise.
   struct MemsimArtifact {
     std::int64_t reads = 0;
     std::int64_t writes = 0;
@@ -228,9 +234,11 @@ class ArtifactCache {
       return reads + writes;
     }
   };
-  const MemsimArtifact& memsim_row(std::int64_t memory, int random_orders);
+  std::vector<MemsimArtifact> memsim_rows(
+      const std::vector<std::int64_t>& memories, int random_orders);
 
-  /// Optimal Lemma 1 partition certificate at `memory`, composed per weak
+  /// Optimal Lemma 1 partition certificate at every entry of one
+  /// request's `memories`, one row per entry, composed per weak
   /// component: segment costs are additive across components (no cross
   /// edges), and merging adjacent segments at a component seam costs
   /// nothing while refunding one 2M segment charge, so for the
@@ -239,18 +247,22 @@ class ArtifactCache {
   /// over the k components with edges (edgeless components fold into a
   /// neighboring segment at zero cost — their own −2M optimum exactly
   /// cancels their seam refund). Per-component objectives resolve from
-  /// the ArtifactStore by content fingerprint (and persist through its
-  /// disk tier); only misses extract their subgraph and run the O(n²)
-  /// DP — a stream patch recomputes exactly the dirty components. At
-  /// least as strong as the former whole-graph DP on the interleaved
-  /// merged order, and identical on connected graphs. Throws
-  /// contract_error on cyclic graphs.
+  /// the ArtifactStore by content fingerprint, one (component, M) key
+  /// each (and persist through its disk tier); a component that misses
+  /// any memory extracts its subgraph and resolves its order once, then
+  /// runs one O(n²) DP pass over every missed memory — a stream patch
+  /// recomputes exactly the dirty components. Each entry counts one cache
+  /// hit or miss, as a one-memory request would. At least as strong as
+  /// the former whole-graph DP on the interleaved merged order, and
+  /// identical on connected graphs. Throws contract_error on cyclic
+  /// graphs.
   struct PartitionArtifact {
     double bound = 0.0;         ///< max(0, composed objective)
     std::int64_t segments = 0;  ///< maximizing partition (0 when bound 0)
     int components = 1;
   };
-  const PartitionArtifact& partition_row(double memory);
+  std::vector<PartitionArtifact> partition_rows(
+      const std::vector<double>& memories);
 
   struct Stats {
     std::int64_t hits = 0;         ///< artifact requests served from cache
@@ -386,20 +398,36 @@ class ArtifactCache {
   void merge_component_spectrum(SpectrumMerge& merge, int c,
                                 LaplacianKind kind,
                                 const SpectralOptions& options);
-  /// Component c's K artifact under (fingerprint, options...): the store's
-  /// entry, else compute(c, sub) on the component graph — `*sub` when
+  /// Component c's K artifact under its fingerprint: the store's entry,
+  /// else compute(c, sub) on the component graph — `*sub` when
   /// given, else extracted — published to the store.
-  template <store::ArtifactKind K, class Compute, class... Options>
+  template <store::ArtifactKind K, class Compute>
   store::ArtifactStore::Artifact<K> resolve(int c, const Digraph* sub,
-                                            Compute&& compute,
-                                            const Options&... options);
+                                            Compute&& compute);
   /// resolve<K> for every component with edges, in component order,
   /// handing each artifact to use(c, artifact). Edgeless components'
   /// artifacts are trivial — cheaper to regenerate than to fingerprint —
   /// so they never touch the store.
-  template <store::ArtifactKind K, class Compute, class Use,
+  template <store::ArtifactKind K, class Compute, class Use>
+  void resolve_each(Compute&& compute, Use&& use);
+  /// resolve_each for a kind keyed by (fingerprint, memory, options...),
+  /// over a list of distinct memories: per component with edges, every
+  /// (component, M) key is looked up; on any miss the component extracts
+  /// once and compute(c, sub, missed) returns the missed memories'
+  /// artifacts from one pass, each published under its own key. Then
+  /// use(c, i, artifact) receives memories[i]'s artifact, every i.
+  template <store::ArtifactKind K, class Memory, class Compute, class Use,
             class... Options>
-  void resolve_each(Compute&& compute, Use&& use, const Options&... options);
+  void resolve_each_memory(const std::vector<Memory>& memories,
+                           Compute&& compute, Use&& use,
+                           const Options&... options);
+  /// memo's row for every entry of `memories`, one hit or miss counted
+  /// per entry: the distinct entries memo lacks go, in first-seen order,
+  /// to one compute(missed) call, whose rows memo then keeps.
+  template <class Memory, class Row, class Compute>
+  std::vector<Row> memoized_rows(const std::vector<Memory>& memories,
+                                 std::map<Memory, Row>& memo,
+                                 Compute&& compute);
   /// Min-first Kahn on one component graph (the `topo` compute of
   /// topo_order and of the partition DP's order).
   store::TopoOrderArtifact kahn(int c, const Digraph& sub);
@@ -424,7 +452,8 @@ class ArtifactCache {
   std::vector<SpectrumRun> spectrum_runs_;
   std::map<LaplacianKind, std::int64_t> eigensolves_by_kind_;
   std::optional<WavefrontArtifact> max_cut_;
-  std::map<std::pair<std::int64_t, int>, MemsimArtifact> memsims_;
+  /// Memsim rows by random_orders, then memory.
+  std::map<int, std::map<std::int64_t, MemsimArtifact>> memsims_;
   std::map<double, PartitionArtifact> partitions_;
 };
 

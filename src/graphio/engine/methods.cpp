@@ -4,7 +4,6 @@
 #include "graphio/core/analytic_bounds.hpp"
 #include "graphio/engine/method.hpp"
 #include "graphio/exact/pebble_search.hpp"
-#include "graphio/sim/memsim.hpp"
 #include "graphio/support/contracts.hpp"
 #include "graphio/support/timer.hpp"
 
@@ -188,22 +187,24 @@ class PartitionDpMethod final : public BoundMethod {
     // across weak components): clean components resolve their objective
     // from the artifact store, so a stream patch re-runs the O(n²) DP on
     // exactly the dirty components — and the lazy graph never
-    // materializes.
+    // materializes. One request is one cache call: a component that
+    // misses several memories runs one DP pass for all of them.
+    WallTimer timer;
+    std::vector<ArtifactCache::PartitionArtifact> artifacts;
+    try {
+      artifacts = ctx.cache.partition_rows(
+          std::vector<double>(memories.begin(), memories.end()));
+    } catch (const contract_error&) {
+      return inapplicable_rows(*this, memories, "graph is cyclic");
+    }
     std::vector<MethodRow> rows;
     rows.reserve(memories.size());
-    for (double m : memories) {
-      WallTimer timer;
-      MethodRow row = base_row(*this, m);
-      try {
-        const ArtifactCache::PartitionArtifact& r =
-            ctx.cache.partition_row(m);
-        row.value = r.bound;
-        row.best_k = static_cast<int>(r.segments);
-        row.note = "segments=" + std::to_string(r.segments);
-      } catch (const contract_error&) {
-        return inapplicable_rows(*this, memories, "graph is cyclic");
-      }
-      row.seconds = timer.seconds();
+    for (std::size_t i = 0; i < memories.size(); ++i) {
+      MethodRow row = base_row(*this, memories[i]);
+      row.value = artifacts[i].bound;
+      row.best_k = static_cast<int>(artifacts[i].segments);
+      row.note = "segments=" + std::to_string(artifacts[i].segments);
+      row.seconds = i == 0 ? timer.seconds() : 0.0;
       rows.push_back(std::move(row));
     }
     return rows;
@@ -334,32 +335,42 @@ class MemsimMethod final : public BoundMethod {
     const std::int64_t dmax_in = ctx.cache.max_in_degree();
     std::vector<MethodRow> rows;
     rows.reserve(memories.size());
+    std::vector<std::size_t> feasible_rows;
+    std::vector<std::int64_t> feasible;
     for (double m : memories) {
       MethodRow row = base_row(*this, m);
       const auto mem = static_cast<std::int64_t>(m);
       if (static_cast<double>(dmax_in) > m || mem < 1) {
         row.applicable = false;
         row.note = "no feasible schedule: max in-degree exceeds M";
-        rows.push_back(std::move(row));
-        continue;
+      } else {
+        feasible_rows.push_back(rows.size());
+        feasible.push_back(mem);
       }
-      WallTimer timer;
-      try {
-        // Per weak component (components share no values, so sequential
-        // per-component schedules compose); each row resolves through
-        // the artifact store, so only dirty components simulate.
-        const ArtifactCache::MemsimArtifact& r =
-            ctx.cache.memsim_row(mem, ctx.request.sim_random_orders);
-        row.value = static_cast<double>(r.total());
-        row.note = "reads=" + std::to_string(r.reads) +
-                   " writes=" + std::to_string(r.writes);
-      } catch (const contract_error& e) {
-        row.applicable = false;
-        row.note = e.what();
-      }
-      row.seconds = timer.seconds();
       rows.push_back(std::move(row));
     }
+    if (feasible.empty()) return rows;
+    WallTimer timer;
+    try {
+      // Per weak component (components share no values, so sequential
+      // per-component schedules compose); each row resolves through
+      // the artifact store, so only dirty components simulate, each once
+      // for all of the request's missed memories.
+      const std::vector<ArtifactCache::MemsimArtifact> artifacts =
+          ctx.cache.memsim_rows(feasible, ctx.request.sim_random_orders);
+      for (std::size_t j = 0; j < feasible_rows.size(); ++j) {
+        MethodRow& row = rows[feasible_rows[j]];
+        row.value = static_cast<double>(artifacts[j].total());
+        row.note = "reads=" + std::to_string(artifacts[j].reads) +
+                   " writes=" + std::to_string(artifacts[j].writes);
+      }
+    } catch (const contract_error& e) {
+      for (const std::size_t i : feasible_rows) {
+        rows[i].applicable = false;
+        rows[i].note = e.what();
+      }
+    }
+    rows[feasible_rows.front()].seconds = timer.seconds();
     return rows;
   }
 };

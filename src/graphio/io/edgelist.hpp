@@ -6,6 +6,17 @@
 //   v <id> <name>             optional vertex name (rest of line)
 //   e <u> <w>                 one directed edge; repeat for parallel edges
 //
+// Tokens are separated by any whitespace (so CRLF files read like LF
+// ones), a number may carry a leading '+' or '-', and anything after the
+// tokens a directive needs is ignored — including trailing characters
+// glued to the last number ("e 0 1x" is the edge 0→1); out-of-range and
+// overflowing numbers are errors. A `v` name is the rest of its line
+// after leading blanks, a CRLF file's '\r' included.
+//
+// Every reader parses one in-memory buffer with std::from_chars:
+// load_edgelist and read_edgelist read the whole input first, and
+// from_edgelist_string parses its argument in place.
+//
 // The format is deliberately trivial: it exists so users can feed their
 // own computation graphs to the bound tools (tools/graphio-cli) without
 // writing C++, and so benches can persist generated workloads.

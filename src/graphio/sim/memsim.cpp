@@ -1,6 +1,7 @@
 #include "graphio/sim/memsim.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "graphio/graph/topo.hpp"
 #include "graphio/sim/eviction_heap.hpp"
@@ -116,15 +117,23 @@ SimResult simulate_io(const Digraph& g, const std::vector<VertexId>& order,
   return result;
 }
 
-BestSchedule best_schedule(const Digraph& g, std::int64_t memory,
-                           int random_orders, std::uint64_t seed) {
+std::vector<BestSchedule> best_schedule(
+    const Digraph& g, const std::vector<std::int64_t>& memories,
+    int random_orders, std::uint64_t seed) {
   auto natural = topological_order(g);
   GIO_EXPECTS_MSG(natural.has_value(), "graph has a cycle");
 
-  BestSchedule best{*natural, simulate_io(g, *natural, memory)};
-  auto consider = [&](std::vector<VertexId> order) {
-    const SimResult r = simulate_io(g, order, memory);
-    if (r.total() < best.result.total()) best = {std::move(order), r};
+  // The candidate orders do not depend on M: each is generated once and
+  // simulated at every memory, and each memory keeps its own winner.
+  std::vector<BestSchedule> best;
+  best.reserve(memories.size());
+  for (const std::int64_t memory : memories)
+    best.push_back({*natural, simulate_io(g, *natural, memory)});
+  auto consider = [&](const std::vector<VertexId>& order) {
+    for (std::size_t m = 0; m < memories.size(); ++m) {
+      const SimResult r = simulate_io(g, order, memories[m]);
+      if (r.total() < best[m].result.total()) best[m] = {order, r};
+    }
   };
   consider(dfs_topological_order(g));
   consider(greedy_locality_order(g));
@@ -132,6 +141,13 @@ BestSchedule best_schedule(const Digraph& g, std::int64_t memory,
   for (int i = 0; i < random_orders; ++i)
     consider(random_topological_order(g, rng));
   return best;
+}
+
+BestSchedule best_schedule(const Digraph& g, std::int64_t memory,
+                           int random_orders, std::uint64_t seed) {
+  return std::move(best_schedule(g, std::vector<std::int64_t>{memory},
+                                 random_orders, seed)
+                       .front());
 }
 
 SimResult best_schedule_io(const Digraph& g, std::int64_t memory,

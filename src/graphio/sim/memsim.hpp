@@ -11,6 +11,10 @@
 //   * recomputation is disallowed.
 // The simulated cost of any schedule is an upper bound on J*(G): every
 // lower-bound engine in the library is sandwich-tested against it.
+//
+// best_schedule's candidate orders do not depend on M, so its list form
+// generates them once and simulates each at every memory of a request;
+// the one-memory forms wrap it.
 #pragma once
 
 #include <cstdint>
@@ -64,5 +68,13 @@ struct BestSchedule {
 BestSchedule best_schedule(const Digraph& g, std::int64_t memory,
                            int random_orders = 4,
                            std::uint64_t seed = 0xC0FFEE);
+
+/// best_schedule at every entry of `memories` (each must be feasible), one
+/// result per entry, each equal to a one-memory call: the candidate
+/// orders are generated once and simulated at every memory, and each
+/// memory picks its own winner. The one-memory forms wrap this.
+std::vector<BestSchedule> best_schedule(
+    const Digraph& g, const std::vector<std::int64_t>& memories,
+    int random_orders = 4, std::uint64_t seed = 0xC0FFEE);
 
 }  // namespace graphio::sim

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "graphio/core/partition.hpp"
 #include "graphio/core/partition_dp.hpp"
@@ -111,6 +114,44 @@ TEST(OptimalPartition, RejectsNonTopologicalOrders) {
 TEST(OptimalPartition, EmptyGraph) {
   const Digraph g(0);
   EXPECT_DOUBLE_EQ(optimal_lemma1_bound(g, {}, 1.0).bound, 0.0);
+}
+
+TEST(OptimalPartition, MemoryListsEqualOneMemoryCallsBitwise) {
+  // One cost extension per anchor serves every memory of a list; each
+  // memory's f row must come out exactly as a one-memory run computes it,
+  // for unsorted lists, duplicates, M = 0 and fractional M.
+  const std::vector<std::vector<double>> lists = {
+      {16.0, 0.0, 7.5, 4.0, 7.5, 1.0}, {0.0}, {7.5, 7.5}, {64.0, 2.0, 1e6}};
+  Prng rng(41);
+  for (const Digraph& g :
+       {builders::erdos_renyi_dag(80, 0.06, 5), builders::fft(4),
+        builders::bhk_hypercube(5), builders::naive_matmul(3)}) {
+    const std::vector<VertexId> natural = *topological_order(g);
+    for (const std::vector<VertexId>& order :
+         {natural, random_topological_order(g, rng)}) {
+      for (const std::vector<double>& memories : lists) {
+        const std::vector<OptimalPartitionResult> all =
+            optimal_lemma1_bound(g, order, memories);
+        ASSERT_EQ(all.size(), memories.size());
+        for (std::size_t i = 0; i < memories.size(); ++i) {
+          const OptimalPartitionResult one =
+              optimal_lemma1_bound(g, order, memories[i]);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(all[i].objective),
+                    std::bit_cast<std::uint64_t>(one.objective))
+              << "M=" << memories[i];
+          EXPECT_EQ(all[i].objective_segments, one.objective_segments);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(all[i].bound),
+                    std::bit_cast<std::uint64_t>(one.bound));
+          EXPECT_EQ(all[i].segments, one.segments);
+          EXPECT_EQ(all[i].breakpoints, one.breakpoints);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(optimal_lemma1_bound(builders::fft(2),
+                                   *topological_order(builders::fft(2)),
+                                   std::vector<double>{})
+                  .empty());
 }
 
 }  // namespace

@@ -73,9 +73,9 @@ TEST(ArtifactStoreEngine, UniformKindsResolveOncePerDistinctComponent) {
   ArtifactCache cache(GraphSpec::parse("multi:5:inner:3").build());
   cache.topo_order();
   cache.max_wavefront_cut();
-  cache.memsim_row(8, 3);
-  cache.partition_row(8);
-  cache.partition_row(4);
+  cache.memsim_rows({8}, 3);
+  cache.partition_rows({8});
+  cache.partition_rows({4});
   const ArtifactCache::Stats& stats = cache.stats();
   EXPECT_EQ(stats.topo_computes, 1);
   EXPECT_EQ(stats.mincut_sweeps, 1);
@@ -92,9 +92,50 @@ TEST(ArtifactStoreEngine, UniformKindsResolveOncePerDistinctComponent) {
   // The partition DP publishes the order it computed: topo_order() after
   // it runs no Kahn.
   ArtifactCache fresh(GraphSpec::parse("multi:3:fft:3").build());
-  fresh.partition_row(8);
+  fresh.partition_rows({8});
   fresh.topo_order();
   EXPECT_EQ(fresh.stats().topo_computes, 1);
+
+  // Several memories of one request resolve in one pass per component:
+  // one extraction and one topo lookup serve both DP rows, and each
+  // (component, M) row is still its own store entry.
+  ArtifactCache both(GraphSpec::parse("multi:5:inner:3").build());
+  const std::vector<ArtifactCache::PartitionArtifact> rows =
+      both.partition_rows({8, 4});
+  EXPECT_EQ(both.stats().partition_runs, 2);
+  EXPECT_EQ(both.stats().subgraph_extractions, 1);
+  EXPECT_EQ(both.stats().misses, 2);
+  const store::ArtifactStore::Stats both_kinds =
+      both.artifact_store()->stats();
+  EXPECT_EQ(both_kinds[store::ArtifactKind::kTopoOrder].hits, 0);
+  EXPECT_EQ(both_kinds[store::ArtifactKind::kTopoOrder].misses, 1);
+  EXPECT_EQ(both_kinds[store::ArtifactKind::kPartitionRow].hits, 8);
+  EXPECT_EQ(both_kinds[store::ArtifactKind::kPartitionRow].misses, 2);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].bound, cache.partition_rows({8}).front().bound);
+  EXPECT_EQ(rows[1].bound, cache.partition_rows({4}).front().bound);
+}
+
+TEST(ArtifactStoreEngine, EachComputingKindExtractsOncePerRequest) {
+  // Three equal components and three memories: memsim is feasible at one
+  // memory and partition-dp at all three, yet each kind extracts its one
+  // distinct component once — not once per (component, M) store miss.
+  Engine engine;
+  BoundRequest request;
+  request.spec = "multi:3:er:300:0.03:1";
+  request.memories = {4.0, 8.0, 16.0};
+  request.methods = {"memsim", "partition-dp"};
+  const BoundReport report = engine.evaluate(request);
+  EXPECT_EQ(report.cache.subgraph_extractions, 2);
+  EXPECT_EQ(report.cache.partition_runs, 3);
+  EXPECT_EQ(report.cache.memsim_runs, 1);
+  EXPECT_EQ(report.cache.topo_computes, 1);
+  EXPECT_EQ(report.cache.fingerprint_computes, 3);
+  ASSERT_EQ(report.rows.size(), 6u);
+  for (const MethodRow& row : report.rows)
+    EXPECT_EQ(row.applicable,
+              row.method == "partition-dp" || row.memory == 16.0)
+        << row.method << " M=" << row.memory;
 }
 
 TEST(ArtifactStoreEngine, FingerprintsComputeOncePerGraphAcrossKinds) {

@@ -1,9 +1,14 @@
 // Serialization: edge-list round trips (including multiplicity and names),
-// parser failure injection, JSON writer discipline, and validator rigor.
+// parser failure injection, differential parity of the edge-list reader
+// with its istream reference (tests/edgelist_reference.hpp), JSON writer
+// discipline, and validator rigor.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <optional>
 
+#include "edgelist_reference.hpp"
 #include "graphio/graph/builders.hpp"
 #include "graphio/io/edgelist.hpp"
 #include "graphio/io/json.hpp"
@@ -103,6 +108,197 @@ TEST(Edgelist, FileRoundTrip) {
   save_edgelist(path, g);
   EXPECT_TRUE(same_graph(g, load_edgelist(path)));
   std::filesystem::remove(path);
+}
+
+// --- Edge-list reader vs. its istream reference ------------------------------
+
+/// What reading one document gave: the graph, or the error message.
+struct Outcome {
+  std::optional<Digraph> graph;
+  std::string error;
+};
+
+template <class Read>
+Outcome outcome_of(Read&& read) {
+  try {
+    return {read(), {}};
+  } catch (const contract_error& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+/// Identical graphs: equal adjacency in insertion order, equal names.
+bool identical(const Digraph& a, const Digraph& b) {
+  if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges())
+    return false;
+  for (VertexId v = 0; v < a.num_vertices(); ++v)
+    if (!std::ranges::equal(a.children(v), b.children(v)) ||
+        !std::ranges::equal(a.parents(v), b.parents(v)) ||
+        a.name(v) != b.name(v))
+      return false;
+  return true;
+}
+
+/// Reads `text` with both readers and checks they agree: both accept with
+/// identical graphs, or both reject with the same message. Returns the
+/// production reader's outcome.
+Outcome expect_reference_parity(const std::string& text) {
+  const Outcome got = outcome_of([&] { return from_edgelist_string(text); });
+  const Outcome want =
+      outcome_of([&] { return reference::from_edgelist_string(text); });
+  EXPECT_EQ(got.graph.has_value(), want.graph.has_value())
+      << "document:\n" << text << "\ngot: " << got.error
+      << "\nwant: " << want.error;
+  EXPECT_EQ(got.error, want.error) << "document:\n" << text;
+  if (got.graph && want.graph)
+    EXPECT_TRUE(identical(*got.graph, *want.graph)) << "document:\n" << text;
+  return got;
+}
+
+std::vector<Digraph> reference_graphs() {
+  std::vector<Digraph> graphs = {
+      builders::fft(4),           builders::naive_matmul(3),
+      builders::strassen_matmul(2), builders::bhk_hypercube(4),
+      builders::inner_product(3), builders::erdos_renyi_dag(60, 0.08, 7),
+      builders::grid(3, 4),       builders::stencil2d(3, 3, 2),
+      builders::binary_tree(3),   builders::cholesky(3),
+      Digraph(0),                 Digraph(5)};
+  Digraph named(4);
+  named.add_edge(0, 3);
+  named.add_edge(0, 3);
+  named.add_edge(2, 1);
+  named.set_name(0, "x squared");
+  named.set_name(1, "tab\tinside");
+  named.set_name(3, "a  b\t c");
+  graphs.push_back(std::move(named));
+  return graphs;
+}
+
+TEST(EdgelistReference, EveryBuilderRoundTripMatches) {
+  for (const Digraph& g : reference_graphs()) {
+    const Outcome got = expect_reference_parity(to_edgelist_string(g));
+    ASSERT_TRUE(got.graph.has_value()) << got.error;
+    EXPECT_TRUE(same_graph(*got.graph, g));
+  }
+}
+
+TEST(EdgelistReference, LayoutQuirksMatch) {
+  using namespace std::string_literals;
+  const std::string head = "graphio-edgelist 1\n";
+  const std::vector<std::string> accepted = {
+      // CRLF line ends; the '\r' ends a name too.
+      "graphio-edgelist 1\r\nn 3\r\nv 0 in put\r\ne 0 1\r\ne 1 2\r\n",
+      // No final newline, comments, blank and whitespace-only lines.
+      "# leading comment\n\n \t\n" + head + "n 2 # two\n\ne 0 1",
+      head + "n 2\n#e 0 1\n   # indented\ne 0 1 # edge\n",
+      // Signs, leading zeros, any whitespace between tokens.
+      "graphio-edgelist +1\nn +3\ne +0 +2\ne 00 0001\n",
+      "graphio-edgelist\t01\nn\v3\ne\f0\t\t2\r\n",
+      // Trailing tokens and digits followed by garbage.
+      head + "n 3 extra tokens\ne 0 1x\ne 1 2 3 4\ne 0x1 2\n",
+      "graphio-edgelist 1.5\nn 2.9\ne 0 1.0\n",
+      head + "n 3\nv 1x name\nv 2\nv 0 \t \nv 0  late  \n",
+      // A CRLF line's blank name is the '\r' itself.
+      head + "n 2\r\nv 1 \r\n",
+      head + "n 0\n",
+      head + "n -0\n"};
+  for (const std::string& text : accepted) expect_reference_parity(text);
+
+  const std::vector<std::string> rejected = {
+      "", "\n\n# only comments\n", "bogus 1\n", "graphio-edgelist\n",
+      "graphio-edgelist 2\n", "graphio-edgelist x1\n",
+      "graphio-edgelist -0001\n",
+      "graphio-edgelist 99999999999\n", "graphio-edgelist ++1\n",
+      "graphio-edgelist +-1\n", "graphio-edgelist -+1\n",
+      head + "n +-0\n", head + "n 2\ne +-0 1\n",
+      "graphio-edgelist +\n", head, head + "# no n\n",
+      head + "e 0 1\n", head + "v 0 a\n", head + "n 2\nn 2\n",
+      head + "n 2\nn 3\n", head + "n\n", head + "n -1\n", head + "n x\n",
+      head + "n 2\ne 0 2\n", head + "n 2\ne -1 0\n", head + "n 2\ne 0\n",
+      head + "n 2\ne 0 +\n", head + "n 2\ne 0 - 1\n",
+      head + "n 2\ne 1 1\n", head + "n 2\nv 2 far\n", head + "n 2\nv\n",
+      head + "n 2\ne 0 99999999999999999999\n",
+      head + "n 2\ne 0 -9223372036854775809\n",
+      head + "n 2\ne 0 -9223372036854775808\n",
+      head + "n 99999999999999999999\n", head + "n 2\nq 0 1\n",
+      head + "n 2\ngraphio-edgelist 1\n", head + "n 2\nE 0 1\n",
+      head + "n 2\ne0 1\n", head + "n 2\r\ne 0 1\r\ne 1 0x\r\ne 0 1 \r\n"
+                                 "e 0 x\r\n",
+      "graphio-edgelist 1\nn 2\ne\0 0 1\n"s};
+  for (const std::string& text : rejected)
+    EXPECT_FALSE(expect_reference_parity(text).graph.has_value()) << text;
+}
+
+TEST(EdgelistReference, ErrorMessagesCarryTheSameLineNumber) {
+  const Outcome got = expect_reference_parity(
+      "graphio-edgelist 1\r\n\r\n# c\r\nn 2\r\ne 0 1\r\ne 0 7\r\n");
+  EXPECT_EQ(got.error, "edgelist parse error at line 6: bad edge endpoint");
+  // The end-of-document errors name the last line, counted as getline
+  // counts: a final line without '\n' counts, a trailing '\n' adds none.
+  EXPECT_EQ(expect_reference_parity("graphio-edgelist 1\n\n\n").error,
+            "edgelist parse error at line 3: missing n directive");
+  EXPECT_EQ(expect_reference_parity("# a\n# b").error,
+            "edgelist parse error at line 2: empty document (missing header)");
+}
+
+TEST(EdgelistReference, RandomByteEditsMatch) {
+  // Seeded single-byte replacements, insertions and deletions, drawn
+  // mostly from the bytes the grammar cares about, on small documents
+  // (so an edited vertex count stays small).
+  std::vector<std::string> bases;
+  for (const Digraph& g :
+       {builders::fft(2), builders::inner_product(2), builders::path(6),
+        builders::erdos_renyi_dag(12, 0.3, 3)})
+    bases.push_back(to_edgelist_string(g));
+  bases.push_back(
+      "# quirks\r\ngraphio-edgelist +1 trailing\r\nn 4\r\n"
+      "v 0 a name\r\nv 3\tb\r\ne 0 1x\r\ne +1 2\ne 2 3 # c\n");
+  const std::string alphabet = " \t\r\n\v\f#+-0123456789xenv.";
+  Prng rng(20240611);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string text = bases[rng.below(bases.size())];
+    const int edits = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = rng.below(text.size() + 1);
+      const char byte = rng.below(8) == 0
+                            ? static_cast<char>(rng.below(256))
+                            : alphabet[rng.below(alphabet.size())];
+      switch (rng.below(3)) {
+        case 0:
+          if (at < text.size()) text[at] = byte;
+          break;
+        case 1: text.insert(at, 1, byte); break;
+        default:
+          if (at < text.size()) text.erase(at, 1);
+      }
+    }
+    (expect_reference_parity(text).graph ? accepted : rejected) += 1;
+    if (HasFailure()) break;
+  }
+  // The edits exercise both sides of the grammar.
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 300);
+}
+
+TEST(EdgelistReference, FilesAndStreamsReadTheSameBuffer) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "graphio_edgelist_crlf.txt";
+  const std::string crlf =
+      "graphio-edgelist 1\r\nn 3\r\nv 2 out\r\ne 0 2\r\ne 1 2";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << crlf;
+  }
+  const Digraph from_file = load_edgelist(path);
+  std::filesystem::remove(path);
+  std::istringstream stream(crlf);
+  const Digraph from_stream = read_edgelist(stream);
+  const Digraph want = reference::from_edgelist_string(crlf);
+  EXPECT_TRUE(identical(from_file, want));
+  EXPECT_TRUE(identical(from_stream, want));
+  EXPECT_EQ(want.name(2), "out\r");
 }
 
 // --- JSON writer -----------------------------------------------------------

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "graphio/graph/builders.hpp"
 #include "graphio/graph/topo.hpp"
 #include "graphio/sim/memsim.hpp"
+#include "graphio/sim/schedule.hpp"
 #include "graphio/support/contracts.hpp"
+#include "graphio/support/prng.hpp"
 
 namespace graphio::sim {
 namespace {
@@ -223,6 +226,40 @@ TEST(BestScheduleIo, PicksTheCheapestOrder) {
 
 TEST(BestScheduleIo, ThrowsOnCyclicGraph) {
   EXPECT_THROW(best_schedule_io(builders::cycle(4), 4), contract_error);
+}
+
+TEST(BestScheduleIo, MemoryListsEqualOneMemoryCalls) {
+  // The candidate orders are generated once and simulated at every
+  // memory; each memory's winner must be the one-memory call's, and that
+  // is the first of the candidates, in generation order, with the least
+  // total I/O.
+  for (const Digraph& g :
+       {builders::erdos_renyi_dag(70, 0.08, 3), builders::fft(4),
+        builders::bhk_hypercube(5), builders::naive_matmul(3)}) {
+    std::vector<std::vector<VertexId>> candidates = {
+        natural(g), dfs_topological_order(g), greedy_locality_order(g)};
+    Prng rng(9);
+    for (int i = 0; i < 3; ++i)
+      candidates.push_back(random_topological_order(g, rng));
+    const std::int64_t d = std::max<std::int64_t>(g.max_in_degree(), 1);
+    const std::vector<std::int64_t> memories = {d + 6, d, d + 1, d + 6, 64};
+    const std::vector<BestSchedule> all = best_schedule(g, memories, 3, 9);
+    ASSERT_EQ(all.size(), memories.size());
+    for (std::size_t i = 0; i < memories.size(); ++i) {
+      std::size_t first_best = 0;
+      for (std::size_t c = 1; c < candidates.size(); ++c)
+        if (simulate_io(g, candidates[c], memories[i]).total() <
+            simulate_io(g, candidates[first_best], memories[i]).total())
+          first_best = c;
+      EXPECT_EQ(all[i].order, candidates[first_best]) << "M=" << memories[i];
+      const SimResult one = best_schedule_io(g, memories[i], 3, 9);
+      EXPECT_EQ(all[i].result.reads, one.reads) << "M=" << memories[i];
+      EXPECT_EQ(all[i].result.writes, one.writes);
+      EXPECT_EQ(all[i].result.trivial_io, one.trivial_io);
+      EXPECT_EQ(all[i].result.peak_resident, one.peak_resident);
+      EXPECT_EQ(all[i].order, best_schedule(g, memories[i], 3, 9).order);
+    }
+  }
 }
 
 }  // namespace
