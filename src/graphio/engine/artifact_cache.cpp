@@ -58,19 +58,19 @@ bool publishable(const store::MincutSweepArtifact& sweep) {
 template <auto Member, class T>
 void ArtifactCache::bump(T delta) {
   registry().stats.add<Member>(stats_, delta);
-  if (totals_ != nullptr) totals_->add<Member>(delta);
+  if (totals_ != nullptr) totals_->*Member += delta;
 }
 
 ArtifactCache::ArtifactCache(Digraph graph,
                              std::shared_ptr<store::ArtifactStore> store,
-                             Totals* totals)
+                             Stats* totals)
     : graph_(std::move(graph)), store_(std::move(store)), totals_(totals) {
   if (store_ == nullptr) store_ = std::make_shared<store::ArtifactStore>();
 }
 
 ArtifactCache::ArtifactCache(LazyGraph lazy,
                              std::shared_ptr<store::ArtifactStore> store,
-                             ComponentSeed seed, Totals* totals)
+                             ComponentSeed seed, Stats* totals)
     : materialized_(false),
       lazy_(std::move(lazy)),
       store_(std::move(store)),

@@ -87,21 +87,19 @@ struct LazyGraph {
 class ArtifactCache {
  public:
   struct Stats;  ///< per-instance counters, declared below
-  /// Lifetime totals several caches add into: an Engine's, across every
-  /// cache it creates.
-  using Totals = telemetry::AtomicStats<Stats>;
 
   /// Takes ownership of the graph; artifacts are computed lazily.
   /// Per-component artifacts resolve through `store`, the
   /// fingerprint-keyed content-addressed artifact store — pass an
   /// Engine-shared instance so equal components across specs (and across
-  /// the batch fan-out's private caches) compute once per process (or,
-  /// with a disk tier, once ever); when null, the cache creates a private
+  /// the Engines of a serve::Scheduler's workers) compute once per process
+  /// (or, with a disk tier, once ever); when null, the cache creates a private
   /// memory-only one (identical components *within* one graph still
-  /// dedupe). Every count also adds into `totals` when given.
+  /// dedupe). Every count also adds into `totals` when given: an
+  /// Engine's lifetime totals across every cache it creates.
   explicit ArtifactCache(Digraph graph,
                          std::shared_ptr<store::ArtifactStore> store = nullptr,
-                         Totals* totals = nullptr);
+                         Stats* totals = nullptr);
 
   /// Lazy variant: the graph stays unmaterialized until a whole-graph
   /// consumer (pebble-exact, monolithic spectra) asks for it;
@@ -112,7 +110,7 @@ class ArtifactCache {
   /// known fingerprints every component would have to materialize
   /// anyway, defeating the point.
   ArtifactCache(LazyGraph lazy, std::shared_ptr<store::ArtifactStore> store,
-                ComponentSeed seed, Totals* totals = nullptr);
+                ComponentSeed seed, Stats* totals = nullptr);
 
   /// The graph, materializing it on first use for lazily-constructed
   /// caches.
@@ -442,7 +440,7 @@ class ArtifactCache {
   std::optional<ComponentSeed> seed_;
   std::optional<Decomposition> decomp_;
   Stats stats_;
-  Totals* totals_ = nullptr;
+  Stats* totals_ = nullptr;
   std::optional<std::uint64_t> fingerprint_;
   std::optional<std::vector<VertexId>> topo_;
   std::map<LaplacianKind, la::CsrMatrix> laplacians_;

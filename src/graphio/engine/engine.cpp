@@ -4,7 +4,6 @@
 
 #include "graphio/engine/graph_spec.hpp"
 #include "graphio/support/contracts.hpp"
-#include "graphio/support/parallel.hpp"
 #include "graphio/support/timer.hpp"
 #include "graphio/telemetry/metrics.hpp"
 #include "graphio/telemetry/trace.hpp"
@@ -57,18 +56,8 @@ void assemble_provenance(BoundReport& report, ArtifactCache& cache,
     prov.spectra.push_back(std::move(sp));
   }
   prov.rows.reserve(report.rows.size());
-  for (const MethodRow& row : report.rows) {
-    audit::RowLineage lineage;
-    lineage.method = row.method;
-    lineage.memory = row.memory;
-    lineage.processors = row.processors;
-    lineage.applicable = row.applicable;
-    lineage.bound = row.value;
-    lineage.best_k = row.best_k;
-    lineage.converged = row.converged;
-    lineage.degraded = row.degraded;
-    prov.rows.push_back(std::move(lineage));
-  }
+  for (const MethodRow& row : report.rows)
+    prov.rows.push_back(row_lineage(row, "computed"));
 }
 
 }  // namespace
@@ -195,41 +184,6 @@ void Engine::install_graph(const std::string& name, LazyGraph graph,
 
 std::uint64_t Engine::fingerprint(const std::string& spec) {
   return ensure_cache(spec).fingerprint();
-}
-
-std::vector<BoundReport> Engine::evaluate_batch(
-    std::span<const BoundRequest> requests) {
-  std::vector<BoundReport> reports(requests.size());
-  // Private caches per request keep the fan-out race-free without locking
-  // the persistent cache map.
-  std::vector<std::string> errors(requests.size());
-  parallel_for_dynamic(static_cast<std::int64_t>(requests.size()),
-                       [&](std::int64_t i) {
-                         const BoundRequest& request =
-                             requests[static_cast<std::size_t>(i)];
-                         try {
-                           Digraph g = request.graph.has_value()
-                                           ? *request.graph
-                                           : GraphSpec::parse(request.spec)
-                                                 .build();
-                           ArtifactCache cache(std::move(g), store_,
-                                               &totals_);
-                           reports[static_cast<std::size_t>(i)] =
-                               evaluate_with_cache(request, cache);
-                         } catch (const std::exception& e) {
-                           errors[static_cast<std::size_t>(i)] = e.what();
-                         }
-                       });
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    GIO_EXPECTS_MSG(errors[i].empty(), "request '" +
-                                           requests[i].display_name() +
-                                           "' failed: " + errors[i]);
-  // Concurrent evaluations interleave their updates to the process-wide
-  // solver counters, so no parallel report's registry delta is
-  // attributable to it alone.
-  for (BoundReport& report : reports)
-    report.provenance.registry.exclusive = false;
-  return reports;
 }
 
 const ArtifactCache* Engine::cache(const std::string& spec) const {

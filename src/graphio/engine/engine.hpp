@@ -12,12 +12,11 @@
 // expensive shared artifacts — topological orders, Laplacians,
 // eigen-spectra, wavefront cut sweeps — are computed once and reused
 // across every method, every M of a sweep, and every later request for
-// the same spec. Batch evaluation over multiple graphs fans out through
-// support/parallel.hpp.
+// the same spec. An Engine serves one thread at a time; a corpus of
+// requests fans out through serve::Scheduler, whose workers each own one.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,13 +51,6 @@ class Engine {
   /// requests (unknown method id, empty sweep, unresolvable spec);
   /// per-method failures are reported as inapplicable rows, not thrown.
   BoundReport evaluate(const BoundRequest& request);
-
-  /// Evaluates many requests, fanning out through support/parallel.hpp.
-  /// Each request uses a private ArtifactCache (the persistent per-spec
-  /// caches stay untouched), so results match sequential evaluate() calls
-  /// exactly.
-  std::vector<BoundReport> evaluate_batch(
-      std::span<const BoundRequest> requests);
 
   /// Builds (or fetches from cache) the graph a spec resolves to without
   /// evaluating anything — for callers that need structural facts (vertex
@@ -96,17 +88,15 @@ class Engine {
 
   /// Lifetime totals of every ArtifactCache this Engine created —
   /// spec-addressed, installed (the stream session reinstalls after every
-  /// patch), explicit-graph and batch fan-out caches alike, each adding
-  /// into them as it counts. The serve layer reports these per worker and
-  /// in the batch summary footer.
-  [[nodiscard]] ArtifactCache::Stats stats() const {
-    return totals_.snapshot();
-  }
+  /// patch) and explicit-graph caches alike, each adding into them as it
+  /// counts. The serve layer sums these across its workers for the batch
+  /// summary footer.
+  [[nodiscard]] ArtifactCache::Stats stats() const { return totals_; }
 
   /// The content-addressed artifact store shared by every ArtifactCache
-  /// this Engine creates — spec-addressed, explicit-graph, and batch
-  /// fan-out caches alike — so a component shared across specs computes
-  /// each artifact kind once.
+  /// this Engine creates — spec-addressed and explicit-graph caches
+  /// alike — so a component shared across specs computes each artifact
+  /// kind once.
   [[nodiscard]] const std::shared_ptr<store::ArtifactStore>&
   artifact_store() const noexcept {
     return store_;
@@ -124,8 +114,7 @@ class Engine {
   std::shared_ptr<store::ArtifactStore> store_ =
       std::make_shared<store::ArtifactStore>();
   std::unordered_map<std::string, std::unique_ptr<ArtifactCache>> caches_;
-  /// Relaxed atomics: evaluate_batch's caches add concurrently.
-  ArtifactCache::Totals totals_;
+  ArtifactCache::Stats totals_;
 };
 
 }  // namespace graphio::engine

@@ -43,6 +43,20 @@ std::vector<std::string> row_cells(const MethodRow& row, bool with_graph,
 
 }  // namespace
 
+audit::RowLineage row_lineage(const MethodRow& row, std::string_view source) {
+  audit::RowLineage lineage;
+  lineage.method = row.method;
+  lineage.memory = row.memory;
+  lineage.processors = row.processors;
+  lineage.applicable = row.applicable;
+  lineage.bound = row.value;
+  lineage.best_k = row.best_k;
+  lineage.converged = row.converged;
+  lineage.degraded = row.degraded;
+  lineage.source = std::string(source);
+  return lineage;
+}
+
 void append_cache_json(io::JsonWriter& w, const ArtifactCache::Stats& cache,
                        bool phase_seconds) {
   using Stats = ArtifactCache::Stats;

@@ -61,6 +61,10 @@ struct BoundReport {
   [[nodiscard]] Table to_table() const;
 };
 
+/// A row's provenance lineage; `source` is "computed" or "store" (served
+/// from the serve ResultStore).
+audit::RowLineage row_lineage(const MethodRow& row, std::string_view source);
+
 /// The "cache" block of a report or batch summary: ArtifactCache::Stats by
 /// its counter table, with its seconds under "phase_seconds" when asked.
 void append_cache_json(io::JsonWriter& w, const ArtifactCache::Stats& cache,

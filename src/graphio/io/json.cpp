@@ -170,162 +170,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-// --- validator ---------------------------------------------------------------
-
-namespace {
-
-struct Scanner {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r'))
-      ++pos;
-  }
-  [[nodiscard]] bool eof() const { return pos >= text.size(); }
-  [[nodiscard]] char peek() const { return text[pos]; }
-
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (eof() || peek() != '"') return false;
-    ++pos;
-    while (!eof()) {
-      const char c = text[pos];
-      if (c == '"') {
-        ++pos;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos;
-        if (eof()) return false;
-        const char e = text[pos];
-        if (e == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos + i >= text.size() ||
-                std::isxdigit(static_cast<unsigned char>(text[pos + i])) ==
-                    0)
-              return false;
-          }
-          pos += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-      ++pos;
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t begin = pos;
-    if (!eof() && peek() == '-') ++pos;
-    if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0)
-      return false;
-    if (peek() == '0') {
-      ++pos;
-    } else {
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())) != 0)
-        ++pos;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos;
-      if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0)
-        return false;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())) != 0)
-        ++pos;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos;
-      if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0)
-        return false;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())) != 0)
-        ++pos;
-    }
-    return pos > begin;
-  }
-
-  bool value(int depth) {
-    if (depth > 256) return false;  // stack guard
-    skip_ws();
-    if (eof()) return false;
-    switch (peek()) {
-      case '{': {
-        ++pos;
-        skip_ws();
-        if (!eof() && peek() == '}') {
-          ++pos;
-          return true;
-        }
-        for (;;) {
-          skip_ws();
-          if (!string()) return false;
-          skip_ws();
-          if (eof() || peek() != ':') return false;
-          ++pos;
-          if (!value(depth + 1)) return false;
-          skip_ws();
-          if (eof()) return false;
-          if (peek() == ',') {
-            ++pos;
-            continue;
-          }
-          if (peek() == '}') {
-            ++pos;
-            return true;
-          }
-          return false;
-        }
-      }
-      case '[': {
-        ++pos;
-        skip_ws();
-        if (!eof() && peek() == ']') {
-          ++pos;
-          return true;
-        }
-        for (;;) {
-          if (!value(depth + 1)) return false;
-          skip_ws();
-          if (eof()) return false;
-          if (peek() == ',') {
-            ++pos;
-            continue;
-          }
-          if (peek() == ']') {
-            ++pos;
-            return true;
-          }
-          return false;
-        }
-      }
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text) {
-  Scanner s{text};
-  if (!s.value(0)) return false;
-  s.skip_ws();
-  return s.eof();
-}
-
 // --- value parser ------------------------------------------------------------
 
 class JsonParser {
@@ -426,20 +270,35 @@ class JsonParser {
     fail("unterminated string");
   }
 
+  /// Consumes a run of digits; false when there is none.
+  bool digits() {
+    const std::size_t begin = pos_;
+    while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
+    return pos_ > begin;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   double parse_number() {
     const std::size_t begin = pos_;
     if (peek() == '-') ++pos_;
-    check(std::isdigit(static_cast<unsigned char>(peek())) != 0,
-          "expected number");
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+    if (peek() == '0')
       ++pos_;
+    else
+      check(digits(), "expected number");
+    if (peek() == '.') {
+      ++pos_;
+      check(digits(), "expected digit after '.'");
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      ++pos_;
+      if (peek() == '+' || peek() == '-') ++pos_;
+      check(digits(), "expected digit in exponent");
+    }
     double v = 0.0;
     const auto [end, ec] =
         std::from_chars(text_.data() + begin, text_.data() + pos_, v);
-    check(ec == std::errc() && end == text_.data() + pos_, "bad number");
+    check(ec == std::errc() && end == text_.data() + pos_,
+          "number out of range");
     return v;
   }
 
@@ -521,6 +380,15 @@ class JsonParser {
 
 JsonValue JsonValue::parse(std::string_view text) {
   return JsonParser(text).parse_document();
+}
+
+bool json_valid(std::string_view text) {
+  try {
+    (void)JsonValue::parse(text);
+    return true;
+  } catch (const contract_error&) {
+    return false;
+  }
 }
 
 namespace {

@@ -1,13 +1,14 @@
-// Minimal streaming JSON writer, validating scanner, and value parser.
+// Minimal streaming JSON writer and value parser.
 //
 // The writer emits machine-readable experiment artifacts — graphs, bound
 // reports, bench series — without an external JSON dependency. It checks
 // nesting discipline at runtime (object keys before values, matching
 // closes) so misuse fails loudly in tests rather than producing garbage.
-// The scanner is a strict structural validator used by the test suite to
-// certify everything the writer (or a bench) produces. JsonValue is the
-// read side: the serve subsystem parses JSONL job lines and result-store
-// records with it, so the library round-trips its own output.
+// JsonValue is the read side: the serve subsystem parses JSONL job lines
+// and result-store records with it, so the library round-trips its own
+// output. There is one grammar, RFC 8259's: json_valid() is "parse
+// succeeds", which the test suite uses to certify everything the writer
+// (or a bench) produces.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +128,8 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
-/// Structural validation: true iff `text` is one complete, well-formed
-/// JSON value (objects, arrays, strings, numbers, true/false/null).
+/// True iff JsonValue::parse(text) succeeds: `text` is one complete
+/// RFC 8259 value whose numbers fit a double.
 bool json_valid(std::string_view text);
 
 /// Serializes a graph as {"n": ..., "edges": [[u, v], ...],

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -26,45 +27,37 @@ bool report_degraded(const engine::BoundReport& report) {
   return false;
 }
 
-void write_result_line(std::ostream& out, const JobResult& result,
-                       bool explain) {
+/// The structured error line of a failed job: kind ("reject" for an
+/// unparseable line, "error" for an evaluation failure, an injected
+/// fault's kind otherwise), the fault site when one fired, the attempts
+/// when the job reached the scheduler's retry loop, and quarantined:true
+/// when it exhausted them.
+void write_error_line(std::ostream& out, const JobResult& result) {
   io::JsonWriter w;
   w.begin_object();
   w.key("job").value(result.id);
-  if (result.ok) {
-    w.key("report");
-    result.report.append_json(w, /*include_timing=*/false,
-                              /*include_provenance=*/explain);
-    if (report_degraded(result.report)) w.key("degraded").value(true);
-  } else {
-    w.key("error").begin_object();
-    w.key("kind").value(result.error_kind.empty() ? std::string("error")
-                                                  : result.error_kind);
-    if (!result.error_site.empty()) w.key("site").value(result.error_site);
+  w.key("error").begin_object();
+  w.key("kind").value(result.error_kind.empty() ? std::string("error")
+                                                : result.error_kind);
+  if (!result.error_site.empty()) w.key("site").value(result.error_site);
+  if (result.attempts > 0)
     w.key("attempts").value(static_cast<std::int64_t>(result.attempts));
-    if (result.quarantined) w.key("quarantined").value(true);
-    w.key("message").value(result.error);
-    w.end_object();
-  }
+  if (result.quarantined) w.key("quarantined").value(true);
+  w.key("message").value(result.error);
+  w.end_object();
   w.end_object();
   out << w.str() << '\n';
 }
 
-/// Structured error line for jobs that never reached the scheduler:
-/// unparseable input lines (kind "reject") and stream-lane failures
-/// (the injected fault's kind/site when one fired, "error" otherwise).
-void write_reject_line(std::ostream& out, std::int64_t line_no,
-                       const std::string& what,
-                       const std::string& kind = "reject",
-                       const std::string& site = "") {
+void write_report_line(std::ostream& out, const JobResult& result,
+                       bool explain) {
   io::JsonWriter w;
   w.begin_object();
-  w.key("job").value(line_no);
-  w.key("error").begin_object();
-  w.key("kind").value(kind);
-  if (!site.empty()) w.key("site").value(site);
-  w.key("message").value(what);
-  w.end_object();
+  w.key("job").value(result.id);
+  w.key("report");
+  result.report.append_json(w, /*include_timing=*/false,
+                            /*include_provenance=*/explain);
+  if (report_degraded(result.report)) w.key("degraded").value(true);
   w.end_object();
   out << w.str() << '\n';
 }
@@ -215,11 +208,65 @@ const stream::StreamSession* BatchSession::stream_session(
   return it == streams_.end() ? nullptr : it->second.get();
 }
 
-double BatchSession::handle_stream_job(const Job& job, std::ostream& out,
-                                       BatchSummary& summary) {
+/// One run's output and tallies. Every finished job is reported through
+/// record(): the scheduler's callback, serve's inline evaluations and
+/// stream queries alike.
+struct BatchSession::Run {
+  std::ostream& out;
+  bool explain = false;
+  audit::ProvenanceLog* provenance = nullptr;
+  BatchSummary summary;
+  std::vector<double> latencies;
+
+  /// The job on a non-blank input line, or nullopt after its reject line.
+  std::optional<Job> parse(const std::string& line, std::int64_t line_no) {
+    try {
+      Job job = job_from_json_line(line);
+      job.id = line_no;
+      ++summary.jobs;
+      return job;
+    } catch (const std::exception& e) {
+      JobResult reject;
+      reject.id = line_no;
+      reject.error = e.what();
+      reject.error_kind = "reject";
+      reject.attempts = 0;
+      write_error_line(out, reject);
+      ++summary.rejected_lines;
+      return std::nullopt;
+    }
+  }
+
+  void observe(double seconds) {
+    job_latency_histogram().observe(seconds);
+    latencies.push_back(seconds);
+  }
+
+  void record(const JobResult& result) {
+    if (result.ok) {
+      if (provenance != nullptr) provenance->append(result.report.provenance);
+      write_report_line(out, result, explain);
+      ++summary.ok;
+      if (report_degraded(result.report)) ++summary.degraded;
+    } else {
+      write_error_line(out, result);
+      ++summary.failed;
+    }
+    observe(result.seconds);
+    if (result.attempts > 1) summary.retried += result.attempts - 1;
+    if (result.quarantined) ++summary.quarantined;
+    summary.store_hits += result.store_hits;
+    summary.store_misses += result.store_misses;
+  }
+};
+
+void BatchSession::run_stream_job(const Job& job, Run& run) {
   WallTimer timer;
-  ++summary.jobs;
+  BatchSummary& summary = run.summary;
   ++summary.stream_jobs;
+  JobResult result;
+  result.id = job.id;
+  result.attempts = 0;
   try {
     if (job.kind == JobKind::kLoad) {
       auto it = streams_.find(job.graph);
@@ -233,9 +280,10 @@ double BatchSession::handle_stream_job(const Job& job, std::ostream& out,
       }
       const stream::PatchReport report = it->second->load(job.load_spec);
       ++summary.patches;
-      write_stream_line(out, job.id, "load", report);
+      write_stream_line(run.out, job.id, "load", report);
       ++summary.ok;
-      return timer.seconds();
+      run.observe(timer.seconds());
+      return;
     }
 
     const auto it = streams_.find(job.graph);
@@ -250,14 +298,12 @@ double BatchSession::handle_stream_job(const Job& job, std::ostream& out,
       summary.mutations += report.mutations;
       summary.dirty_components += report.dirty_components;
       summary.clean_components += report.clean_components;
-      write_stream_line(out, job.id, "patch", report);
+      write_stream_line(run.out, job.id, "patch", report);
       ++summary.ok;
-      return timer.seconds();
+      run.observe(timer.seconds());
+      return;
     }
 
-    JobResult result;
-    result.id = job.id;
-    result.ok = true;
     if (store_ == nullptr) {
       result.report = session.evaluate(job.request);
     } else {
@@ -270,173 +316,92 @@ double BatchSession::handle_stream_job(const Job& job, std::ostream& out,
       // The key is numbering-agnostic (isomorphic states share it), so
       // only isomorphism-invariant rows may live under it: memsim
       // simulates schedules that tie-break on vertex ids, and stays out.
+      // Store lookups count only once the query has succeeded.
+      std::int64_t hits = 0;
+      std::int64_t misses = 0;
       result.report = evaluate_with_store(
           *store_, session.fingerprint(), job.request, session.name(),
           session.num_vertices(), session.num_edges(),
           [&session](const engine::BoundRequest& sub) {
             return session.evaluate(sub);
           },
-          &result.store_hits, &result.store_misses,
+          &hits, &misses,
           [](std::string_view method) { return method != "memsim"; });
-      summary.store_hits += result.store_hits;
-      summary.store_misses += result.store_misses;
+      result.store_hits = hits;
+      result.store_misses = misses;
     }
     telemetry::accumulate(summary.cache, result.report.cache);
     // Stream records replay from the updates file (the mutations matter,
     // not just the final query), but the query itself is still recorded.
     result.report.provenance.request = request_to_json_line(job.request);
-    if (provenance_ != nullptr) provenance_->append(result.report.provenance);
-    write_result_line(out, result, explain_);
-    if (report_degraded(result.report)) ++summary.degraded;
-    ++summary.ok;
+    result.ok = true;
   } catch (const faults::FaultInjected& e) {
     // Injected mid-patch fault: the session already rolled the journal
     // back, so the graph is exactly its pre-patch state.
-    write_reject_line(out, job.id, e.what(), e.kind(), e.site());
-    ++summary.failed;
+    result.error = e.what();
+    result.error_kind = e.kind();
+    result.error_site = e.site();
   } catch (const std::exception& e) {
-    write_reject_line(out, job.id, e.what(), "error");
-    ++summary.failed;
+    result.error = e.what();
+    result.error_kind = "error";
   }
-  return timer.seconds();
+  result.seconds = timer.seconds();
+  run.record(result);
 }
 
 BatchSummary BatchSession::run(std::istream& in, std::ostream& out) {
-  BatchSummary summary;
-  WallTimer timer;
-  const telemetry::HistogramSnapshot latency_before =
-      job_latency_histogram().snapshot();
-
-  // Ingest first: rejected lines are reported up front (in line order),
-  // valid bound jobs go to the queue. Stream jobs are stateful, so they
-  // execute *during* ingest, in file order — each stream query sees
-  // exactly the loads/patches above it, while the spec jobs they
-  // interleave with still fan out across workers below. Job ids are
-  // 1-based line numbers so the caller can join results back to the
-  // jobs file.
-  std::vector<double> latencies;
-  std::vector<Job> jobs;
-  std::string line;
-  std::int64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos) continue;  // blank line
-    if (line[start] == '#') continue;          // comment line
-    Job job;
-    try {
-      job = job_from_json_line(line);
-    } catch (const std::exception& e) {
-      ++summary.rejected_lines;
-      write_reject_line(out, line_no, e.what());
-      continue;
-    }
-    job.id = line_no;
-    if (job.is_stream()) {
-      const double seconds = handle_stream_job(job, out, summary);
-      job_latency_histogram().observe(seconds);
-      latencies.push_back(seconds);
-      continue;
-    }
-    jobs.push_back(std::move(job));
-  }
-  summary.jobs += static_cast<std::int64_t>(jobs.size());
-
-  latencies.reserve(latencies.size() + jobs.size());
-  const Scheduler::RunStats stats = scheduler_->run(
-      std::move(jobs), [&](const JobResult& result) {
-        // Serialized by the scheduler's result mutex.
-        if (result.ok && provenance_ != nullptr)
-          provenance_->append(result.report.provenance);
-        write_result_line(out, result, explain_);
-        job_latency_histogram().observe(result.seconds);
-        latencies.push_back(result.seconds);
-        summary.retried += result.attempts - 1;
-        if (result.quarantined) ++summary.quarantined;
-        if (result.ok) {
-          ++summary.ok;
-          if (report_degraded(result.report)) ++summary.degraded;
-        } else {
-          ++summary.failed;
-        }
-        summary.store_hits += result.store_hits;
-        summary.store_misses += result.store_misses;
-      });
-
-  summary.threads = stats.threads;
-  summary.steals = stats.steals;
-  // Accumulated, not assigned: stream queries already contributed their
-  // engines' deltas.
-  telemetry::accumulate(summary.cache, stats.cache);
-  summary.seconds = timer.seconds();
-  summary.throughput =
-      summary.seconds > 0.0
-          ? static_cast<double>(summary.ok + summary.failed) /
-                summary.seconds
-          : 0.0;
-  summary.p50_seconds = percentile(latencies, 0.50);
-  summary.p95_seconds = percentile(latencies, 0.95);
-  summary.latency = job_latency_histogram().snapshot() - latency_before;
-  summary.p99_seconds = summary.latency.percentile(0.99);
-  sync_durable();
-  return summary;
+  return process(in, out, /*interactive=*/false);
 }
 
 BatchSummary BatchSession::serve(std::istream& in, std::ostream& out) {
-  BatchSummary summary;
-  summary.threads = 1;
+  return process(in, out, /*interactive=*/true);
+}
+
+BatchSummary BatchSession::process(std::istream& in, std::ostream& out,
+                                   bool interactive) {
   WallTimer timer;
   const telemetry::HistogramSnapshot latency_before =
       job_latency_histogram().snapshot();
-  std::vector<double> latencies;
   const engine::ArtifactCache::Stats before = scheduler_->engine_stats();
+  Run run{out, explain_, provenance_.get(), {}, {}};
 
+  // Stream jobs are stateful, so they execute during ingest, in file
+  // order: each stream query sees exactly the loads/patches above it.
+  // Batch mode queues bound jobs for the Scheduler, which fans them out
+  // after ingest; interactive mode evaluates each at once on worker 0's
+  // Engine and flushes its line. Job ids are 1-based line numbers so the
+  // caller can join results back to the jobs file.
+  std::vector<Job> queued;
   std::string line;
   std::int64_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     const auto start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos) continue;
-    if (line[start] == '#') continue;
-    Job job;
-    try {
-      job = job_from_json_line(line);
-    } catch (const std::exception& e) {
-      ++summary.rejected_lines;
-      write_reject_line(out, line_no, e.what());
-      out.flush();
-      continue;
+    if (start == std::string::npos || line[start] == '#') continue;
+    if (std::optional<Job> job = run.parse(line, line_no)) {
+      if (job->is_stream())
+        run_stream_job(*job, run);
+      else if (interactive)
+        run.record(scheduler_->run_one(*job));
+      else
+        queued.push_back(std::move(*job));
     }
-    job.id = line_no;
-    if (job.is_stream()) {
-      const double stream_seconds = handle_stream_job(job, out, summary);
-      job_latency_histogram().observe(stream_seconds);
-      latencies.push_back(stream_seconds);
-      out.flush();
-      continue;
-    }
-    ++summary.jobs;
-    const JobResult result = scheduler_->run_one(job);
-    if (result.ok && provenance_ != nullptr)
-      provenance_->append(result.report.provenance);
-    write_result_line(out, result, explain_);
-    out.flush();
-    job_latency_histogram().observe(result.seconds);
-    latencies.push_back(result.seconds);
-    summary.retried += result.attempts - 1;
-    if (result.quarantined) ++summary.quarantined;
-    if (result.ok) {
-      ++summary.ok;
-      if (report_degraded(result.report)) ++summary.degraded;
-    } else {
-      ++summary.failed;
-    }
-    summary.store_hits += result.store_hits;
-    summary.store_misses += result.store_misses;
+    if (interactive) out.flush();
   }
 
+  BatchSummary& summary = run.summary;
+  summary.threads = 1;
+  if (!interactive) {
+    // The callback is serialized by the scheduler's result mutex.
+    const Scheduler::RunStats stats = scheduler_->run(
+        std::move(queued), [&run](const JobResult& result) {
+          run.record(result);
+        });
+    summary.threads = stats.threads;
+    summary.steals = stats.steals;
+  }
   // Accumulated, not assigned: stream queries already contributed their
-  // engines' deltas.
+  // sessions' engine deltas.
   telemetry::accumulate(
       summary.cache,
       telemetry::difference(scheduler_->engine_stats(), before));
@@ -446,8 +411,8 @@ BatchSummary BatchSession::serve(std::istream& in, std::ostream& out) {
           ? static_cast<double>(summary.ok + summary.failed) /
                 summary.seconds
           : 0.0;
-  summary.p50_seconds = percentile(latencies, 0.50);
-  summary.p95_seconds = percentile(latencies, 0.95);
+  summary.p50_seconds = percentile(run.latencies, 0.50);
+  summary.p95_seconds = percentile(run.latencies, 0.95);
   summary.latency = job_latency_histogram().snapshot() - latency_before;
   summary.p99_seconds = summary.latency.percentile(0.99);
   sync_durable();

@@ -22,7 +22,8 @@
 // graphs (graphio/stream) owned by the session. Mutations are stateful,
 // so the stream lane is *ordered*: stream jobs execute in file order
 // during ingest, each query seeing exactly the patches above it, while
-// plain bound jobs keep fanning out across the worker pool. Stream
+// run() fans the plain bound jobs out across the worker pool after
+// ingest. Stream
 // queries run on the owning StreamSession's engine (clean components
 // served from its component cache), not on the worker engines. With a
 // ResultStore configured they are persistent too, keyed by the session's
@@ -39,7 +40,13 @@
 // serve() is the interactive sibling: a stdin/stdout request/response
 // loop (one JSONL request line in, one result line out, flushed) for
 // driving graphio from another process — and the engine behind
-// `graphio stream`, which replays an updates file through it.
+// `graphio stream`, which replays an updates file through it. Both modes
+// are one job loop: the same ingest, result lines, counts and summary.
+// They differ only in that serve() evaluates each bound job as soon as
+// its line is read (worker 0's Engine) and flushes after every line,
+// while run() finishes every stream job before the first bound job. The
+// two print the same lines except where that order shows through the
+// shared artifact store, as in a patch's `evicted` count.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +102,7 @@ struct BatchOptions {
 };
 
 struct BatchSummary {
-  std::int64_t jobs = 0;           ///< parsed job lines handed to workers
+  std::int64_t jobs = 0;           ///< parsed job lines (bound + stream)
   std::int64_t ok = 0;             ///< jobs that produced a result
   std::int64_t failed = 0;         ///< jobs that errored during evaluation
   std::int64_t rejected_lines = 0; ///< unparseable job lines
@@ -165,10 +172,16 @@ class BatchSession {
   }
 
  private:
-  /// Executes one stream-lane job, writes its result line, updates the
-  /// summary, and returns the job latency in seconds.
-  double handle_stream_job(const Job& job, std::ostream& out,
-                           BatchSummary& summary);
+  struct Run;  ///< one run's output and tallies (batch_session.cpp)
+
+  /// The job loop behind run() and serve(): `interactive` evaluates each
+  /// bound job at once and flushes after every line; otherwise bound jobs
+  /// queue for one Scheduler::run after ingest.
+  BatchSummary process(std::istream& in, std::ostream& out,
+                       bool interactive);
+
+  /// Executes one stream-lane job in file order and records its result.
+  void run_stream_job(const Job& job, Run& run);
 
   std::unique_ptr<ResultStore> store_;
   std::shared_ptr<store::ArtifactStore> artifacts_;

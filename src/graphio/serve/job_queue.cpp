@@ -35,9 +35,10 @@ bool JobQueue::pop(std::size_t worker, Job& out) {
       return true;
     }
   }
-  // Steal from the fullest other shard. Sizes are sampled without their
-  // locks (stale values only cost an extra probe), then the candidate is
-  // re-checked under its lock.
+  // Steal from the fullest other shard. Each size is read under its
+  // shard's lock, one shard at a time, so the sample may be stale by the
+  // time the victim is locked again; the victim is re-checked then, and
+  // an emptied one only costs another pass.
   for (;;) {
     std::size_t victim = shards_.size();
     std::size_t victim_size = 0;

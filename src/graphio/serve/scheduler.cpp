@@ -145,17 +145,8 @@ engine::BoundReport evaluate_with_store(
       method_rows = computed.rows_for(selected[s]->id());
     }
     for (const engine::MethodRow* row : method_rows) {
-      audit::RowLineage lineage;
-      lineage.method = row->method;
-      lineage.memory = row->memory;
-      lineage.processors = row->processors;
-      lineage.applicable = row->applicable;
-      lineage.bound = row->value;
-      lineage.best_k = row->best_k;
-      lineage.converged = row->converged;
-      lineage.degraded = row->degraded;
-      lineage.source = from_store ? "store" : "computed";
-      report.provenance.rows.push_back(std::move(lineage));
+      report.provenance.rows.push_back(
+          engine::row_lineage(*row, from_store ? "store" : "computed"));
       report.rows.push_back(*row);
     }
   }
@@ -283,13 +274,6 @@ engine::ArtifactCache::Stats Scheduler::engine_stats() const {
 Scheduler::RunStats Scheduler::run(
     std::vector<Job> jobs,
     const std::function<void(const JobResult&)>& on_result) {
-  RunStats stats;
-  stats.threads = threads();
-  stats.jobs = static_cast<std::int64_t>(jobs.size());
-  WallTimer timer;
-
-  const engine::ArtifactCache::Stats before = engine_stats();
-
   JobQueue queue(threads());
   for (Job& job : jobs) queue.push(std::move(job));
 
@@ -320,10 +304,7 @@ Scheduler::RunStats Scheduler::run(
   worker(0);
   for (std::thread& t : pool) t.join();
 
-  stats.cache = telemetry::difference(engine_stats(), before);
-  stats.steals = queue.steals();
-  stats.seconds = timer.seconds();
-  return stats;
+  return RunStats{threads(), queue.steals()};
 }
 
 }  // namespace graphio::serve

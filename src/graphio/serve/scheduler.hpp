@@ -1,4 +1,6 @@
-// Scheduler — fans a corpus of jobs across a std::thread worker pool.
+// Scheduler — fans a corpus of jobs across a std::thread worker pool: the
+// library's one request-level fan-out, behind `graphio batch` and
+// `graphio compare` alike.
 //
 // Independent of OpenMP (support/parallel.hpp) by design: the serve layer
 // must parallelize even in no-OpenMP builds, and its workers are long-
@@ -86,7 +88,9 @@ struct JobResult {
   std::string error_kind;
   /// Fault site that produced the failure ("" for ordinary exceptions).
   std::string error_site;
-  /// Evaluation attempts consumed (1 = first try; >1 means retried).
+  /// Evaluation attempts consumed (1 = first try; >1 means retried); 0
+  /// for a job that never reached the retry loop (a rejected line or a
+  /// stream-lane job).
   int attempts = 1;
   /// True when the job kept failing transiently through max_attempts and
   /// was quarantined instead of retried forever.
@@ -103,15 +107,11 @@ class Scheduler {
  public:
   explicit Scheduler(const SchedulerOptions& options = {});
 
-  /// Telemetry for one run() call.
+  /// Telemetry for one run() call; artifact activity is the caller's
+  /// engine_stats() delta around it.
   struct RunStats {
     int threads = 0;
-    std::int64_t jobs = 0;
     std::int64_t steals = 0;
-    double seconds = 0.0;
-    /// Artifact activity across every worker Engine during this run
-    /// (hits/misses/eigensolves/mincut_sweeps deltas).
-    engine::ArtifactCache::Stats cache;
   };
 
   /// Runs every job to completion; `on_result` fires once per job, from

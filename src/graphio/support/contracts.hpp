@@ -19,11 +19,12 @@ class contract_error : public std::logic_error {
 };
 
 namespace detail {
+/// The message names the condition, never the source location: it lands
+/// in report rows, result lines and provenance, which must not differ
+/// between checkouts or move when code above a check does.
 [[noreturn]] inline void contract_fail(const char* kind, const char* cond,
-                                       const char* file, int line,
                                        const std::string& msg) {
-  std::string what = std::string(kind) + " violated: (" + cond + ") at " +
-                     file + ":" + std::to_string(line);
+  std::string what = std::string(kind) + " violated: (" + cond + ")";
   if (!msg.empty()) what += " — " + msg;
   throw contract_error(what);
 }
@@ -32,22 +33,19 @@ namespace detail {
 #define GIO_EXPECTS(cond)                                                    \
   do {                                                                       \
     if (!(cond))                                                             \
-      ::graphio::detail::contract_fail("precondition", #cond, __FILE__,      \
-                                       __LINE__, "");                        \
+      ::graphio::detail::contract_fail("precondition", #cond, "");           \
   } while (false)
 
 #define GIO_EXPECTS_MSG(cond, msg)                                           \
   do {                                                                       \
     if (!(cond))                                                             \
-      ::graphio::detail::contract_fail("precondition", #cond, __FILE__,      \
-                                       __LINE__, (msg));                     \
+      ::graphio::detail::contract_fail("precondition", #cond, (msg));        \
   } while (false)
 
 #define GIO_ENSURES(cond)                                                    \
   do {                                                                       \
     if (!(cond))                                                             \
-      ::graphio::detail::contract_fail("postcondition", #cond, __FILE__,     \
-                                       __LINE__, "");                        \
+      ::graphio::detail::contract_fail("postcondition", #cond, "");          \
   } while (false)
 
 #ifdef NDEBUG
@@ -56,8 +54,7 @@ namespace detail {
 #define GIO_ASSERT(cond)                                                     \
   do {                                                                       \
     if (!(cond))                                                             \
-      ::graphio::detail::contract_fail("invariant", #cond, __FILE__,         \
-                                       __LINE__, "");                        \
+      ::graphio::detail::contract_fail("invariant", #cond, "");              \
   } while (false)
 #endif
 

@@ -7,11 +7,12 @@
 // parallel_for_dynamic, whose bodies are heavyweight (a max-flow per index),
 // on std::threads that take indices from an atomic counter.
 //
-// Threads that are themselves one lane of an outer pool — the serve
-// scheduler's workers — hold a SerialRegion so every parallel loop they
-// reach degrades to serial in both build flavors; without it, N workers
-// concurrently eigensolving would each spawn hardware_threads() more
-// threads (N× oversubscription).
+// These are data-parallel loops inside one request. Requests themselves
+// fan out only through serve::Scheduler (batch, serve and `graphio
+// compare`), whose workers hold a SerialRegion when there are several of
+// them, so every parallel loop they reach degrades to serial in both
+// build flavors; without it, N workers concurrently eigensolving would
+// each spawn hardware_threads() more threads (N× oversubscription).
 #pragma once
 
 #include <cstdint>

@@ -225,32 +225,4 @@ class Mirror {
   std::array<Gauge*, S::fields().size()> gauges_{};
 };
 
-/// A relaxed-atomic S that several threads may add into.
-template <class S>
-class AtomicStats {
- public:
-  template <auto Member>
-  void add(detail::FieldType<Member> delta) noexcept {
-    constexpr std::size_t i = detail::kSlot<Member>;
-    if constexpr (std::is_same_v<detail::FieldType<Member>, double>)
-      gauges_[i].add(delta);
-    else
-      counters_[i].add(delta);
-  }
-
-  [[nodiscard]] S snapshot() const noexcept {
-    S out;
-    constexpr auto rows = S::fields();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].count != nullptr) out.*rows[i].count = counters_[i].value();
-      if (rows[i].gauge != nullptr) out.*rows[i].gauge = gauges_[i].value();
-    }
-    return out;
-  }
-
- private:
-  std::array<Counter, S::fields().size()> counters_;
-  std::array<Gauge, S::fields().size()> gauges_;
-};
-
 }  // namespace graphio::telemetry

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "graphio/engine/artifact_cache.hpp"
 #include "graphio/engine/engine.hpp"
@@ -10,6 +11,7 @@
 #include "graphio/engine/graph_spec.hpp"
 #include "graphio/graph/builders.hpp"
 #include "graphio/graph/components.hpp"
+#include "graphio/serve/scheduler.hpp"
 #include "graphio/store/artifact_store.hpp"
 #include "graphio/support/contracts.hpp"
 #include "graphio/telemetry/metrics.hpp"
@@ -335,24 +337,31 @@ TEST(ArtifactStoreEngine, EngineClearDropsComponentSpectra) {
 }
 
 TEST(ArtifactStoreEngine, BatchFanOutSharesComponents) {
-  // The parallel batch path uses private ArtifactCaches but the shared
-  // component cache: N requests over the same graph still eigensolve each
-  // kind once.
-  Engine engine;
-  std::vector<BoundRequest> requests(4);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].spec = "fft:4";
-    requests[i].memories = {static_cast<double>(4 << i)};
-    requests[i].methods = {"spectral"};
+  // The Scheduler's workers each own an Engine but share one artifact
+  // store, and explicit-graph jobs evaluate through private ArtifactCaches:
+  // N requests over the same graph still eigensolve each kind once.
+  const auto artifacts = std::make_shared<store::ArtifactStore>();
+  serve::Scheduler scheduler(
+      serve::SchedulerOptions{.threads = 4, .artifacts = artifacts});
+  std::vector<serve::Job> jobs(4);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = static_cast<std::int64_t>(i);
+    jobs[i].request.graph = builders::fft(4);
+    jobs[i].request.memories = {static_cast<double>(4 << i)};
+    jobs[i].request.methods = {"spectral"};
   }
-  engine.evaluate_batch(requests);
-  const store::ArtifactStore::Stats stats = engine.artifact_store()->stats();
+  int ok = 0;
+  scheduler.run(std::move(jobs),
+                [&ok](const serve::JobResult& result) { ok += result.ok; });
+  EXPECT_EQ(ok, 4);
+  const store::ArtifactStore::Stats stats = artifacts->stats();
   // Workers race, so up to hardware-parallelism requests may miss before
   // the first store lands; the store still converges to one entry and
   // every lookup is accounted for.
   EXPECT_EQ(stats[kSpectrum].entries, 1);
   EXPECT_EQ(stats[kSpectrum].hits + stats[kSpectrum].misses, 4);
-  // A serial re-evaluation of the same spec is a pure component hit.
+  // A serial evaluation on the same store is a pure component hit.
+  Engine engine(artifacts);
   BoundRequest again;
   again.spec = "fft:4";
   again.memories = {64.0};

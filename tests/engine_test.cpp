@@ -378,53 +378,12 @@ TEST(BoundReport, ExplicitGraphRequestsWork) {
   EXPECT_EQ(engine.cache("my-grid"), nullptr);
 }
 
-// ------------------------------------------------------------------- batch
-
-TEST(EngineBatch, MatchesSequentialEvaluation) {
-  std::vector<BoundRequest> requests(3);
-  requests[0].spec = "fft:4";
-  requests[1].spec = "bhk:5";
-  requests[2].spec = "inner:5";
-  for (auto& r : requests) {
-    r.memories = {3.0, 6.0};
-    r.methods = {"spectral", "mincut", "partition-dp"};
-  }
-  Engine parallel_engine;
-  const auto parallel = parallel_engine.evaluate_batch(requests);
-  Engine serial_engine;
-  std::vector<BoundReport> serial;
-  for (const BoundRequest& request : requests)
-    serial.push_back(serial_engine.evaluate(request));
-
-  ASSERT_EQ(parallel.size(), 3u);
-  ASSERT_EQ(serial.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(parallel[i].graph, requests[i].spec);
-    ASSERT_EQ(parallel[i].rows.size(), serial[i].rows.size());
-    for (std::size_t j = 0; j < parallel[i].rows.size(); ++j)
-      EXPECT_DOUBLE_EQ(parallel[i].rows[j].value, serial[i].rows[j].value)
-          << requests[i].spec << " row " << j;
-  }
-  const std::string json = reports_to_json(parallel);
-  EXPECT_TRUE(io::json_valid(json));
-}
-
-TEST(EngineBatch, BadSpecThrowsWithContext) {
-  std::vector<BoundRequest> requests(2);
-  requests[0].spec = "fft:4";
-  requests[0].memories = {4.0};
-  requests[1].spec = "bogus:1";
-  requests[1].memories = {4.0};
-  Engine engine;
-  EXPECT_THROW(engine.evaluate_batch(requests), contract_error);
-}
-
 // ------------------------------------------------------------------ stats
 
-// Explicit-graph requests and the batch fan-out evaluate through private
-// caches; their work still counts in the Engine's lifetime totals, which
-// move exactly as the process registry does.
-TEST(EngineStats, CountsExplicitGraphAndBatchEvaluations) {
+// Explicit-graph requests evaluate through private caches, spec requests
+// through the persistent per-spec ones; both count in the Engine's
+// lifetime totals, which move exactly as the process registry does.
+TEST(EngineStats, CountsExplicitGraphAndSpecEvaluations) {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
   const auto read = [&reg] {
     return std::array{reg.counter("cache.hits").value(),
@@ -441,15 +400,14 @@ TEST(EngineStats, CountsExplicitGraphAndBatchEvaluations) {
   const BoundReport report = engine.evaluate(single);
   EXPECT_EQ(report.cache.eigensolves, 1);
 
-  std::vector<BoundRequest> batch(2);
-  batch[0].spec = "fft:4";
-  batch[1].spec = "bhk:5";
-  for (BoundRequest& request : batch) {
+  std::vector<BoundReport> reports;
+  for (const char* spec : {"fft:4", "bhk:5"}) {
+    BoundRequest request;
+    request.spec = spec;
     request.memories = {4.0, 8.0};
     request.methods = {"spectral", "mincut"};
+    reports.push_back(engine.evaluate(request));
   }
-  const std::vector<BoundReport> reports = engine.evaluate_batch(batch);
-  ASSERT_EQ(reports.size(), 2u);
 
   const auto after = read();
   const ArtifactCache::Stats stats = engine.stats();
@@ -474,6 +432,31 @@ TEST(EngineGuards, EmptySweepAndBadMemoryThrow) {
   request.memories = {4.0};
   request.spec.clear();
   EXPECT_THROW(engine.evaluate(request), contract_error);  // no graph
+}
+
+// Contract messages name the condition, never the source file: row notes
+// reach ResultStore lines and provenance, which must not differ between
+// checkouts or move when code above a check does.
+TEST(EngineGuards, ContractNotesCarryNoSourceLocation) {
+  Digraph cyclic(3);
+  cyclic.add_edge(0, 1);
+  cyclic.add_edge(1, 2);
+  cyclic.add_edge(2, 0);
+  Engine engine;
+  BoundRequest request;
+  request.graph = cyclic;
+  request.name = "cycle";
+  request.memories = {2.0, 4.0};
+  request.methods = {"memsim"};
+  const BoundReport report = engine.evaluate(request);
+  ASSERT_EQ(report.rows.size(), 2u);
+  for (const MethodRow& row : report.rows) {
+    EXPECT_FALSE(row.applicable);
+    EXPECT_NE(row.note.find("graph has a cycle"), std::string::npos)
+        << row.note;
+    EXPECT_EQ(row.note.find(".cpp:"), std::string::npos) << row.note;
+    EXPECT_EQ(row.note.find(".hpp:"), std::string::npos) << row.note;
+  }
 }
 
 TEST(EngineGuards, InapplicableMethodsReportNotThrow) {

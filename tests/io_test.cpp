@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 
 #include "edgelist_reference.hpp"
@@ -457,6 +458,37 @@ TEST(JsonValue, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("1 2"), contract_error);
   EXPECT_THROW(JsonValue::parse("\"open"), contract_error);
   EXPECT_THROW(JsonValue::parse("tru"), contract_error);
+}
+
+// One grammar: numbers RFC 8259 forbids neither parse nor validate.
+TEST(JsonValue, RejectsNonRfcNumbers) {
+  for (const char* text :
+       {"01", "-01", "1.", "1.e5", "{\"a\":01}", "[08]", "-", "+1", ".5",
+        "1e", "1e+", "--1"}) {
+    EXPECT_THROW(JsonValue::parse(text), contract_error) << text;
+    EXPECT_FALSE(json_valid(text)) << text;
+  }
+  for (const char* text : {"0", "-0", "0.5", "-1.25e-3", "1E+2", "10"}) {
+    EXPECT_NO_THROW(JsonValue::parse(text)) << text;
+    EXPECT_TRUE(json_valid(text)) << text;
+  }
+}
+
+// Everything the writer emits parses: 17-digit doubles down to the
+// smallest subnormal, and null for non-finite values.
+TEST(JsonValue, WriterOutputStaysValid) {
+  JsonWriter w;
+  w.begin_array();
+  for (double v : {0.1, -1.0 / 3.0, 4.9406564584124654e-324,
+                   1.7976931348623157e308, 1e-300,
+                   std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()})
+    w.value(v);
+  w.end_array();
+  ASSERT_TRUE(json_valid(w.str())) << w.str();
+  const JsonValue v = JsonValue::parse(w.str());
+  EXPECT_DOUBLE_EQ(v.at(std::size_t{2}).as_double(), 4.9406564584124654e-324);
+  EXPECT_TRUE(v.at(std::size_t{5}).is_null());
 }
 
 TEST(JsonValue, TypeMismatchesThrow) {

@@ -295,6 +295,42 @@ TEST(Scheduler, RunOneEvaluatesSynchronously) {
   EXPECT_EQ(result.report.rows[0].method, "spectral");
 }
 
+TEST(Scheduler, MatchesSequentialEvaluation) {
+  std::vector<Job> jobs(3);
+  jobs[0].request.spec = "fft:4";
+  jobs[1].request.spec = "bhk:5";
+  jobs[2].request.spec = "inner:5";
+  std::vector<engine::BoundRequest> requests;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = static_cast<std::int64_t>(i);
+    jobs[i].request.memories = {3.0, 6.0};
+    jobs[i].request.methods = {"spectral", "mincut", "partition-dp"};
+    requests.push_back(jobs[i].request);
+  }
+  std::vector<engine::BoundReport> parallel(jobs.size());
+  Scheduler scheduler(SchedulerOptions{.threads = 3});
+  scheduler.run(std::move(jobs), [&parallel](const JobResult& result) {
+    EXPECT_TRUE(result.ok) << result.error;
+    parallel[static_cast<std::size_t>(result.id)] = result.report;
+  });
+  engine::Engine serial_engine;
+  std::vector<engine::BoundReport> serial;
+  for (const engine::BoundRequest& request : requests)
+    serial.push_back(serial_engine.evaluate(request));
+
+  ASSERT_EQ(parallel.size(), 3u);
+  ASSERT_EQ(serial.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(parallel[i].graph, requests[i].spec);
+    ASSERT_EQ(parallel[i].rows.size(), serial[i].rows.size());
+    for (std::size_t j = 0; j < parallel[i].rows.size(); ++j)
+      EXPECT_DOUBLE_EQ(parallel[i].rows[j].value, serial[i].rows[j].value)
+          << requests[i].spec << " row " << j;
+  }
+  const std::string json = engine::reports_to_json(parallel);
+  EXPECT_TRUE(io::json_valid(json));
+}
+
 // ------------------------------------------------------------ batch session
 
 TEST(BatchSession, MalformedLinesAreRejectedNotFatal) {
@@ -331,6 +367,43 @@ TEST(BatchSession, SummaryJsonIsValid) {
   EXPECT_TRUE(io::json_valid(summary.to_json())) << summary.to_json();
   EXPECT_GT(summary.throughput, 0.0);
   EXPECT_GE(summary.p95_seconds, summary.p50_seconds);
+}
+
+// A job line whose numbers RFC 8259 forbids is not JSON: it is rejected,
+// not served.
+TEST(BatchSession, NonRfcNumbersAreRejected) {
+  const std::string jobs =
+      R"({"spec": "fft:4", "memories": [08], "methods": ["spectral"]})"
+      "\n"
+      R"({"spec": "fft:4", "memories": [8.], "methods": ["spectral"]})"
+      "\n"
+      R"({"spec": "fft:4", "memories": [8], "methods": ["spectral"]})"
+      "\n";
+  std::string output;
+  const BatchSummary summary = run_jobs(jobs, 1, &output);
+  EXPECT_EQ(summary.rejected_lines, 2);
+  EXPECT_EQ(summary.jobs, 1);
+  EXPECT_EQ(summary.ok, 1);
+  for (int job : {1, 2}) {
+    const std::string prefix =
+        "{\"job\":" + std::to_string(job) + ",\"error\":{\"kind\":\"reject\"";
+    EXPECT_NE(output.find(prefix), std::string::npos) << output;
+  }
+}
+
+// Error lines name the failed condition, never a source path: result
+// lines must not differ between checkouts.
+TEST(BatchSession, ErrorLinesCarryNoSourceLocation) {
+  const std::string jobs =
+      R"({"graph": "nope", "memories": [8], "methods": ["spectral"]})"
+      "\n";
+  std::string output;
+  const BatchSummary summary = run_jobs(jobs, 1, &output);
+  EXPECT_EQ(summary.failed, 1);
+  EXPECT_NE(output.find("unknown stream graph 'nope'"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find(".cpp:"), std::string::npos) << output;
+  EXPECT_EQ(output.find(".hpp:"), std::string::npos) << output;
 }
 
 // -------------------------------------------------------------- result store
@@ -566,6 +639,73 @@ TEST(BatchSession, ServeLoopAnswersLineByLine) {
   for (const std::string& line : lines) EXPECT_TRUE(io::json_valid(line));
   // The second request reuses the first's spectrum (same worker Engine).
   EXPECT_GT(summary.cache.hits, 0);
+}
+
+/// The count fields of a summary, timing left out.
+std::string summary_counts(const BatchSummary& s) {
+  io::JsonWriter w;
+  w.begin_array();
+  for (std::int64_t v :
+       {s.jobs, s.ok, s.failed, s.rejected_lines, s.retried, s.quarantined,
+        s.degraded, std::int64_t{s.threads}, s.steals, s.latency.count,
+        s.store_hits, s.store_misses, s.stream_jobs, s.patches, s.mutations,
+        s.dirty_components, s.clean_components})
+    w.value(v);
+  w.end_array();
+  io::JsonWriter cache;
+  cache.begin_object();
+  engine::append_cache_json(cache, s.cache, /*phase_seconds=*/false);
+  cache.end_object();
+  return w.str() + cache.str();
+}
+
+// run() and serve() are one job loop: the same input prints the same
+// lines and counts either way. The spec jobs use content the stream graph
+// never holds, so lane order cannot show through the shared artifact
+// store (a patch's `evicted` count would).
+TEST(BatchSession, RunAndServeAgree) {
+  const std::string jobs =
+      "# comment\n"
+      "\n"
+      "not json\n"
+      R"({"spec": "bhk:5", "memories": [4, 8], "methods": ["spectral", "mincut"]})"
+      "\n"
+      R"({"spec": "nonsense:9", "memories": [4], "methods": ["spectral"]})"
+      "\n"
+      R"({"graph": "g", "load": "multi:2:fft:3"})"
+      "\n"
+      R"({"graph": "g", "patch": [{"op": "add_vertex"}, {"op": "add_edge", "u": 64, "v": 0}]})"
+      "\n"
+      R"({"graph": "g", "memories": [8], "methods": ["spectral"]})"
+      "\n"
+      R"({"graph": "missing", "memories": [8], "methods": ["spectral"]})"
+      "\n";
+  std::string batch;
+  std::string served;
+  BatchSummary batch_summary;
+  BatchSummary serve_summary;
+  {
+    BatchSession session(BatchOptions{.threads = 1});
+    std::istringstream in(jobs);
+    std::ostringstream out;
+    batch_summary = session.run(in, out);
+    batch = out.str();
+  }
+  {
+    BatchSession session(BatchOptions{.threads = 1});
+    std::istringstream in(jobs);
+    std::ostringstream out;
+    serve_summary = session.serve(in, out);
+    served = out.str();
+  }
+  EXPECT_EQ(sorted_lines(batch), sorted_lines(served));
+  EXPECT_EQ(sorted_lines(batch).size(), 7u);
+  EXPECT_EQ(summary_counts(batch_summary), summary_counts(serve_summary));
+  EXPECT_EQ(batch_summary.jobs, 6);
+  EXPECT_EQ(batch_summary.ok, 4);
+  EXPECT_EQ(batch_summary.failed, 2);
+  EXPECT_EQ(batch_summary.rejected_lines, 1);
+  EXPECT_EQ(batch_summary.stream_jobs, 4);
 }
 
 }  // namespace

@@ -21,7 +21,9 @@
 // wavefront cuts) are shared across methods, memory sizes and processor
 // counts, and --json uniformly emits BoundReport JSON. Only `anneal` and
 // `hierarchy` call the spectral_bound* free functions, which solve the
-// same h as an Engine request. batch/serve route through
+// same h as an Engine request. compare submits its requests as jobs to
+// a serve::Scheduler, the one request-level fan-out, and prints the
+// reports in argument order. batch/serve route through
 // serve::BatchSession: results stream to stdout as deterministic JSONL
 // (sortable, timing-free), the summary footer goes to stderr.
 #include <charconv>
@@ -30,6 +32,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,6 +51,7 @@
 #include "graphio/la/solver_policy.hpp"
 #include "graphio/serve/batch_session.hpp"
 #include "graphio/serve/job.hpp"
+#include "graphio/serve/scheduler.hpp"
 #include "graphio/sim/anneal.hpp"
 #include "graphio/sim/memsim.hpp"
 #include "graphio/sim/parallel_memsim.hpp"
@@ -487,11 +491,27 @@ int cmd_compare(const Args& a) {
   if (a.graphs.size() < 2)
     usage("compare needs at least two graph arguments");
   std::vector<engine::BoundRequest> requests;
-  requests.reserve(a.graphs.size());
-  for (const std::string& spec : a.graphs)
-    requests.push_back(make_request(a, spec));
-  engine::Engine eng;
-  auto reports = eng.evaluate_batch(requests);
+  std::vector<serve::Job> jobs(a.graphs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = static_cast<std::int64_t>(i);
+    jobs[i].request = make_request(a, a.graphs[i]);
+    requests.push_back(jobs[i].request);
+  }
+  std::vector<engine::BoundReport> reports(jobs.size());
+  std::vector<std::string> errors(jobs.size());
+  serve::Scheduler scheduler;
+  scheduler.run(std::move(jobs), [&](const serve::JobResult& result) {
+    const auto i = static_cast<std::size_t>(result.id);
+    if (result.ok)
+      reports[i] = result.report;
+    else
+      errors[i] = result.error;
+  });
+  for (std::size_t i = 0; i < errors.size(); ++i)
+    if (!errors[i].empty())
+      throw std::runtime_error("request '" + requests[i].display_name() +
+                               "' failed: " + errors[i]);
+  engine::Engine eng;  // fingerprints, only under --explain/--provenance
   finish_provenance(a, eng, requests, reports);
   return emit_reports(a, reports);
 }
