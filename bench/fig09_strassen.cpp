@@ -58,12 +58,12 @@ int main(int argc, char** argv) {
       // "nc": the solver certified nothing (no spectrum prefix at all);
       // a partial prefix still yields a valid, just weaker, bound.
       const engine::ArtifactCache* cache = bench::shared_engine().cache(spec);
-      const bool certified =
-          spectral != nullptr &&
-          (spectral->converged ||
-           (cache != nullptr &&
-            cache->cached_spectrum_values(
-                LaplacianKind::kOutDegreeNormalized) > 0));
+      bool certified = spectral != nullptr && spectral->converged;
+      if (spectral != nullptr && !certified && cache != nullptr) {
+        const auto& spectra = cache->cached_spectra();
+        const auto it = spectra.find(LaplacianKind::kOutDegreeNormalized);
+        certified = it != spectra.end() && !it->second.values.empty();
+      }
       row.push_back(certified ? format_double(spectral->value, 1) : "nc");
       row.push_back(format_double(bench::cell(report, "mincut", m), 1));
       row.push_back(certified ? format_double(spectral->value / growth, 4)

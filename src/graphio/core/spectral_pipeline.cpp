@@ -485,6 +485,7 @@ PipelineResult SpectrumMerge::finish() {
   // what the completed solves support: still a valid lower-bound
   // spectrum, but weaker than a full run — surface it as degraded.
   result_.degraded = !result_.converged;
+  result_.requested = h_;
   result_.seconds = timer_.seconds();
   return std::move(result_);
 }

@@ -126,10 +126,15 @@ struct Eigenbasis {
   }
 };
 
-/// The merged result of one pipeline run.
+/// The merged result of one pipeline run — also the one record of a
+/// merged spectrum that the engine's ArtifactCache keeps per Laplacian
+/// kind.
 struct PipelineResult {
   /// Smallest h eigenvalues of the whole graph's Laplacian, ascending.
+  /// Shorter than `requested` when a solve did not converge.
   std::vector<double> values;
+  /// The h the merge was asked for, clamped to the vertex count.
+  int requested = 0;
   /// False when any contributing component solve did not converge.
   bool converged = true;
   /// True when the run was certified-truncated — a deadline

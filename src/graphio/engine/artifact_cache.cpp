@@ -428,22 +428,30 @@ void ArtifactCache::merge_component_spectrum(SpectrumMerge& merge, int c,
   store_->store_spectrum(fp, kind, h, options, solve);
 }
 
-const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
-    LaplacianKind kind, int count, const SpectralOptions& options) {
+const PipelineResult& ArtifactCache::spectrum(
+    LaplacianKind kind, int count, const SpectralOptions& options,
+    std::vector<SpectrumUse>* uses) {
   GIO_EXPECTS(count >= 0);
   count = static_cast<int>(std::min<std::int64_t>(count, num_vertices()));
+  const bool used =
+      uses != nullptr && std::ranges::any_of(*uses, [kind](SpectrumUse use) {
+        return use.kind == kind;
+      });
   const auto it = spectra_.find(kind);
-  // Hit on `requested`, not values.size(): a non-converged solve returns
-  // a shorter prefix, and re-running the identical failing solve would
-  // only repeat the most expensive case for the same partial answer.
+  // Hit only on a converged record. One that a deadline skipped, a fault
+  // tripped or a solve failed to converge merges again: served, it would
+  // pin every later request on this cache to its weaker answer, while the
+  // re-merge pays only for the skipped or tripped components, since the
+  // store kept every other solve. Within one evaluation the first record
+  // stands either way, so all of its rows agree.
   if (it != spectra_.end() && it->second.requested >= count &&
+      (it->second.converged || used) &&
       solver_options_equal(spectra_options_.at(kind), options)) {
     bump<&Stats::hits>(1);
-    it->second.touched_serial = ++spectrum_touches_;
+    if (uses != nullptr && !used) uses->push_back({kind, false});
     return it->second;
   }
   bump<&Stats::misses>(1);
-  WallTimer timer;
 
   // Lookup-then-extract, per component: clean components answer straight
   // from the fingerprint-keyed store (zero allocations), and only misses
@@ -459,39 +467,13 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
     merge_component_spectrum(merge, options.decompose ? c : kWholeGraph, kind,
                              options);
   PipelineResult result = merge.finish();
-
-  SpectrumArtifact artifact;
-  artifact.requested = count;
-  artifact.values = result.values;
-  artifact.converged = result.converged;
-  artifact.degraded = result.degraded;
-  artifact.components = result.components;
-  SpectrumRun run;
-  run.kind = kind;
-  run.requested = count;
-  run.merged_values = static_cast<std::int64_t>(result.values.size());
-  run.per_component = result.per_component;
-  spectrum_runs_.push_back(std::move(run));
-  artifact.per_component = std::move(result.per_component);
-  if (options.decompose && decomp_.has_value())
-    artifact.component_fingerprints = decomp_->fingerprints;
-  artifact.seconds = timer.seconds();
-  artifact.computed_serial = artifact.touched_serial = ++spectrum_touches_;
   bump<&Stats::eigensolves>(result.eigensolves);
   bump<&Stats::component_hits>(result.component_cache_hits);
   bump<&Stats::solve_seconds>(result.solve_seconds);
   bump<&Stats::merge_seconds>(result.merge_seconds);
-  eigensolves_by_kind_[kind] += result.eigensolves;
   spectra_options_.insert_or_assign(kind, options);
-  return spectra_.insert_or_assign(kind, std::move(artifact)).first->second;
-}
-
-std::int64_t ArtifactCache::cached_spectrum_values(
-    LaplacianKind kind) const noexcept {
-  const auto it = spectra_.find(kind);
-  return it == spectra_.end()
-             ? 0
-             : static_cast<std::int64_t>(it->second.values.size());
+  if (uses != nullptr && !used) uses->push_back({kind, true});
+  return spectra_.insert_or_assign(kind, std::move(result)).first->second;
 }
 
 const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
@@ -645,11 +627,6 @@ std::vector<ArtifactCache::PartitionArtifact> ArtifactCache::partition_rows(
     return rows;
   };
   return memoized_rows(memories, partitions_, compute);
-}
-
-std::int64_t ArtifactCache::eigensolves(LaplacianKind kind) const noexcept {
-  const auto it = eigensolves_by_kind_.find(kind);
-  return it == eigensolves_by_kind_.end() ? 0 : it->second;
 }
 
 }  // namespace graphio::engine

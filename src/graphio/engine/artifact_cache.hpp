@@ -15,10 +15,13 @@
 // resolve-or-compute loop (resolve_each), the two M-dependent ones
 // (memsim and partition rows) resolve all of a request's memories in one
 // pass per component (resolve_each_memory), and spectra add the warm
-// tier and the certified merge (core/spectral_pipeline.hpp). Hit/miss
-// counters are exposed so tests (and the CLI's JSON reports) can certify
-// the reuse, e.g. that a full `--method all --memory 4,8,16` run performs
-// exactly one eigendecomposition per Laplacian kind.
+// tier and the certified merge (core/spectral_pipeline.hpp). A merged
+// spectrum is kept as the merge's own PipelineResult, one record per
+// Laplacian kind; the cache keeps nothing per request — an evaluation
+// lists the spectra it used itself (SpectrumUse). Hit/miss counters are
+// exposed so tests (and the CLI's JSON reports) can certify the reuse,
+// e.g. that a full `--method all --memory 4,8,16` run performs exactly
+// one eigendecomposition per Laplacian kind.
 #pragma once
 
 #include <array>
@@ -139,55 +142,33 @@ class ArtifactCache {
   /// Sparse Laplacian of the requested kind.
   const la::CsrMatrix& laplacian(LaplacianKind kind);
 
-  struct SpectrumArtifact {
-    /// Certified lower estimates of the smallest eigenvalues, ascending.
-    /// May be shorter than `requested` when the solver did not converge.
-    std::vector<double> values;
-    bool converged = true;
-    /// True when the producing pipeline run was certified-truncated (a
-    /// deadline or injected fault) — the values are a valid but weaker
-    /// lower-bound spectrum; rows derived from them carry degraded:true.
-    bool degraded = false;
-    /// The count the artifact was computed for (values.size() can be
-    /// smaller on non-convergence; re-requesting the same count is still
-    /// a hit — re-running an identical failing solve helps nobody).
-    int requested = 0;
-    /// Eigensolver wall time for this artifact (charged once).
-    double seconds = 0.0;
-    /// Weak components the pipeline decomposed the graph into.
-    int components = 1;
-    /// Content fingerprint per component, in component order. Unseeded
-    /// caches never hash trivial edgeless components, so those slots
-    /// hold 0; seeded (stream) caches carry the seeder's fingerprint for
-    /// every component.
-    std::vector<std::uint64_t> component_fingerprints;
-    /// Per-component solve detail of the pipeline run that built this
-    /// artifact, in component order — the provenance layer's raw
-    /// material (tier, iterations, residual, artifact source).
-    std::vector<ComponentSolve> per_component;
-    /// Monotonic per-cache spectrum-request ticks: `computed_serial` is
-    /// the tick at which this artifact was (re)computed,
-    /// `touched_serial` that of its most recent request (hit or
-    /// compute). An evaluation brackets spectrum_touch_serial() to
-    /// learn which artifacts it consumed and which it computed fresh.
-    std::uint64_t computed_serial = 0;
-    std::uint64_t touched_serial = 0;
+  /// One spectrum an evaluation used: its Laplacian kind, and whether the
+  /// evaluation computed it (a cache miss) or was served it (a hit).
+  struct SpectrumUse {
+    LaplacianKind kind = LaplacianKind::kOutDegreeNormalized;
+    bool computed = false;
   };
 
-  /// The `count` smallest Laplacian eigenvalues. A request covered by a
-  /// previously computed artifact (same kind, count not larger, same
-  /// solver-relevant options) is a cache hit and triggers no eigensolve;
-  /// a larger request or changed options recompute. The cached artifact
-  /// may hold more than `count` values (it was computed for the larger
-  /// request) — every consumer in the library maximizes over a prefix,
-  /// so extra values only help.
-  const SpectrumArtifact& spectrum(LaplacianKind kind, int count,
-                                   const SpectralOptions& options = {});
-
-  /// Values held by the cached spectrum for `kind` (0 when none) — const
-  /// introspection, never computes.
-  [[nodiscard]] std::int64_t cached_spectrum_values(
-      LaplacianKind kind) const noexcept;
+  /// The merged spectrum of `kind` at h = min(count, n): the merge's
+  /// PipelineResult, kept as is, one record per kind with the solve
+  /// options it was computed under. A converged record covering the
+  /// request (count not larger, same solver-relevant options) is a cache
+  /// hit and triggers no eigensolve; it may hold more than `count` values
+  /// — every consumer in the library maximizes over a prefix, so extra
+  /// values only help. Anything else merges again and replaces the
+  /// record: a larger count, changed options, or a record that did not
+  /// converge (a deadline skipped or a `solver.converge` fault tripped
+  /// its solves, or a solve failed). A re-merge takes every component
+  /// solve the store kept — converged, or genuinely failed — from the
+  /// store, so only skipped or tripped components solve again.
+  ///
+  /// `uses`, when given, is the calling evaluation's list of the spectra
+  /// it used: a kind's first use appends (kind, computed), and a kind
+  /// already on it is served as a hit even when not converged, so every
+  /// row of one evaluation derives from one spectrum per kind.
+  const PipelineResult& spectrum(LaplacianKind kind, int count,
+                                 const SpectralOptions& options = {},
+                                 std::vector<SpectrumUse>* uses = nullptr);
 
   /// The memory-independent core of the convex min-cut baseline, per weak
   /// component: cuts[c] = max_v C(v) within component c. Components share
@@ -326,37 +307,11 @@ class ArtifactCache {
     return store_;
   }
 
-  /// Eigensolve count for one Laplacian kind (test hook for the
-  /// computed-exactly-once guarantee).
-  [[nodiscard]] std::int64_t eigensolves(LaplacianKind kind) const noexcept;
-
-  /// Every spectrum artifact currently cached, by Laplacian kind — const
+  /// Every spectrum record currently cached, by Laplacian kind — const
   /// introspection for the provenance layer; never computes.
-  [[nodiscard]] const std::map<LaplacianKind, SpectrumArtifact>&
+  [[nodiscard]] const std::map<LaplacianKind, PipelineResult>&
   cached_spectra() const noexcept {
     return spectra_;
-  }
-
-  /// One pipeline run performed by spectrum(), each replacing the cached
-  /// artifact for its kind — the per-run log (not the final artifact) is
-  /// what reconciles against the solver registry counters. The engine
-  /// brackets spectrum_runs().size() around an evaluation to attribute
-  /// runs to it.
-  struct SpectrumRun {
-    LaplacianKind kind = LaplacianKind::kOutDegreeNormalized;
-    int requested = 0;
-    std::int64_t merged_values = 0;
-    std::vector<ComponentSolve> per_component;
-  };
-  [[nodiscard]] const std::vector<SpectrumRun>& spectrum_runs()
-      const noexcept {
-    return spectrum_runs_;
-  }
-  /// Monotonic tick bumped on every spectrum() request (hit or compute);
-  /// artifacts record the tick they were touched/computed at, so
-  /// bracketing this value identifies the spectra one evaluation used.
-  [[nodiscard]] std::uint64_t spectrum_touch_serial() const noexcept {
-    return spectrum_touches_;
   }
 
  private:
@@ -444,11 +399,8 @@ class ArtifactCache {
   std::optional<std::uint64_t> fingerprint_;
   std::optional<std::vector<VertexId>> topo_;
   std::map<LaplacianKind, la::CsrMatrix> laplacians_;
-  std::map<LaplacianKind, SpectrumArtifact> spectra_;
+  std::map<LaplacianKind, PipelineResult> spectra_;
   std::map<LaplacianKind, SpectralOptions> spectra_options_;
-  std::uint64_t spectrum_touches_ = 0;
-  std::vector<SpectrumRun> spectrum_runs_;
-  std::map<LaplacianKind, std::int64_t> eigensolves_by_kind_;
   std::optional<WavefrontArtifact> max_cut_;
   /// Memsim rows by random_orders, then memory.
   std::map<int, std::map<std::int64_t, MemsimArtifact>> memsims_;

@@ -1,5 +1,6 @@
 #include "graphio/engine/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "graphio/engine/graph_spec.hpp"
@@ -16,42 +17,30 @@ const char* laplacian_provenance_name(LaplacianKind kind) {
   return kind == LaplacianKind::kPlain ? "plain" : "norm";
 }
 
-/// Fills report.provenance from the evaluation's bracketed state: the
-/// pipeline runs performed (computed spectra, reconciled against the
-/// registry deltas), the artifacts served without re-running, and the
-/// final rows. Deterministic: run order, then kind order, no wall-clock.
-void assemble_provenance(BoundReport& report, ArtifactCache& cache,
-                         std::size_t runs_before,
-                         std::uint64_t serial_before,
+/// Fills report.provenance: the spectra the evaluation used (`uses`) —
+/// those it computed first, in first-use order, then those it was served,
+/// in kind order — the registry deltas the computed ones reconcile
+/// against, and the final rows. Deterministic: no wall-clock.
+void assemble_provenance(BoundReport& report, const ArtifactCache& cache,
+                         std::vector<ArtifactCache::SpectrumUse> uses,
                          std::int64_t warm_delta, std::int64_t iter_delta) {
   audit::ProvenanceRecord& prov = report.provenance;
   prov.kind = "bound";
   prov.graph = report.graph;
   prov.registry.warm_hits = warm_delta;
   prov.registry.iterations = iter_delta;
-  const std::vector<ArtifactCache::SpectrumRun>& runs = cache.spectrum_runs();
-  for (std::size_t i = runs_before; i < runs.size(); ++i) {
-    const ArtifactCache::SpectrumRun& run = runs[i];
+  const auto served = std::ranges::stable_partition(
+      uses, &ArtifactCache::SpectrumUse::computed);
+  std::ranges::sort(served, {}, &ArtifactCache::SpectrumUse::kind);
+  for (const ArtifactCache::SpectrumUse& use : uses) {
+    const PipelineResult& spectrum = cache.cached_spectra().at(use.kind);
     audit::SpectrumProvenance sp;
-    sp.laplacian = laplacian_provenance_name(run.kind);
-    sp.requested = run.requested;
-    sp.computed = true;
-    sp.merged_values = run.merged_values;
-    sp.components.reserve(run.per_component.size());
-    for (const ComponentSolve& solve : run.per_component)
-      sp.components.push_back(audit::component_provenance(solve));
-    prov.spectra.push_back(std::move(sp));
-  }
-  for (const auto& [kind, artifact] : cache.cached_spectra()) {
-    if (artifact.touched_serial <= serial_before) continue;  // unused here
-    if (artifact.computed_serial > serial_before) continue;  // in runs above
-    audit::SpectrumProvenance sp;
-    sp.laplacian = laplacian_provenance_name(kind);
-    sp.requested = artifact.requested;
-    sp.computed = false;
-    sp.merged_values = static_cast<std::int64_t>(artifact.values.size());
-    sp.components.reserve(artifact.per_component.size());
-    for (const ComponentSolve& solve : artifact.per_component)
+    sp.laplacian = laplacian_provenance_name(use.kind);
+    sp.requested = spectrum.requested;
+    sp.computed = use.computed;
+    sp.merged_values = static_cast<std::int64_t>(spectrum.values.size());
+    sp.components.reserve(spectrum.per_component.size());
+    for (const ComponentSolve& solve : spectrum.per_component)
       sp.components.push_back(audit::component_provenance(solve));
     prov.spectra.push_back(std::move(sp));
   }
@@ -75,7 +64,7 @@ BoundReport Engine::evaluate_with_cache(const BoundRequest& request,
   const ArtifactCache::Stats before = cache.stats();
   // Provenance bracket: registry counters (process-wide — the record's
   // `exclusive` flag says whether the deltas are attributable solely to
-  // this evaluation) and the cache's spectrum run/touch serials.
+  // this evaluation).
   struct SolverCounters {
     telemetry::Counter& warm_hits;
     telemetry::Counter& iterations;
@@ -85,8 +74,6 @@ BoundReport Engine::evaluate_with_cache(const BoundRequest& request,
       telemetry::MetricsRegistry::global().counter("solver.iterations")};
   const std::int64_t warm_before = solver_counters.warm_hits.value();
   const std::int64_t iter_before = solver_counters.iterations.value();
-  const std::size_t runs_before = cache.spectrum_runs().size();
-  const std::uint64_t serial_before = cache.spectrum_touch_serial();
 
   BoundReport report;
   report.graph = request.display_name();
@@ -101,7 +88,7 @@ BoundReport Engine::evaluate_with_cache(const BoundRequest& request,
   if (!request.spec.empty()) spec = GraphSpec::try_parse(request.spec);
   else if (!request.name.empty()) spec = GraphSpec::try_parse(request.name);
 
-  MethodContext ctx{cache, request, spec.has_value() ? &*spec : nullptr};
+  MethodContext ctx{cache, request, spec.has_value() ? &*spec : nullptr, {}};
   for (const BoundMethod* method : selected) {
     telemetry::Span method_span("engine.method");
     method_span.attr("method", method->id())
@@ -134,7 +121,7 @@ BoundReport Engine::evaluate_with_cache(const BoundRequest& request,
   }
 
   report.cache = telemetry::difference(cache.stats(), before);
-  assemble_provenance(report, cache, runs_before, serial_before,
+  assemble_provenance(report, cache, std::move(ctx.spectra),
                       solver_counters.warm_hits.value() - warm_before,
                       solver_counters.iterations.value() - iter_before);
   report.seconds = timer.seconds();

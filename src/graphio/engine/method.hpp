@@ -70,6 +70,9 @@ struct MethodContext {
   /// Family metadata when the request's graph came from (or is named by) a
   /// parseable spec; nullptr otherwise.
   const GraphSpec* spec = nullptr;
+  /// The spectra this evaluation used, in first-use order (filled by
+  /// ArtifactCache::spectrum) — the provenance layer's list.
+  std::vector<ArtifactCache::SpectrumUse> spectra;
 };
 
 class BoundMethod {

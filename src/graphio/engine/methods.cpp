@@ -48,11 +48,11 @@ std::vector<MethodRow> inapplicable_rows(const BoundMethod& method,
 
 // ---------------------------------------------------------------- spectral
 
-/// Shared Theorem 4/5/6 evaluation: one cached spectrum, one cheap
-/// max-over-k per memory size. Unlike the free-function fast path, the
-/// cache always resolves the full h = min(max_eigenvalues, n) prefix so
-/// that every method and every M of the request (and later requests on
-/// the same graph) reuse a single eigendecomposition.
+/// Shared Theorem 4/5/6 evaluation: one cached spectrum of h =
+/// min(max_eigenvalues, n) values, one cheap max-over-k per memory size.
+/// Every method and every M of the request (and later requests on the
+/// same graph) reuse a single eigendecomposition per Laplacian kind, and
+/// the spectrum is listed in ctx.spectra for the request's provenance.
 std::vector<MethodRow> spectral_rows(const BoundMethod& method,
                                      MethodContext& ctx,
                                      std::span<const double> memories,
@@ -62,8 +62,8 @@ std::vector<MethodRow> spectral_rows(const BoundMethod& method,
   WallTimer timer;
   const int h = static_cast<int>(std::min<std::int64_t>(
       ctx.request.spectral.max_eigenvalues, n));
-  const ArtifactCache::SpectrumArtifact& spectrum =
-      ctx.cache.spectrum(kind, h, ctx.request.spectral);
+  const PipelineResult& spectrum =
+      ctx.cache.spectrum(kind, h, ctx.request.spectral, &ctx.spectra);
 
   std::vector<MethodRow> rows;
   rows.reserve(memories.size());

@@ -185,8 +185,7 @@ TEST(SpectralPipeline, ComponentSolverHookIsUsed) {
   const Digraph g = engine::GraphSpec::parse("multi:4:path:3").build();
   engine::ArtifactCache cache(Digraph(g),
                               std::make_shared<store::ArtifactStore>());
-  const engine::ArtifactCache::SpectrumArtifact& spectrum =
-      cache.spectrum(LaplacianKind::kPlain, 6);
+  const PipelineResult& spectrum = cache.spectrum(LaplacianKind::kPlain, 6);
   EXPECT_EQ(cache.stats().eigensolves + cache.stats().component_hits, 4);
   EXPECT_EQ(cache.stats().eigensolves, 1);
   EXPECT_EQ(spectrum.components, 4);

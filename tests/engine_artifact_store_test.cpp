@@ -154,8 +154,11 @@ TEST(ArtifactStoreEngine, FingerprintsComputeOncePerGraphAcrossKinds) {
   EXPECT_EQ(plain_delta.fingerprint_computes, 0);
   EXPECT_EQ(plain_delta.subgraph_extractions, 1);  // the new kind's one miss
   EXPECT_EQ(cache.stats().fingerprint_computes, 5);
-  ASSERT_EQ(plain.component_fingerprints.size(), 5u);
-  for (std::uint64_t fp : plain.component_fingerprints) EXPECT_NE(fp, 0u);
+  ASSERT_EQ(plain.per_component.size(), 5u);
+  for (const ComponentSolve& solve : plain.per_component) {
+    EXPECT_TRUE(solve.fingerprinted);
+    EXPECT_NE(solve.fingerprint, 0u);
+  }
 }
 
 TEST(ArtifactStoreEngine, CleanComponentsNeverMaterializeAcrossSpecs) {

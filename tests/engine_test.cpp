@@ -275,8 +275,11 @@ TEST(ArtifactReuse, SpectrumComputedExactlyOncePerKind) {
 
   const ArtifactCache* cache = engine.cache("fft:5");
   ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->eigensolves(LaplacianKind::kOutDegreeNormalized), 1);
-  EXPECT_EQ(cache->eigensolves(LaplacianKind::kPlain), 1);
+  EXPECT_EQ(
+      cache->cached_spectra().at(LaplacianKind::kOutDegreeNormalized)
+          .eigensolves,
+      1);
+  EXPECT_EQ(cache->cached_spectra().at(LaplacianKind::kPlain).eigensolves, 1);
 }
 
 TEST(ArtifactReuse, SecondEvaluationIsAllHits) {

@@ -288,6 +288,20 @@ TEST(FaultScheduler, DeterministicFailuresAreNeverRetried) {
 
 // ------------------------------------------------- degraded deadlines
 
+/// `report`'s one row equals the clean `baseline` row bit for bit.
+void expect_same_row(const engine::BoundReport& report,
+                     const engine::BoundReport& baseline) {
+  ASSERT_EQ(report.rows.size(), 1u);
+  ASSERT_EQ(baseline.rows.size(), 1u);
+  const engine::MethodRow& row = report.rows[0];
+  const engine::MethodRow& clean = baseline.rows[0];
+  EXPECT_EQ(row.value, clean.value);
+  EXPECT_EQ(row.best_k, clean.best_k);
+  EXPECT_EQ(row.converged, clean.converged);
+  EXPECT_EQ(row.note, clean.note);
+  EXPECT_FALSE(row.degraded);
+}
+
 TEST(FaultDegraded, DeadlineYieldsSoundWeakerBoundFlaggedDegraded) {
   engine::BoundRequest request;
   request.spec = "multi:3:fft:3";
@@ -310,6 +324,10 @@ TEST(FaultDegraded, DeadlineYieldsSoundWeakerBoundFlaggedDegraded) {
   // Sound: still a lower bound, just weaker than the full evaluation.
   EXPECT_GE(degraded.rows[0].value, 0.0);
   EXPECT_LE(degraded.rows[0].value, baseline.rows[0].value);
+
+  // The cut-short spectrum is no cache hit: the same Engine without the
+  // deadline answers exactly like the clean one.
+  expect_same_row(partial.evaluate(request), baseline);
 }
 
 TEST(FaultDegraded, SolverConvergenceFaultNeverSilentlyConverges) {
@@ -320,14 +338,20 @@ TEST(FaultDegraded, SolverConvergenceFaultNeverSilentlyConverges) {
   engine::Engine clean;
   const engine::BoundReport baseline = clean.evaluate(request);
 
-  const ScopedFaultPlan plan("solver.converge:prob=1,seed=2");
   engine::Engine faulted;
-  const engine::BoundReport report = faulted.evaluate(request);
-  ASSERT_EQ(report.rows.size(), 1u);
-  EXPECT_FALSE(report.rows[0].converged);
-  EXPECT_TRUE(report.rows[0].degraded);
-  EXPECT_GE(report.rows[0].value, 0.0);
-  EXPECT_LE(report.rows[0].value, baseline.rows[0].value);
+  {
+    const ScopedFaultPlan plan("solver.converge:prob=1,seed=2");
+    const engine::BoundReport report = faulted.evaluate(request);
+    ASSERT_EQ(report.rows.size(), 1u);
+    EXPECT_FALSE(report.rows[0].converged);
+    EXPECT_TRUE(report.rows[0].degraded);
+    EXPECT_GE(report.rows[0].value, 0.0);
+    EXPECT_LE(report.rows[0].value, baseline.rows[0].value);
+  }
+
+  // With the plan cleared, the same Engine re-solves the tripped solves
+  // instead of serving the degraded spectrum.
+  expect_same_row(faulted.evaluate(request), baseline);
 }
 
 // -------------------------------------------- mid-patch twin rollback

@@ -4,8 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graphio/audit/provenance.hpp"
@@ -185,6 +187,35 @@ TEST(ProvenanceEngineTest, EvaluationAssemblesLineage) {
   const std::vector<std::string> issues = check_record(record);
   EXPECT_TRUE(issues.empty())
       << (issues.empty() ? "" : issues.front());
+}
+
+TEST(ProvenanceEngineTest, SpectraListComputedInUseOrderThenServedByKind) {
+  // One Engine across evaluations: each record lists the spectra its own
+  // evaluation computed, in first-use order, then those it was served,
+  // plain before norm.
+  using Used = std::vector<std::pair<std::string, bool>>;
+  engine::Engine eng;
+  const auto spectra = [&eng](std::vector<std::string> methods,
+                              std::optional<la::SolverKind> solver) {
+    engine::BoundRequest request;
+    request.spec = "fft:5";
+    request.memories = {4, 8};
+    request.methods = std::move(methods);
+    request.spectral.solver = solver;
+    Used used;
+    for (const SpectrumProvenance& s : eng.evaluate(request).provenance.spectra)
+      used.emplace_back(s.laplacian, s.computed);
+    return used;
+  };
+  EXPECT_EQ(spectra({"spectral"}, std::nullopt), (Used{{"norm", true}}));
+  EXPECT_EQ(spectra({"all"}, std::nullopt),
+            (Used{{"plain", true}, {"norm", false}}));
+  EXPECT_EQ(spectra({"all"}, std::nullopt),
+            (Used{{"plain", false}, {"norm", false}}));
+  EXPECT_EQ(spectra({"parallel", "spectral-plain"}, la::SolverKind::kLanczos),
+            (Used{{"norm", true}, {"plain", true}}));
+  EXPECT_EQ(spectra({"spectral-plain", "spectral"}, std::nullopt),
+            (Used{{"plain", true}, {"norm", true}}));
 }
 
 TEST(ProvenanceStreamTest, WarmTiersReconcileWithRegistryDeltas) {

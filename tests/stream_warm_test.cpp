@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -118,18 +117,16 @@ struct RandomMutator {
   }
 };
 
-/// The Laplacian kinds whose current merged spectrum (the latest run of
-/// each kind) contains a component solved warm — in this evaluation, or
-/// in an earlier one and served from the store since.
+/// The Laplacian kinds whose current merged spectrum (the cached record
+/// of each kind) contains a component solved warm — in this evaluation,
+/// or in an earlier one and served from the store since.
 std::set<LaplacianKind> warm_fed_kinds(const engine::ArtifactCache& cache) {
-  std::map<LaplacianKind, const engine::ArtifactCache::SpectrumRun*> latest;
-  for (const engine::ArtifactCache::SpectrumRun& run : cache.spectrum_runs())
-    latest[run.kind] = &run;
   std::set<LaplacianKind> warm;
-  for (const auto& [kind, run] : latest)
-    if (std::ranges::any_of(run->per_component, [](const ComponentSolve& c) {
-          return c.warm_started;
-        }))
+  for (const auto& [kind, spectrum] : cache.cached_spectra())
+    if (std::ranges::any_of(spectrum.per_component,
+                            [](const ComponentSolve& c) {
+                              return c.warm_started;
+                            }))
       warm.insert(kind);
   return warm;
 }
@@ -273,7 +270,9 @@ TEST(StreamWarmTest, WarmTierEngagesOnlyWhereItPays) {
           session.engine().cache("warm-crossover");
       ASSERT_NE(cache, nullptr);
       const ComponentSolve& solve =
-          cache->spectrum_runs().back().per_component.front();
+          cache->cached_spectra()
+              .at(LaplacianKind::kOutDegreeNormalized)
+              .per_component.front();
       engine::BoundRequest scratch_req = req;
       scratch_req.graph = session.graph();
       engine::Engine scratch;
