@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
     n_max = 64;
     options.mincut_max_vertices = 8000;
     options.mincut_budget_seconds = 600.0;
-    options.spectral.lanczos.max_basis = 256;
   }
 
   const std::vector<double> memories{32.0, 64.0, 128.0};

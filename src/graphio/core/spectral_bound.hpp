@@ -28,6 +28,8 @@
 
 namespace graphio {
 
+/// What a caller chooses about a spectral solve; the rest is constant
+/// (kBoundRelTol, kBoundLanczos, la/solver_policy.hpp's thresholds).
 struct SpectralOptions {
   /// h — how many of the smallest Laplacian eigenvalues to compute,
   /// capped at the vertex count.
@@ -41,36 +43,16 @@ struct SpectralOptions {
   /// whenever components are small enough to flip solver tiers. Disable
   /// to force one monolithic solve (the pre-pipeline behavior).
   bool decompose = true;
-  /// Residual tolerance for the sparse eigensolver when computing bounds.
-  /// Loose on purpose: the bound consumes *certified lower estimates*
-  /// θ − ‖Az − θz‖, which stay sound at any tolerance, and convergence to
-  /// 1e-6 is often orders of magnitude faster than to eigensolver-grade
-  /// 1e-9 on the clustered spectra the evaluation graphs produce.
-  double eig_rel_tol = 1e-6;
-  la::LanczosOptions lanczos = {};
-  /// Retain converged per-component eigenbases (Ritz vectors) in the
-  /// artifact store's memory-only eigenbasis tier, keyed by component
-  /// fingerprint, so a later solve of a patched successor can warm-start
-  /// from them. Only components inside the warm tier retain (a basis is
-  /// read only where la::choose_solver would pick it: n > kDenseMaxN, or
-  /// n > 3h, under "auto" or a forced iterative tier); every other
-  /// component answers exactly as it would with retention off, cold and
-  /// without computing eigenvectors. A warm solve first tries one
-  /// Rayleigh–Ritz refresh over the basis, accepted within the fixed
-  /// la::kWarmRefreshRelTol gate; a rejected refresh seeds LOBPCG, and a
-  /// forced Lanczos tier then solves cold. Excluded from solver_options_equal
-  /// on purpose: retention never changes what a cold solve computes, only
-  /// what it keeps.
-  bool retain_basis = false;
-  /// Soft deadline for one pipeline run in seconds (0 = none), checked at
-  /// component boundaries: once elapsed, remaining component solves are
-  /// skipped and the merge is certified-truncated to what the solved
-  /// components support — a valid (degraded) lower bound instead of an
-  /// unbounded wait. Excluded from solver_options_equal on purpose, like
-  /// retain_basis: a deadline changes how much gets computed this run,
-  /// never the value of any individual cached solve.
-  double deadline_seconds = 0.0;
 };
+
+/// Residual tolerance of the iterative tiers, relative to the Gershgorin
+/// bound. Loose on purpose: the bound consumes *certified lower estimates*
+/// θ − ‖Az − θz‖, which stay sound at any tolerance, and convergence to
+/// 1e-6 is often orders of magnitude faster than to eigensolver-grade
+/// 1e-9 on the clustered spectra the evaluation graphs produce.
+inline constexpr double kBoundRelTol = 1e-6;
+/// The Lanczos tier's settings: la/lanczos.hpp's defaults at kBoundRelTol.
+inline constexpr la::LanczosOptions kBoundLanczos{.rel_tol = kBoundRelTol};
 
 struct SpectralBound {
   /// max(0, best over k) — the reported lower bound on J*.
@@ -137,14 +119,15 @@ std::vector<double> smallest_laplacian_eigenvalues(
 
 /// The inputs that change what the eigensolver computes, in the order of
 /// ArtifactStore::spectral_options_key — the one list behind both that key
-/// and solver_options_equal. The warm refresh gate and the tier thresholds
-/// are constants, listed so that changing one also changes every stored
-/// key (the gate keeps the slot it had as a per-call option).
+/// and solver_options_equal. The tolerance, the Lanczos settings, the warm
+/// refresh gate and the tier thresholds are constants, listed so that
+/// changing one also changes every stored key (each former per-call option
+/// keeps its slot).
 inline auto solve_inputs(const SpectralOptions& o) {
-  return std::tie(o.solver, o.decompose, o.eig_rel_tol,
+  return std::tie(o.solver, o.decompose, kBoundRelTol,
                   la::kWarmRefreshRelTol, la::kDenseMaxN, la::kDenseRescueMaxN,
-                  o.lanczos.block_size, o.lanczos.max_basis,
-                  o.lanczos.stall_basis_cap, o.lanczos.max_cycles);
+                  kBoundLanczos.block_size, kBoundLanczos.max_basis,
+                  kBoundLanczos.stall_basis_cap, kBoundLanczos.max_cycles);
 }
 
 /// Equality of solve_inputs — the one shared definition of "same solve"

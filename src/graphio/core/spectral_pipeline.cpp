@@ -166,7 +166,6 @@ bool warm_subspace_refresh(const la::CsrMatrix& lap,
 /// Lanczos takes no seed (la/lanczos.hpp). `retained` (nullable) receives
 /// the returned eigenvectors.
 void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
-                     const SpectralOptions& options,
                      const std::vector<std::vector<double>>* warm_columns,
                      std::vector<std::vector<double>>* retained,
                      ComponentSolve& solve) {
@@ -175,7 +174,7 @@ void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
   std::vector<std::vector<double>> vectors;
   if (tier == la::SolverKind::kLobpcg) {
     la::LobpcgOptions lopts;
-    lopts.rel_tol = options.eig_rel_tol;
+    lopts.rel_tol = kBoundRelTol;
     lopts.return_vectors = retained != nullptr;
     if (warm_columns != nullptr) {
       // Same tolerance as a cold solve: soundness never depends on it
@@ -202,8 +201,7 @@ void solve_iterative(const la::CsrMatrix& lap, la::SolverKind tier, int h,
       }
     }
   } else {
-    la::LanczosOptions lopts = options.lanczos;
-    lopts.rel_tol = options.eig_rel_tol;
+    la::LanczosOptions lopts = kBoundLanczos;
     lopts.return_vectors = retained != nullptr;
     la::LanczosResult res = la::smallest_eigenvalues(lap, h, lopts);
     values = std::move(res.values);
@@ -275,8 +273,8 @@ ComponentSolve solve_component_impl(
       warm && warm_subspace_refresh(lap, *warm_columns, h,
                                     la::kWarmRefreshRelTol, solve, retained);
   if (!refreshed)
-    solve_iterative(lap, choice.kind, h, options,
-                    warm ? warm_columns : nullptr, retained, solve);
+    solve_iterative(lap, choice.kind, h, warm ? warm_columns : nullptr,
+                    retained, solve);
   if (!certify_values(solve.values, component, lap, kind, h))
     solve.converged = false;
   if (!solve.converged && !options.solver && n <= la::kDenseRescueMaxN) {
@@ -407,10 +405,10 @@ ComponentSolve solve_component_spectrum(const Digraph& component,
 }
 
 SpectrumMerge::SpectrumMerge(int components, std::int64_t vertices, int h,
-                             const SpectralOptions& options)
+                             Deadline deadline)
     : h_(static_cast<int>(
           std::clamp<std::int64_t>(h, 0, std::max<std::int64_t>(vertices, 0)))),
-      deadline_seconds_(options.deadline_seconds) {
+      deadline_(deadline) {
   result_.components = std::max(components, 1);
 }
 
@@ -419,8 +417,7 @@ int SpectrumMerge::request(std::int64_t vertices) const noexcept {
 }
 
 bool SpectrumMerge::add_unsolved(std::int64_t vertices, std::int64_t edges) {
-  const bool late =
-      deadline_seconds_ > 0.0 && timer_.seconds() >= deadline_seconds_;
+  const bool late = deadline_.expired();
   if (!late && edges != 0) return false;
   ComponentSolve solve;
   solve.vertices = vertices;
@@ -503,7 +500,7 @@ PipelineResult SpectralPipeline::run(const Digraph& g, LaplacianKind kind,
   // copy — the single component IS the graph, vertex order included.
   const bool whole = components.count <= 1;
   const int parts = whole ? 1 : components.count;
-  SpectrumMerge merge(parts, g.num_vertices(), h, options_);
+  SpectrumMerge merge(parts, g.num_vertices(), h);
   for (int c = 0; c < parts && merge.h() > 0; ++c) {
     const std::int64_t n =
         whole ? g.num_vertices()

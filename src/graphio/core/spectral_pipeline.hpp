@@ -16,10 +16,9 @@
 //   2. SpectrumMerge pools the per-component solves and returns the
 //      smallest h values of the union — exactly what a monolithic solve
 //      would have produced, because the decomposition is exact. It also
-//      owns the run's deadline skip, the `solver.converge` fault seam and
-//      the certified-cutoff truncation of partial solves. Edgeless
-//      components never reach a solver: their spectrum is identically
-//      zero.
+//      owns the deadline skip, the `solver.converge` fault seam and the
+//      certified-cutoff truncation of partial solves. Edgeless components
+//      never reach a solver: their spectrum is identically zero.
 //
 // SpectralPipeline::run drives both over an eager decomposition, for the
 // spectral_bound* free functions. The engine's ArtifactCache drives them
@@ -89,10 +88,10 @@ struct ComponentSolve {
   /// ascending; may be shorter than requested on non-convergence.
   std::vector<double> values;
   bool converged = true;
-  /// True when the run's deadline skipped this solve entirely: `values`
-  /// is then h_c zeros — a complete pointwise lower bound on the true
-  /// spectrum (each Laplacian block is PSD), which keeps the merge sound
-  /// without engaging the truncation cutoff.
+  /// True when the evaluation's deadline skipped this solve entirely:
+  /// `values` is then h_c zeros — a complete pointwise lower bound on the
+  /// true spectrum (each Laplacian block is PSD), which keeps the merge
+  /// sound without engaging the truncation cutoff.
   bool skipped = false;
   double seconds = 0.0;
 };
@@ -137,9 +136,9 @@ struct PipelineResult {
   int requested = 0;
   /// False when any contributing component solve did not converge.
   bool converged = true;
-  /// True when the run was certified-truncated — a deadline
-  /// (options.deadline_seconds) or injected fault skipped or weakened
-  /// component solves, and the merge was cut to what the completed ones
+  /// True when the run was certified-truncated — a deadline or injected
+  /// fault skipped or weakened component solves, and the merge was cut
+  /// to what the completed ones
   /// certify. The values are still a valid lower-bound spectrum prefix.
   bool degraded = false;
   /// Component solves skipped outright by the deadline.
@@ -161,8 +160,8 @@ struct PipelineResult {
   double seconds = 0.0;
 };
 
-/// The warm tier of one component solve — a stream session's
-/// options.retain_basis path, engaged only where la::choose_solver's warm
+/// The warm tier of one component solve — on a stream session's graph
+/// with an eigenbasis budget, engaged only where la::choose_solver's warm
 /// choice is an iterative tier.
 struct WarmStart {
   /// The component's content fingerprint: the key its basis is retained
@@ -198,10 +197,10 @@ ComponentSolve solve_component_spectrum(const Digraph& component,
 class SpectrumMerge {
  public:
   /// Merges `components` components toward the h smallest values of a
-  /// graph of `vertices` vertices (h is clamped to it); the clock of
-  /// options.deadline_seconds starts here.
+  /// graph of `vertices` vertices (h is clamped to it) within `deadline`,
+  /// the budget of the whole evaluation, started by its owner.
   SpectrumMerge(int components, std::int64_t vertices, int h,
-                const SpectralOptions& options);
+                Deadline deadline = {});
 
   /// The clamped h; 0 means there is nothing to merge.
   [[nodiscard]] int h() const noexcept { return h_; }
@@ -210,7 +209,7 @@ class SpectrumMerge {
 
   /// Adds a component that needs no solve and returns true, or returns
   /// false. Edgeless components contribute zeros (their spectrum). Once
-  /// options.deadline_seconds has elapsed, every component is skipped and
+  /// the deadline has expired, every component is skipped and
   /// claims request() zeros — a complete pointwise lower bound on its
   /// spectrum (each Laplacian block is PSD), so the merge stays sound
   /// without engaging the truncation cutoff.
@@ -230,7 +229,7 @@ class SpectrumMerge {
  private:
   WallTimer timer_;
   int h_ = 0;
-  double deadline_seconds_ = 0.0;
+  Deadline deadline_;
   double certified_cutoff_ = std::numeric_limits<double>::infinity();
   std::vector<double> pooled_;
   PipelineResult result_;

@@ -397,13 +397,15 @@ void ArtifactCache::merge_component_spectrum(SpectrumMerge& merge, int c,
   // "auto" on a dense-sized component with h large against n — never
   // reads one, so the component neither looks one up, nor accumulates
   // eigenvectors, nor publishes one, and answers exactly as it would
-  // with retention off. The basis is looked up under the component's own
-  // fingerprint before extracting: a stream patch re-keys the
+  // with retention off — as does every component off a stream session's
+  // graph (the lazy cache Engine::install_graph makes) or of a store with
+  // no eigenbasis budget. The basis is looked up under the component's
+  // own fingerprint before extracting: a stream patch re-keys the
   // predecessor's basis to the successor fingerprint
   // (ArtifactStore::adopt_eigenbasis), which is the one handoff.
   std::optional<Eigenbasis> basis;
   std::optional<WarmStart> warm;
-  if (options.retain_basis &&
+  if (lazy_.has_value() && store_->eigenbasis_budget() > 0 &&
       la::choose_solver(options.solver, {n, n + 2 * edges, h, /*warm=*/true})
               .kind != la::SolverKind::kDense) {
     basis = store_->lookup_eigenbasis(fp, kind);
@@ -430,7 +432,7 @@ void ArtifactCache::merge_component_spectrum(SpectrumMerge& merge, int c,
 
 const PipelineResult& ArtifactCache::spectrum(
     LaplacianKind kind, int count, const SpectralOptions& options,
-    std::vector<SpectrumUse>* uses) {
+    std::vector<SpectrumUse>* uses, const Deadline& deadline) {
   GIO_EXPECTS(count >= 0);
   count = static_cast<int>(std::min<std::int64_t>(count, num_vertices()));
   const bool used =
@@ -462,7 +464,7 @@ const PipelineResult& ArtifactCache::spectrum(
   // distinct from decomposed ones (solver_options_equal keys the
   // decompose switch).
   const int parts = options.decompose ? decomposition().wc.count : 1;
-  SpectrumMerge merge(parts, num_vertices(), count, options);
+  SpectrumMerge merge(parts, num_vertices(), count, deadline);
   for (int c = 0; c < parts && merge.h() > 0; ++c)
     merge_component_spectrum(merge, options.decompose ? c : kWholeGraph, kind,
                              options);

@@ -165,10 +165,14 @@ class ArtifactCache {
   /// `uses`, when given, is the calling evaluation's list of the spectra
   /// it used: a kind's first use appends (kind, computed), and a kind
   /// already on it is served as a hit even when not converged, so every
-  /// row of one evaluation derives from one spectrum per kind.
+  /// row of one evaluation derives from one spectrum per kind. A merge
+  /// checks the evaluation's `deadline` at every component. Solves retain
+  /// eigenbases only on a lazy (stream-installed) graph while the store
+  /// budgets them.
   const PipelineResult& spectrum(LaplacianKind kind, int count,
                                  const SpectralOptions& options = {},
-                                 std::vector<SpectrumUse>* uses = nullptr);
+                                 std::vector<SpectrumUse>* uses = nullptr,
+                                 const Deadline& deadline = {});
 
   /// The memory-independent core of the convex min-cut baseline, per weak
   /// component: cuts[c] = max_v C(v) within component c. Components share

@@ -88,7 +88,8 @@ BoundReport Engine::evaluate_with_cache(const BoundRequest& request,
   if (!request.spec.empty()) spec = GraphSpec::try_parse(request.spec);
   else if (!request.name.empty()) spec = GraphSpec::try_parse(request.name);
 
-  MethodContext ctx{cache, request, spec.has_value() ? &*spec : nullptr, {}};
+  MethodContext ctx{cache, request, spec.has_value() ? &*spec : nullptr, {},
+                    {.clock = {}, .seconds = request.deadline_seconds}};
   for (const BoundMethod* method : selected) {
     telemetry::Span method_span("engine.method");
     method_span.attr("method", method->id())

@@ -73,6 +73,8 @@ struct MethodContext {
   /// The spectra this evaluation used, in first-use order (filled by
   /// ArtifactCache::spectrum) — the provenance layer's list.
   std::vector<ArtifactCache::SpectrumUse> spectra;
+  /// The request's deadline_seconds, started when the evaluation began.
+  Deadline deadline;
 };
 
 class BoundMethod {

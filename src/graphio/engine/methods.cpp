@@ -63,7 +63,8 @@ std::vector<MethodRow> spectral_rows(const BoundMethod& method,
   const int h = static_cast<int>(std::min<std::int64_t>(
       ctx.request.spectral.max_eigenvalues, n));
   const PipelineResult& spectrum =
-      ctx.cache.spectrum(kind, h, ctx.request.spectral, &ctx.spectra);
+      ctx.cache.spectrum(kind, h, ctx.request.spectral, &ctx.spectra,
+                         ctx.deadline);
 
   std::vector<MethodRow> rows;
   rows.reserve(memories.size());

@@ -33,6 +33,13 @@ struct BoundRequest {
   /// selects every registered method.
   std::vector<std::string> methods;
 
+  /// Soft deadline in seconds (0 = none): one budget for the whole
+  /// evaluation, whose every spectrum merge skips the component solves
+  /// left once it has elapsed (SpectrumMerge) — a certified, degraded
+  /// lower bound instead of a wait. In no cache or store key. Min-cut
+  /// sweeps keep mincut.time_budget_seconds.
+  double deadline_seconds = 0.0;
+
   // Per-method options, passed through verbatim.
   SpectralOptions spectral;
   flow::ConvexMinCutOptions mincut;

@@ -183,15 +183,13 @@ JobResult Scheduler::evaluate_job(engine::Engine& engine, const Job& job,
       .attr("shard",
             std::hash<std::string>{}(job.request.spec) % engines_.size());
   WallTimer timer;
-  // The per-job soft deadline rides into the pipeline as
-  // SpectralOptions::deadline_seconds (deliberately excluded from solver
-  // identity and store keys, like retain_basis): over-budget component
-  // solves are skipped and the job returns a certified partial bound
-  // flagged degraded instead of hanging the worker.
+  // The per-job soft deadline is the request's one budget for all of its
+  // spectra, both Laplacian kinds (min-cut sweeps stay outside it):
+  // over-budget component solves are skipped and the job returns a
+  // certified partial bound flagged degraded instead of hanging.
   engine::BoundRequest request = job.request;
-  if (job_timeout_ms_ > 0 && request.spectral.deadline_seconds <= 0.0)
-    request.spectral.deadline_seconds =
-        static_cast<double>(job_timeout_ms_) / 1000.0;
+  if (job_timeout_ms_ > 0 && request.deadline_seconds <= 0.0)
+    request.deadline_seconds = static_cast<double>(job_timeout_ms_) / 1000.0;
   // Bounded retry: only *transient* failures (an injected fault with
   // kind=transient — a stand-in for I/O hiccups) re-run, with exponential
   // backoff; a job still failing on the last attempt is quarantined.

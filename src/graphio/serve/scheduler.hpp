@@ -46,10 +46,10 @@ struct SchedulerOptions {
   int max_attempts = 3;
   /// Backoff before the first retry in milliseconds, doubled per retry.
   double backoff_ms = 1.0;
-  /// Soft per-job deadline in milliseconds (0 = none), threaded into the
-  /// spectral pipeline as SpectralOptions::deadline_seconds: over-budget
-  /// component solves are skipped and the job returns a certified partial
-  /// bound flagged degraded:true instead of hanging.
+  /// Soft per-job deadline in milliseconds (0 = none), the request's
+  /// BoundRequest::deadline_seconds: over-budget component solves are
+  /// skipped and the job returns a certified partial bound flagged
+  /// degraded:true instead of hanging.
   std::int64_t job_timeout_ms = 0;
 };
 

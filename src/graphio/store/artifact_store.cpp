@@ -260,9 +260,10 @@ std::string ArtifactStore::spectral_options_key(
     const SpectralOptions& options) {
   // solve_inputs, pipe-joined; the solver policy names are identifiers, so
   // '|' never collides. The leading 0 is the slot of a retired per-call
-  // tier switch, kept so stored keys stay valid; the warm refresh gate,
-  // once a per-call option, is the constant la::kWarmRefreshRelTol in the
-  // slot the option had, for the same reason.
+  // tier switch, kept so stored keys stay valid. For the same reason the
+  // residual tolerance, the warm refresh gate and the four Lanczos
+  // settings, once per-call options, are constants (kBoundRelTol,
+  // la::kWarmRefreshRelTol, kBoundLanczos) in the slots the options had.
   std::string out = "0";
   std::apply(
       [&out](const auto&... field) {

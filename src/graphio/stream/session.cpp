@@ -300,12 +300,6 @@ engine::BoundReport StreamSession::evaluate(engine::BoundRequest request) {
   request.spec = name_;
   request.graph.reset();
   if (request.name.empty()) request.name = name_;
-  // The warm-start layer follows the store's eigenbasis budget: with a
-  // budget set, converged component bases are retained and patched
-  // successors warm-start from them; at 0 the query path is bit-identical
-  // to the cold one (retention is excluded from the options key).
-  request.spectral.retain_basis =
-      engine_->artifact_store()->eigenbasis_budget() > 0;
   registry().add<&Stats::queries>(stats_, 1);
   telemetry::Span span("stream.query");
   span.attr("graph", name_)

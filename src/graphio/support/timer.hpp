@@ -26,4 +26,13 @@ class WallTimer {
   Clock::time_point start_;
 };
 
+/// A soft wall-clock budget of `seconds` (0 = none) on `clock`.
+struct Deadline {
+  WallTimer clock;
+  double seconds = 0.0;
+  [[nodiscard]] bool expired() const noexcept {
+    return seconds > 0.0 && clock.seconds() >= seconds;
+  }
+};
+
 }  // namespace graphio

@@ -89,7 +89,6 @@ TEST(SpectralBound, DenseAndLanczosBackendsAgree) {
   dense.solver = la::SolverKind::kDense;
   SpectralOptions sparse;
   sparse.solver = la::SolverKind::kLanczos;
-  sparse.lanczos.dense_fallback = 0;
   const SpectralBound a = spectral_bound(g, 4, dense);
   const SpectralBound b = spectral_bound(g, 4, sparse);
   ASSERT_TRUE(b.eigensolver_converged);

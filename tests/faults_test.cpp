@@ -10,6 +10,7 @@
 //   * the scheduler retries transient job faults with bounded attempts
 //     and quarantines poison jobs,
 //   * a job deadline yields a *sound* degraded bound (<= the full bound),
+//     one budget for all of the job's spectra,
 //   * a mid-patch fault rolls the stream session back to its twin-exact
 //     pre-patch state,
 //   * a single-site fault sweep over a mixed batch yields, per job,
@@ -314,7 +315,7 @@ TEST(FaultDegraded, DeadlineYieldsSoundWeakerBoundFlaggedDegraded) {
   EXPECT_FALSE(baseline.rows[0].degraded);
 
   engine::BoundRequest limited = request;
-  limited.spectral.deadline_seconds = 1e-12;  // every boundary over budget
+  limited.deadline_seconds = 1e-12;  // every boundary over budget
   engine::Engine partial;
   const engine::BoundReport degraded = partial.evaluate(limited);
   ASSERT_EQ(degraded.rows.size(), 1u);
@@ -328,6 +329,39 @@ TEST(FaultDegraded, DeadlineYieldsSoundWeakerBoundFlaggedDegraded) {
   // The cut-short spectrum is no cache hit: the same Engine without the
   // deadline answers exactly like the clean one.
   expect_same_row(partial.evaluate(request), baseline);
+}
+
+// A job deadline is one budget for the whole job, across both Laplacian
+// kinds: the norm spectrum spends it on its first component (a
+// 448-vertex dense solve, far over 1 ms), after which every plain
+// component is skipped rather than starting a fresh budget.
+TEST(FaultDegraded, JobDeadlineCoversEveryLaplacianKindOfTheJob) {
+  serve::SchedulerOptions options;
+  options.threads = 1;
+  options.job_timeout_ms = 1;
+  serve::Scheduler scheduler(options);
+  serve::Job job = serve::job_from_json_line(
+      R"({"spec": "multi:8:fft:6", "memories": [4], )"
+      R"("methods": ["spectral", "spectral-plain"]})");
+  job.id = 1;
+  const serve::JobResult result = scheduler.run_one(job);
+  ASSERT_TRUE(result.ok);
+  const auto tiers = [](const audit::SpectrumProvenance& spectrum) {
+    std::string out;
+    for (const audit::ComponentProvenance& c : spectrum.components)
+      out += c.tier == "skipped" ? 's' : 'c';
+    return out;
+  };
+  const std::vector<audit::SpectrumProvenance>& spectra =
+      result.report.provenance.spectra;
+  ASSERT_EQ(spectra.size(), 2u);
+  EXPECT_EQ(spectra[0].laplacian, "norm");
+  EXPECT_EQ(tiers(spectra[0]), "csssssss");
+  EXPECT_EQ(spectra[1].laplacian, "plain");
+  EXPECT_EQ(tiers(spectra[1]), "ssssssss");
+  EXPECT_EQ(result.report.cache.eigensolves, 1);
+  for (const engine::MethodRow& row : result.report.rows)
+    EXPECT_TRUE(row.degraded) << row.method;
 }
 
 TEST(FaultDegraded, SolverConvergenceFaultNeverSilentlyConverges) {

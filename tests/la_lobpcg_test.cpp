@@ -157,7 +157,6 @@ TEST(LobpcgBackend, SpectralBoundAgreesWithDenseBackend) {
   SpectralOptions lobpcg;
   lobpcg.solver = la::SolverKind::kLobpcg;
   lobpcg.max_eigenvalues = 12;
-  lobpcg.eig_rel_tol = 1e-9;
   const SpectralBound a = spectral_bound(g, 4.0, dense);
   const SpectralBound b = spectral_bound(g, 4.0, lobpcg);
   // The sparse bound uses certified lower estimates, so it can only sit

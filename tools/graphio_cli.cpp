@@ -139,8 +139,11 @@ std::string method_list() {
       "                                         options incl. kind=K, multiple\n"
       "                                         sites ';'-separated (see\n"
       "                                         `graphio faults list`)\n"
-      "  --job-timeout-ms N                     per-job soft deadline: over-\n"
-      "                                         budget component solves are\n"
+      "  --job-timeout-ms N                     per-job soft deadline, one\n"
+      "                                         budget for all of a job's\n"
+      "                                         spectra (min-cut sweeps\n"
+      "                                         excluded): over-budget\n"
+      "                                         component solves are\n"
       "                                         skipped and the result is a\n"
       "                                         certified partial bound\n"
       "                                         flagged degraded:true\n"
