@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cases.push_back({"bhk l=9 M=8", builders::bhk_hypercube(9), 8.0});
   cases.push_back({"matmul n=8 M=16", builders::naive_matmul(8), 16.0});
   cases.push_back({"strassen n=8 M=8", builders::strassen_matmul(8), 8.0});
-  if (args.scale == BenchScale::kPaper) {
+  if (args.scale == bench::BenchScale::kPaper) {
     cases.push_back({"fft l=9 M=4", builders::fft(9), 4.0});
     cases.push_back({"bhk l=12 M=16", builders::bhk_hypercube(12), 16.0});
   }

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cases.push_back({"fft l=6 M=4", builders::fft(6), 4.0});
   cases.push_back({"bhk l=8 M=8", builders::bhk_hypercube(8), 8.0});
   cases.push_back({"matmul n=6 M=8", builders::naive_matmul(6), 8.0});
-  if (args.scale != BenchScale::kQuick)
+  if (args.scale != bench::BenchScale::kQuick)
     cases.push_back({"fft l=7 M=4", builders::fft(7), 4.0});
 
   Table table({"case", "n", "full sweep", "parts 2M", "parts 8M",

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
                       "Jain & Zaharia SPAA'20, Section 6.2 graph (2)", args);
 
   int n_max = 12;
-  if (args.scale == BenchScale::kQuick) n_max = 8;
-  if (args.scale == BenchScale::kPaper) n_max = 16;
+  if (args.scale == bench::BenchScale::kQuick) n_max = 8;
+  if (args.scale == bench::BenchScale::kPaper) n_max = 16;
   const double memory = 8.0;
 
   Table table({"n", "vertices (nary/chain/tree)", "nary", "chain", "tree"});

@@ -37,12 +37,12 @@ int main(int argc, char** argv) {
   cases.push_back({"bhk l=4", builders::bhk_hypercube(4), 4.0});
   cases.push_back({"bhk l=7", builders::bhk_hypercube(7), 8.0});
   cases.push_back({"matmul n=4", builders::naive_matmul(4), 4.0});
-  if (args.scale != BenchScale::kQuick) {
+  if (args.scale != bench::BenchScale::kQuick) {
     cases.push_back({"strassen n=4", builders::strassen_matmul(4), 4.0});
     cases.push_back({"stencil 12x6", builders::stencil1d(12, 6), 3.0});
   }
 
-  const int sampled_orders = args.scale == BenchScale::kQuick ? 8 : 32;
+  const int sampled_orders = args.scale == bench::BenchScale::kQuick ? 8 : 32;
 
   Table table({"graph", "n", "M", "k*", "min Lemma1", "min Thm2",
                "spectral term", "min DP-opt", "Lemma1 bound",

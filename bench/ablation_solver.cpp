@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
   std::vector<Case> cases;
   cases.push_back({"fft l=6", builders::fft(6), 2.0});
   cases.push_back({"bhk l=9", builders::bhk_hypercube(9), 8.0});
-  if (args.scale != BenchScale::kQuick) {
+  if (args.scale != bench::BenchScale::kQuick) {
     cases.push_back({"fft l=8", builders::fft(8), 2.0});
     cases.push_back({"er n=2000 p=.004", builders::erdos_renyi_dag(2000, 0.004, 11), 8.0});
   }
-  if (args.scale == BenchScale::kPaper) {
+  if (args.scale == bench::BenchScale::kPaper) {
     cases.push_back({"bhk l=12", builders::bhk_hypercube(12), 16.0});
     cases.push_back({"fft l=9", builders::fft(9), 4.0});
   }

@@ -6,9 +6,17 @@
 
 namespace graphio::bench {
 
+std::string to_string(BenchScale scale) {
+  switch (scale) {
+    case BenchScale::kQuick: return "quick";
+    case BenchScale::kDefault: return "default";
+    case BenchScale::kPaper: return "paper";
+  }
+  return "unknown";
+}
+
 BenchArgs BenchArgs::parse(int argc, char** argv) {
   BenchArgs args;
-  args.scale = bench_scale_from_env();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {

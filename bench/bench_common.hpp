@@ -14,8 +14,16 @@
 
 namespace graphio::bench {
 
+/// Problem-size preset of a bench run:
+///   quick   — smoke-test sizes (CI)
+///   default — every figure reproduced at sizes that finish in minutes
+///   paper   — the full parameter ranges from the paper (minutes to hours)
+enum class BenchScale { kQuick, kDefault, kPaper };
+
+std::string to_string(BenchScale scale);
+
 /// Command line: every figure bench accepts `--csv <path>` (mirror rows to
-/// CSV) and `--scale quick|default|paper` (overriding GRAPHIO_BENCH_SCALE).
+/// CSV) and `--scale quick|default|paper`.
 struct BenchArgs {
   std::string csv_path;
   BenchScale scale = BenchScale::kDefault;

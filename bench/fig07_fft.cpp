@@ -15,11 +15,11 @@ int main(int argc, char** argv) {
   int l_max = 10;                       // n = 11·1024 = 11264 (Lanczos path)
   options.mincut_max_vertices = 700;    // min-cut O(n·maxflow) explodes beyond
   options.mincut_budget_seconds = 60.0;
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     l_max = 6;
     options.mincut_max_vertices = 200;
     options.mincut_budget_seconds = 10.0;
-  } else if (args.scale == BenchScale::kPaper) {
+  } else if (args.scale == bench::BenchScale::kPaper) {
     l_max = 12;                         // the paper's full range
     options.mincut_max_vertices = 1600;
     options.mincut_budget_seconds = 3600.0;

@@ -18,11 +18,11 @@ int main(int argc, char** argv) {
   int n_max = 40;
   options.mincut_max_vertices = 4000;
   options.mincut_budget_seconds = 60.0;
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     n_max = 16;
     options.mincut_max_vertices = 1500;
     options.mincut_budget_seconds = 10.0;
-  } else if (args.scale == BenchScale::kPaper) {
+  } else if (args.scale == bench::BenchScale::kPaper) {
     n_max = 64;
     options.mincut_max_vertices = 8000;
     options.mincut_budget_seconds = 600.0;

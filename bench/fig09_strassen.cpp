@@ -13,11 +13,11 @@ int main(int argc, char** argv) {
   int n_max = 16;
   options.mincut_max_vertices = 3000;
   options.mincut_budget_seconds = 60.0;
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     n_max = 8;
     options.mincut_max_vertices = 700;
     options.mincut_budget_seconds = 10.0;
-  } else if (args.scale == BenchScale::kPaper) {
+  } else if (args.scale == bench::BenchScale::kPaper) {
     n_max = 32;  // one size past the paper's 16 — the method scales
     options.mincut_budget_seconds = 600.0;
   }
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     // authors used ARPACK's shift-invert eigsh); past the dense-rescue
     // size we either pay the dense path (paper scale) or report "nc".
     bench::RunOptions run_options = options;
-    if (args.scale == BenchScale::kPaper &&
+    if (args.scale == bench::BenchScale::kPaper &&
         bench::shared_engine().graph(spec).num_vertices() > 4096)
       run_options.spectral.solver = la::SolverKind::kDense;
     const engine::BoundReport report =

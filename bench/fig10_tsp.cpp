@@ -14,11 +14,11 @@ int main(int argc, char** argv) {
   int l_max = 13;                 // n = 8192 (Lanczos path)
   std::int64_t mincut_cap = 600;  // per-vertex max-flows explode (Fig. 11)
   double mincut_budget = 60.0;
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     l_max = 9;
     mincut_cap = 260;
     mincut_budget = 10.0;
-  } else if (args.scale == BenchScale::kPaper) {
+  } else if (args.scale == bench::BenchScale::kPaper) {
     l_max = 15;                   // the paper's full range (n = 32768)
     mincut_cap = 1100;
     mincut_budget = 3600.0;

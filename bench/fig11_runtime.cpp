@@ -13,11 +13,11 @@ int main(int argc, char** argv) {
   int l_max = 12;
   int mincut_l_max = 9;
   double mincut_budget = 120.0;
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     l_max = 9;
     mincut_l_max = 7;
     mincut_budget = 15.0;
-  } else if (args.scale == BenchScale::kPaper) {
+  } else if (args.scale == bench::BenchScale::kPaper) {
     l_max = 15;
     mincut_l_max = 11;
     mincut_budget = 3600.0;

@@ -28,11 +28,11 @@ int main(int argc, char** argv) {
   cases.push_back({"fft l=8", builders::fft(8)});
   cases.push_back({"bhk l=10", builders::bhk_hypercube(10)});
   cases.push_back({"matmul n=12", builders::naive_matmul(12)});
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     cases.clear();
     cases.push_back({"fft l=6", builders::fft(6)});
     cases.push_back({"bhk l=8", builders::bhk_hypercube(8)});
-  } else if (args.scale == BenchScale::kPaper) {
+  } else if (args.scale == bench::BenchScale::kPaper) {
     cases.push_back({"fft l=10", builders::fft(10)});
     cases.push_back({"strassen n=16", builders::strassen_matmul(16)});
   }

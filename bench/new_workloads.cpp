@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     cases.push_back({std::move(name), std::move(g), std::move(memories)});
   };
 
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     add("stencil1d 32x16", builders::stencil1d(32, 16), {4, 16});
     add("stencil2d 8x8x4", builders::stencil2d(8, 8, 4), {8, 16});
     add("prefix scan 2^6", builders::prefix_scan(6), {4, 16});
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     add("bitonic 2^5", builders::bitonic_sort(5), {4, 16});
     add("trisolve n=24", builders::triangular_solve(24), {4, 16});
     add("cholesky n=16", builders::cholesky(16), {4, 16});
-    if (args.scale == BenchScale::kPaper) {
+    if (args.scale == bench::BenchScale::kPaper) {
       add("stencil2d 24x24x12", builders::stencil2d(24, 24, 12), {8, 32});
       add("bitonic 2^6", builders::bitonic_sort(6), {4, 16});
       add("cholesky n=24", builders::cholesky(24), {4, 16});

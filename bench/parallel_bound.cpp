@@ -24,14 +24,14 @@ int main(int argc, char** argv) {
     double memory;
   };
   std::vector<Case> cases;
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     cases.push_back({"fft l=6", builders::fft(6), 2.0});
     cases.push_back({"bhk l=8", builders::bhk_hypercube(8), 4.0});
   } else {
     cases.push_back({"fft l=8", builders::fft(8), 2.0});
     cases.push_back({"bhk l=10", builders::bhk_hypercube(10), 8.0});
     cases.push_back({"matmul n=10", builders::naive_matmul(10), 16.0});
-    if (args.scale == BenchScale::kPaper) {
+    if (args.scale == bench::BenchScale::kPaper) {
       cases.push_back({"fft l=10", builders::fft(10), 2.0});
       cases.push_back({"bhk l=12", builders::bhk_hypercube(12), 8.0});
     }

@@ -13,9 +13,9 @@ int main(int argc, char** argv) {
                       "Jain & Zaharia SPAA'20, Section 5.3", args);
 
   const std::int64_t n_max =
-      args.scale == BenchScale::kQuick ? 400 : 1200;
+      args.scale == bench::BenchScale::kQuick ? 400 : 1200;
   const double memory = 8.0;
-  const int samples = args.scale == BenchScale::kPaper ? 5 : 3;
+  const int samples = args.scale == bench::BenchScale::kPaper ? 5 : 3;
 
   {
     std::cout << "Sparse regime p = p0 log n/(n-1), p0 = 24, M=" << memory

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     std::cout << "Theorem 7 — closed-form butterfly spectrum vs dense "
                  "eigensolver (max |Δλ| over the full spectrum):\n";
     Table table({"l", "vertices", "max |closed - numeric|"});
-    const int l_max = args.scale == BenchScale::kQuick ? 4 : 6;
+    const int l_max = args.scale == bench::BenchScale::kQuick ? 4 : 6;
     for (int l = 1; l <= l_max; ++l) {
       const auto g = builders::fft(l);
       const auto numeric = Spectrum::from_values(
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                  "Theorem 4 bounds, M=4:\n";
     Table table({"l", "closed form a=1", "best-a closed form",
                  "machine Thm5", "machine Thm4", "M threshold"});
-    const int l_max = args.scale == BenchScale::kQuick ? 9 : 12;
+    const int l_max = args.scale == bench::BenchScale::kQuick ? 9 : 12;
     for (int l = 6; l <= l_max; ++l) {
       const Digraph g = builders::bhk_hypercube(l);
       const double m = 4.0;

@@ -70,10 +70,10 @@ int main(int argc, char** argv) {
 
   int jobs_count = 200;
   std::vector<int> thread_counts = {1, 2, 4, 8};
-  if (args.scale == BenchScale::kQuick) {
+  if (args.scale == bench::BenchScale::kQuick) {
     jobs_count = 24;
     thread_counts = {1, 2};
-  } else if (args.scale == BenchScale::kPaper) {
+  } else if (args.scale == bench::BenchScale::kPaper) {
     jobs_count = 1000;
     thread_counts = {1, 2, 4, 8, 16};
   }

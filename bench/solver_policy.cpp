@@ -110,12 +110,12 @@ int main(int argc, char** argv) {
   // Lanczos baseline affordable at bench scale.
   const int h = 32;
   std::vector<std::string> cases = {"multi:8:fft:4"};
-  if (args.scale != BenchScale::kQuick) {
+  if (args.scale != bench::BenchScale::kQuick) {
     cases.push_back("multi:8:fft:5");  // union dense, components dense
     cases.push_back("multi:8:fft:6");  // union above the dense threshold
     cases.push_back("multi:4:bhk:7");
   }
-  if (args.scale == BenchScale::kPaper) {
+  if (args.scale == bench::BenchScale::kPaper) {
     cases.push_back("multi:8:fft:7");
     cases.push_back("multi:16:matmul:5");
   }
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   // components are all content-equal to the first's graph, so the shared
   // component cache turns the whole union into hits.
   const std::string base_spec =
-      args.scale == BenchScale::kQuick ? "fft:4" : "fft:5";
+      args.scale == bench::BenchScale::kQuick ? "fft:4" : "fft:5";
   const std::string union_spec = "multi:8:" + base_spec;
   engine::Engine eng;
   engine::BoundRequest request;

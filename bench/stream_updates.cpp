@@ -230,8 +230,8 @@ int main(int argc, char** argv) {
   // incremental side is the dirty components' own solve time.
   int components = 32;
   std::int64_t n = 500;
-  if (args.scale == BenchScale::kQuick) n = 450;
-  if (args.scale == BenchScale::kPaper) {
+  if (args.scale == bench::BenchScale::kQuick) n = 450;
+  if (args.scale == bench::BenchScale::kPaper) {
     components = 40;
     n = 600;
   }

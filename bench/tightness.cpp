@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   cases.push_back({"bhk l=9 M=16", builders::bhk_hypercube(9), 16});
   cases.push_back({"matmul n=8 M=16", builders::naive_matmul(8), 16});
   cases.push_back({"strassen n=8 M=8", builders::strassen_matmul(8), 8});
-  if (args.scale == BenchScale::kPaper) {
+  if (args.scale == bench::BenchScale::kPaper) {
     cases.push_back({"fft l=10 M=4", builders::fft(10), 4});
     cases.push_back({"bhk l=12 M=16", builders::bhk_hypercube(12), 16});
   }

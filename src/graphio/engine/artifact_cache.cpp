@@ -356,17 +356,6 @@ const std::vector<VertexId>& ArtifactCache::topo_order() {
   return *topo_;
 }
 
-const la::CsrMatrix& ArtifactCache::laplacian(LaplacianKind kind) {
-  const auto it = laplacians_.find(kind);
-  if (it != laplacians_.end()) {
-    bump<&Stats::hits>(1);
-    return it->second;
-  }
-  bump<&Stats::misses>(1);
-  return laplacians_.emplace(kind, graphio::laplacian(graph(), kind))
-      .first->second;
-}
-
 void ArtifactCache::merge_component_spectrum(SpectrumMerge& merge, int c,
                                              LaplacianKind kind,
                                              const SpectralOptions& options) {

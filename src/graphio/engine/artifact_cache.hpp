@@ -1,11 +1,10 @@
 // Shared analysis artifacts for one computation graph.
 //
 // Every bound family consumes a handful of expensive graph-derived
-// objects: a topological order, CSR Laplacians, eigen-spectra, and the
-// maximum wavefront cut of the convex min-cut baseline. None of them
-// depend on the memory size M, so one cache instance serves every method
-// and every M of a sweep — the Engine computes each artifact at most once
-// per graph. Per-component artifacts (spectra, topo orders, min-cut
+// objects: a topological order, eigen-spectra, and the maximum wavefront
+// cut of the convex min-cut baseline. None of them depend on the memory
+// size M, so one cache instance serves every method and every M of a
+// sweep — the Engine computes each artifact at most once per graph. Per-component artifacts (spectra, topo orders, min-cut
 // sweeps, memsim rows, partition rows) additionally resolve through the
 // content-addressed store::ArtifactStore before computing, so equal
 // components across specs, stream patches, and (with a disk tier)
@@ -39,7 +38,6 @@
 #include "graphio/graph/components.hpp"
 #include "graphio/graph/digraph.hpp"
 #include "graphio/graph/laplacian.hpp"
-#include "graphio/la/csr_matrix.hpp"
 #include "graphio/store/artifact_store.hpp"
 #include "graphio/telemetry/metrics.hpp"
 
@@ -138,9 +136,6 @@ class ArtifactCache {
   /// minimum over the components' local minima. Throws contract_error on
   /// cyclic graphs.
   const std::vector<VertexId>& topo_order();
-
-  /// Sparse Laplacian of the requested kind.
-  const la::CsrMatrix& laplacian(LaplacianKind kind);
 
   /// One spectrum an evaluation used: its Laplacian kind, and whether the
   /// evaluation computed it (a cache miss) or was served it (a hit).
@@ -402,7 +397,6 @@ class ArtifactCache {
   Stats* totals_ = nullptr;
   std::optional<std::uint64_t> fingerprint_;
   std::optional<std::vector<VertexId>> topo_;
-  std::map<LaplacianKind, la::CsrMatrix> laplacians_;
   std::map<LaplacianKind, PipelineResult> spectra_;
   std::map<LaplacianKind, SpectralOptions> spectra_options_;
   std::optional<WavefrontArtifact> max_cut_;

@@ -9,10 +9,9 @@
 //   std::cout << report.to_json() << "\n";
 //
 // The Engine owns one ArtifactCache per spec-addressed graph, so the
-// expensive shared artifacts — topological orders, Laplacians,
-// eigen-spectra, wavefront cut sweeps — are computed once and reused
-// across every method, every M of a sweep, and every later request for
-// the same spec. An Engine serves one thread at a time; a corpus of
+// expensive shared artifacts — topological orders, eigen-spectra,
+// wavefront cut sweeps — are computed once and reused across every
+// method, every M of a sweep, and every later request for the same spec. An Engine serves one thread at a time; a corpus of
 // requests fans out through serve::Scheduler, whose workers each own one.
 #pragma once
 

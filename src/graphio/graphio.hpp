@@ -136,7 +136,6 @@
 #include "graphio/la/tridiagonal.hpp"
 
 // Support.
-#include "graphio/support/env.hpp"
 #include "graphio/support/parallel.hpp"
 #include "graphio/support/prng.hpp"
 #include "graphio/support/table.hpp"

@@ -183,7 +183,6 @@ BatchSession::BatchSession(const BatchOptions& options) {
   scheduler_options.store = store_.get();
   scheduler_options.artifacts = artifacts_;
   scheduler_options.max_attempts = options.max_attempts;
-  scheduler_options.backoff_ms = options.backoff_ms;
   scheduler_options.job_timeout_ms = options.job_timeout_ms;
   scheduler_ = std::make_unique<Scheduler>(scheduler_options);
   if (!options.provenance_dir.empty())

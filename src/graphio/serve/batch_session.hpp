@@ -97,8 +97,6 @@ struct BatchOptions {
   std::int64_t job_timeout_ms = 0;
   /// Transient-failure attempts per job; see SchedulerOptions.
   int max_attempts = 3;
-  /// Backoff before the first retry in milliseconds, doubled per retry.
-  double backoff_ms = 1.0;
 };
 
 struct BatchSummary {

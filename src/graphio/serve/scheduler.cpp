@@ -156,7 +156,6 @@ engine::BoundReport evaluate_with_store(
 Scheduler::Scheduler(const SchedulerOptions& options)
     : store_(options.store),
       max_attempts_(std::max(1, options.max_attempts)),
-      backoff_ms_(std::max(0.0, options.backoff_ms)),
       job_timeout_ms_(std::max<std::int64_t>(0, options.job_timeout_ms)) {
   int threads = options.threads > 0 ? options.threads : hardware_threads();
   threads = std::max(threads, 1);
@@ -231,13 +230,11 @@ JobResult Scheduler::evaluate_job(engine::Engine& engine, const Job& job,
       result.error_site = e.site();
       if (e.transient() && attempt < max_attempts_) {
         job_metrics().retried.increment();
-        if (backoff_ms_ > 0.0) {
-          const double delay =
-              backoff_ms_ * static_cast<double>(std::int64_t{1}
-                                                << (attempt - 1));
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(delay));
-        }
+        const double delay =
+            kRetryBackoffMs *
+            static_cast<double>(std::int64_t{1} << (attempt - 1));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(delay));
         continue;
       }
       if (e.transient()) {

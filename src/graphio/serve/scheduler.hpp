@@ -30,6 +30,10 @@
 
 namespace graphio::serve {
 
+/// Backoff before the first transient-failure retry in milliseconds,
+/// doubled per retry.
+inline constexpr double kRetryBackoffMs = 1.0;
+
 struct SchedulerOptions {
   /// Worker count; 0 means hardware_threads().
   int threads = 0;
@@ -44,8 +48,6 @@ struct SchedulerOptions {
   /// last attempt is quarantined (`serve.job.quarantined`); permanent
   /// failures (bad spec, cyclic graph) never retry.
   int max_attempts = 3;
-  /// Backoff before the first retry in milliseconds, doubled per retry.
-  double backoff_ms = 1.0;
   /// Soft per-job deadline in milliseconds (0 = none), the request's
   /// BoundRequest::deadline_seconds: over-budget component solves are
   /// skipped and the job returns a certified partial bound flagged
@@ -139,7 +141,6 @@ class Scheduler {
   std::vector<std::unique_ptr<engine::Engine>> engines_;
   ResultStore* store_ = nullptr;
   int max_attempts_ = 3;
-  double backoff_ms_ = 1.0;
   std::int64_t job_timeout_ms_ = 0;
 };
 

@@ -14,33 +14,35 @@ void DynamicComponents::reset(const DynamicGraph& g) {
   rebuild_flag_.clear();
   rebuild_list_.clear();
   alive_count_ = 0;
-  journal_.clear();
-  journaling_ = false;
 
   std::vector<VertexId> stack;
   for (VertexId root = 0; root < g.id_limit(); ++root) {
     if (!g.alive(root) ||
         component_of_[static_cast<std::size_t>(root)] != -1)
       continue;
-    const int c = new_slot();
-    Slot& slot = slots_[static_cast<std::size_t>(c)];
-    stack.assign(1, root);
-    component_of_[static_cast<std::size_t>(root)] = c;
-    while (!stack.empty()) {
-      const VertexId v = stack.back();
-      stack.pop_back();
-      slot.vertices.push_back(v);
-      for (std::span<const VertexId> neighbors :
-           {g.children(v), g.parents(v)}) {
-        for (VertexId w : neighbors) {
-          if (component_of_[static_cast<std::size_t>(w)] != -1) continue;
-          component_of_[static_cast<std::size_t>(w)] = c;
-          stack.push_back(w);
-        }
+    label_from(g, root, new_slot(), stack);
+  }
+}
+
+void DynamicComponents::label_from(const DynamicGraph& g, VertexId root,
+                                   int c, std::vector<VertexId>& stack) {
+  Slot& slot = slots_[static_cast<std::size_t>(c)];
+  stack.assign(1, root);
+  component_of_[static_cast<std::size_t>(root)] = c;
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
+    slot.vertices.push_back(v);
+    for (std::span<const VertexId> neighbors :
+         {g.children(v), g.parents(v)}) {
+      for (VertexId w : neighbors) {
+        if (component_of_[static_cast<std::size_t>(w)] != -1) continue;
+        component_of_[static_cast<std::size_t>(w)] = c;
+        stack.push_back(w);
       }
     }
-    std::sort(slot.vertices.begin(), slot.vertices.end());
   }
+  std::sort(slot.vertices.begin(), slot.vertices.end());
 }
 
 int DynamicComponents::new_slot() {
@@ -69,67 +71,6 @@ void DynamicComponents::begin_patch() {
                   "begin_patch before the previous patch was flushed");
   for (int c : dirty_list_) dirty_flag_[static_cast<std::size_t>(c)] = false;
   dirty_list_.clear();
-  // Arm the rollback journal: a patch starts with empty queues and all
-  // flags down, so queue state needs no per-op records — only structural
-  // changes do.
-  journal_.clear();
-  journaling_ = true;
-  journal_alive_count_ = alive_count_;
-  journal_label_size_ = component_of_.size();
-}
-
-void DynamicComponents::rollback_patch() {
-  GIO_EXPECTS_MSG(journaling_,
-                  "rollback_patch without a begin_patch in effect");
-  // Queue state first (clearing the members the lists name), before any
-  // undo pops the slots those members may index.
-  for (int c : dirty_list_) dirty_flag_[static_cast<std::size_t>(c)] = false;
-  dirty_list_.clear();
-  for (int c : rebuild_list_)
-    rebuild_flag_[static_cast<std::size_t>(c)] = false;
-  rebuild_list_.clear();
-
-  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-    const Undo& undo = *it;
-    switch (undo.kind) {
-      case Undo::Kind::kNewSlot: {
-        slots_.pop_back();
-        dirty_flag_.pop_back();
-        rebuild_flag_.pop_back();
-        break;
-      }
-      case Undo::Kind::kMerge: {
-        Slot& kept = slots_[static_cast<std::size_t>(undo.c)];
-        Slot& dropped = slots_[static_cast<std::size_t>(undo.drop)];
-        GIO_ASSERT(kept.vertices.size() >= undo.moved);
-        // The merge appended the dropped side verbatim, so the suffix IS
-        // its former list, order included.
-        dropped.vertices.assign(kept.vertices.end() -
-                                    static_cast<std::ptrdiff_t>(undo.moved),
-                                kept.vertices.end());
-        kept.vertices.resize(kept.vertices.size() - undo.moved);
-        for (VertexId w : dropped.vertices)
-          component_of_[static_cast<std::size_t>(w)] = undo.drop;
-        kept.sorted = undo.kept_was_sorted;
-        dropped.sorted = undo.drop_was_sorted;
-        dropped.alive = true;
-        break;
-      }
-      case Undo::Kind::kErase: {
-        Slot& slot = slots_[static_cast<std::size_t>(undo.c)];
-        slot.vertices.insert(
-            slot.vertices.begin() + static_cast<std::ptrdiff_t>(undo.pos),
-            undo.v);
-        component_of_[static_cast<std::size_t>(undo.v)] = undo.c;
-        if (undo.slot_died) slot.alive = true;
-        break;
-      }
-    }
-  }
-  component_of_.resize(journal_label_size_);
-  alive_count_ = journal_alive_count_;
-  journal_.clear();
-  journaling_ = false;
 }
 
 void DynamicComponents::on_add_vertex(VertexId v) {
@@ -142,15 +83,6 @@ void DynamicComponents::on_add_vertex(VertexId v) {
   slots_[static_cast<std::size_t>(c)].vertices.push_back(v);
   component_of_[static_cast<std::size_t>(v)] = c;
   mark_dirty(c);
-  if (journaling_) {
-    // Vertex ids are append-only, so a patch-added vertex always labels
-    // beyond the begin_patch() range — rollback's final resize drops the
-    // label, and only the slot needs a record.
-    GIO_ASSERT(static_cast<std::size_t>(v) >= journal_label_size_);
-    Undo undo;
-    undo.kind = Undo::Kind::kNewSlot;
-    journal_.push_back(undo);
-  }
 }
 
 void DynamicComponents::on_add_edge(VertexId u, VertexId v) {
@@ -171,16 +103,6 @@ void DynamicComponents::on_add_edge(VertexId u, VertexId v) {
   const int drop = u_larger ? cv : cu;
   Slot& kept = u_larger ? su : sv;
   Slot& dropped = u_larger ? sv : su;
-  if (journaling_) {
-    Undo undo;
-    undo.kind = Undo::Kind::kMerge;
-    undo.c = keep;
-    undo.drop = drop;
-    undo.moved = dropped.vertices.size();
-    undo.kept_was_sorted = kept.sorted;
-    undo.drop_was_sorted = dropped.sorted;
-    journal_.push_back(undo);
-  }
   for (VertexId w : dropped.vertices)
     component_of_[static_cast<std::size_t>(w)] = keep;
   kept.vertices.insert(kept.vertices.end(), dropped.vertices.begin(),
@@ -214,13 +136,10 @@ void DynamicComponents::on_remove_vertex(VertexId v) {
           ? std::lower_bound(slot.vertices.begin(), slot.vertices.end(), v)
           : std::find(slot.vertices.begin(), slot.vertices.end(), v);
   GIO_ASSERT(it != slot.vertices.end() && *it == v);
-  const auto pos = static_cast<std::size_t>(it - slot.vertices.begin());
   slot.vertices.erase(it);
   component_of_[static_cast<std::size_t>(v)] = -1;
   mark_dirty(c);
-  bool slot_died = false;
   if (slot.vertices.empty()) {
-    slot_died = true;
     slot.alive = false;
     --alive_count_;
     if (rebuild_flag_[static_cast<std::size_t>(c)]) {
@@ -230,23 +149,9 @@ void DynamicComponents::on_remove_vertex(VertexId v) {
   } else {
     queue_rebuild(c);
   }
-  if (journaling_) {
-    Undo undo;
-    undo.kind = Undo::Kind::kErase;
-    undo.v = v;
-    undo.c = c;
-    undo.pos = pos;
-    undo.slot_died = slot_died;
-    journal_.push_back(undo);
-  }
 }
 
 void DynamicComponents::flush(const DynamicGraph& g) {
-  // flush() is the commit point: every mutation of the patch applied, so
-  // the rollback journal retires (split pieces created below never need
-  // journaling — a failure can no longer happen inside this patch).
-  journal_.clear();
-  journaling_ = false;
   // Restore the ascending-order invariant on components whose lists went
   // unsorted through merges: one sort per dirty component per patch.
   for (int c : dirty_list_) {
@@ -283,23 +188,7 @@ void DynamicComponents::flush(const DynamicGraph& g) {
       } else {
         mark_dirty(piece);
       }
-      Slot& target = slots_[static_cast<std::size_t>(piece)];
-      stack.assign(1, root);
-      component_of_[static_cast<std::size_t>(root)] = piece;
-      while (!stack.empty()) {
-        const VertexId v = stack.back();
-        stack.pop_back();
-        target.vertices.push_back(v);
-        for (std::span<const VertexId> neighbors :
-             {g.children(v), g.parents(v)}) {
-          for (VertexId w : neighbors) {
-            if (component_of_[static_cast<std::size_t>(w)] != -1) continue;
-            component_of_[static_cast<std::size_t>(w)] = piece;
-            stack.push_back(w);
-          }
-        }
-      }
-      std::sort(target.vertices.begin(), target.vertices.end());
+      label_from(g, root, piece, stack);
     }
   }
 }
@@ -336,9 +225,7 @@ const std::vector<VertexId>& DynamicComponents::vertices_of(int c) const {
   return slots_[static_cast<std::size_t>(c)].vertices;
 }
 
-Digraph DynamicComponents::subgraph(
-    const DynamicGraph& g, int c,
-    std::vector<VertexId>* external_of_local) const {
+Digraph DynamicComponents::subgraph(const DynamicGraph& g, int c) const {
   const std::vector<VertexId>& ids = vertices_of(c);
   // Mirrors WeakComponents::subgraph: local ids in ascending external-id
   // order, edge multiplicity and list order preserved. Requires a flushed
@@ -355,7 +242,6 @@ Digraph DynamicComponents::subgraph(
     }
     if (!g.name(v).empty()) sub.set_name(static_cast<VertexId>(i), g.name(v));
   }
-  if (external_of_local != nullptr) *external_of_local = ids;
   return sub;
 }
 

@@ -23,6 +23,11 @@
 // are stable and subgraph extraction is order-deterministic — their
 // content fingerprint, which is exactly what StreamSession needs to reuse
 // their cached spectra.
+//
+// The structure has no rollback of its own: StreamSession notifies it only
+// after every mutation of a patch has applied to the DynamicGraph, so a
+// failed patch never reaches the labels (the graph's journal alone unwinds
+// it).
 #pragma once
 
 #include <cstdint>
@@ -42,24 +47,15 @@ class DynamicComponents {
   void reset(const DynamicGraph& g);
 
   /// Starts a patch: clears the dirty set (the rebuild queue carries over
-  /// only within a patch; flush() must have been called before) and
-  /// starts the inverse-mutation journal backing rollback_patch().
+  /// only within a patch; flush() must have been called before).
   void begin_patch();
 
-  /// Reverts every notification since begin_patch() — labels, membership
-  /// lists, slot liveness, dirty/rebuild queues — in O(state the patch
-  /// touched). Only valid before flush() (mutations can only fail while
-  /// they are being applied; flush() commits the patch and drops the
-  /// journal).
-  void rollback_patch();
-
-  // Mutation notifications, called after the DynamicGraph applied the
-  // mutation (labels read the post-mutation adjacency only in flush()).
+  // Mutation notifications, in patch order. They read and update the
+  // labels only, never the graph, so they may run after the DynamicGraph
+  // applied the whole patch; flush() then reads the post-patch adjacency.
   void on_add_vertex(VertexId v);
   void on_add_edge(VertexId u, VertexId v);
   void on_remove_edge(VertexId u, VertexId v);
-  /// Called *before* the graph removes v (the membership of v's component
-  /// still includes v at call time).
   void on_remove_vertex(VertexId v);
 
   /// Resolves queued deletions by partially rebuilding only the touched
@@ -96,11 +92,8 @@ class DynamicComponents {
   /// external-id order, adjacency-list order preserved — bit-identical
   /// (same content fingerprint) to WeakComponents::subgraph of the
   /// materialized graph, which is how cached component spectra stay valid
-  /// across patches. When non-null, `external_of_local` receives the
-  /// external id of each local vertex.
-  [[nodiscard]] Digraph subgraph(
-      const DynamicGraph& g, int c,
-      std::vector<VertexId>* external_of_local = nullptr) const;
+  /// across patches.
+  [[nodiscard]] Digraph subgraph(const DynamicGraph& g, int c) const;
 
   /// Test hook: true when labels equal a from-scratch decomposition.
   [[nodiscard]] bool matches(const DynamicGraph& g) const;
@@ -116,31 +109,13 @@ class DynamicComponents {
     bool sorted = true;
   };
 
-  /// One journaled structural change. Flag/queue state needs no per-op
-  /// records (a patch starts with empty queues and all flags down, so
-  /// rollback just clears the members the lists name), and neither do
-  /// patch-added vertex labels (ids are append-only, so the final
-  /// component_of_ resize drops them).
-  struct Undo {
-    enum class Kind {
-      kNewSlot,  ///< a slot was appended (add_vertex, split pieces)
-      kMerge,    ///< `moved` vertices were appended from `drop` to `keep`
-      kErase     ///< v was erased from slot c at `pos` (remove_vertex)
-    };
-    Kind kind;
-    VertexId v = -1;
-    int c = -1;      ///< kMerge: keep; kErase: slot
-    int drop = -1;   ///< kMerge: the absorbed slot
-    std::size_t moved = 0;  ///< kMerge: appended vertex count
-    bool kept_was_sorted = false;   ///< kMerge
-    bool drop_was_sorted = false;   ///< kMerge
-    std::size_t pos = 0;            ///< kErase: erased index
-    bool slot_died = false;         ///< kErase: the erase emptied the slot
-  };
-
   int new_slot();
   void mark_dirty(int c);
   void queue_rebuild(int c);
+  /// Labels every unlabeled vertex reachable from `root` with `c` and
+  /// lists them, ascending, in slot c (whose list starts empty).
+  void label_from(const DynamicGraph& g, VertexId root, int c,
+                  std::vector<VertexId>& stack);
 
   std::vector<Slot> slots_;
   std::vector<int> component_of_;  ///< by external id; -1 for dead ids
@@ -149,10 +124,6 @@ class DynamicComponents {
   std::vector<bool> rebuild_flag_;  ///< by slot id
   std::vector<int> rebuild_list_;
   int alive_count_ = 0;
-  bool journaling_ = false;
-  std::vector<Undo> journal_;
-  int journal_alive_count_ = 0;          ///< alive_count_ at begin_patch
-  std::size_t journal_label_size_ = 0;   ///< component_of_.size() at begin
 };
 
 }  // namespace graphio::stream

@@ -244,20 +244,12 @@ const std::string& DynamicGraph::name(VertexId v) const {
   return names_[static_cast<std::size_t>(v)];
 }
 
-Digraph DynamicGraph::materialize(
-    std::vector<VertexId>* external_of_local,
-    std::vector<VertexId>* local_of_external) const {
+Digraph DynamicGraph::materialize() const {
   std::vector<VertexId> local_of(static_cast<std::size_t>(id_limit()), -1);
-  if (external_of_local != nullptr) {
-    external_of_local->clear();
-    external_of_local->reserve(static_cast<std::size_t>(num_alive_));
-  }
   VertexId next = 0;
-  for (VertexId v = 0; v < id_limit(); ++v) {
-    if (!alive_[static_cast<std::size_t>(v)]) continue;
-    local_of[static_cast<std::size_t>(v)] = next++;
-    if (external_of_local != nullptr) external_of_local->push_back(v);
-  }
+  for (VertexId v = 0; v < id_limit(); ++v)
+    if (alive_[static_cast<std::size_t>(v)])
+      local_of[static_cast<std::size_t>(v)] = next++;
   Digraph g(num_alive_);
   for (VertexId v = 0; v < id_limit(); ++v) {
     const auto i = static_cast<std::size_t>(v);
@@ -267,7 +259,6 @@ Digraph DynamicGraph::materialize(
       g.add_edge(lv, local_of[static_cast<std::size_t>(w)]);
     if (!names_[i].empty()) g.set_name(lv, names_[i]);
   }
-  if (local_of_external != nullptr) *local_of_external = std::move(local_of);
   return g;
 }
 

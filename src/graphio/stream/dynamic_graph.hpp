@@ -59,14 +59,8 @@ class DynamicGraph {
 
   /// Freezes the alive vertices into a Digraph: external ids compact to
   /// 0..n-1 in ascending order; edges keep per-vertex list order and
-  /// names survive. When non-null, `external_of_local` receives the
-  /// external id of each materialized vertex, and `local_of_external`
-  /// the inverse map over the full id range (-1 for dead ids) — the
-  /// compaction builds it anyway, so callers translating component
-  /// membership need no second pass.
-  [[nodiscard]] Digraph materialize(
-      std::vector<VertexId>* external_of_local = nullptr,
-      std::vector<VertexId>* local_of_external = nullptr) const;
+  /// names survive.
+  [[nodiscard]] Digraph materialize() const;
 
   // Inverse-mutation journal: while active, every mutation records its
   // exact inverse (list positions included), so a failed patch rolls back

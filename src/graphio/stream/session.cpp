@@ -81,13 +81,14 @@ PatchReport StreamSession::apply(const Patch& patch) {
   telemetry::Span span("stream.patch");
   WallTimer timer;
   const std::int64_t evicted_before = stats_.evicted;
-  // Atomicity by inverse-mutation journal: every mutation records its
-  // exact inverse as it applies, so a failing mutation unwinds in
-  // O(state the patch touched) — successful patches (the common case) no
-  // longer pay the O(n + m) snapshot copy the rollback path used to
-  // demand up front.
+  // Pass 1, the graph: every mutation records its exact inverse in the
+  // graph's journal as it applies, so a failing mutation unwinds in
+  // O(state the patch touched). The component labels are not touched
+  // until every mutation has applied, so a failed patch needs no other
+  // undo. Ids are handed out in append order, so the patch's added
+  // vertices take the ids from the pre-patch id limit up.
+  VertexId next_new_id = graph_.id_limit();
   graph_.begin_journal();
-  components_.begin_patch();
   for (std::size_t i = 0; i < patch.mutations.size(); ++i) {
     const Mutation& m = patch.mutations[i];
     try {
@@ -97,36 +98,50 @@ PatchReport StreamSession::apply(const Patch& patch) {
       faults::inject("stream.apply");
       switch (m.op) {
         case MutationOp::kAddVertex:
-          for (std::int64_t k = 0; k < m.count; ++k)
-            components_.on_add_vertex(graph_.add_vertex());
+          for (std::int64_t k = 0; k < m.count; ++k) graph_.add_vertex();
           break;
         case MutationOp::kRemoveVertex:
-          // Notify first: the labels must still cover v.
-          components_.on_remove_vertex(m.v);
           graph_.remove_vertex(m.v);
           break;
         case MutationOp::kAddEdge:
           graph_.add_edge(m.u, m.v);
-          components_.on_add_edge(m.u, m.v);
           break;
         case MutationOp::kRemoveEdge:
           graph_.remove_edge(m.u, m.v);
-          components_.on_remove_edge(m.u, m.v);
           break;
       }
     } catch (const faults::FaultInjected&) {
       // Same unwind as a real failure, but rethrown intact so the serve
       // layer can report the fault's kind/site in its structured error.
       graph_.rollback_journal();
-      components_.rollback_patch();
       throw;
     } catch (const std::exception& e) {
       graph_.rollback_journal();
-      components_.rollback_patch();
       GIO_EXPECTS_MSG(false, "mutation " + std::to_string(i + 1) + "/" +
                                  std::to_string(patch.mutations.size()) +
                                  " (" + std::string(to_string(m.op)) +
                                  ") failed: " + e.what());
+    }
+  }
+  // Pass 2, the components: the same notifications in patch order. They
+  // read only the labels, so running them after the graph changed yields
+  // the labels a mutation-by-mutation pass would.
+  components_.begin_patch();
+  for (const Mutation& m : patch.mutations) {
+    switch (m.op) {
+      case MutationOp::kAddVertex:
+        for (std::int64_t k = 0; k < m.count; ++k)
+          components_.on_add_vertex(next_new_id++);
+        break;
+      case MutationOp::kRemoveVertex:
+        components_.on_remove_vertex(m.v);
+        break;
+      case MutationOp::kAddEdge:
+        components_.on_add_edge(m.u, m.v);
+        break;
+      case MutationOp::kRemoveEdge:
+        components_.on_remove_edge(m.u, m.v);
+        break;
     }
   }
   components_.flush(graph_);

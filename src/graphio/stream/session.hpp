@@ -12,9 +12,11 @@
 // installed under its name, so queries between patches share one
 // ArtifactCache (spectra, wavefront cuts computed once). A patch:
 //
-//   1. applies its mutations to the DynamicGraph, updating the
-//      DynamicComponents labels incrementally (union-find insertions,
-//      partial-rebuild deletions) and collecting the dirty-component set;
+//   1. applies its mutations to the DynamicGraph under the graph's
+//      rollback journal; once all of them applied, replays them as
+//      DynamicComponents notifications, which update the labels
+//      incrementally (union-find insertions, partial-rebuild deletions)
+//      and collect the dirty-component set;
 //   2. re-fingerprints only the dirty components and recombines the
 //      session fingerprint from the per-component values — clean
 //      components are never re-hashed;
@@ -88,11 +90,13 @@ class StreamSession {
   PatchReport load(const std::string& spec);
   PatchReport load(const Digraph& graph);
 
-  /// Applies one patch atomically: an inverse-mutation journal (not an
-  /// O(n+m) snapshot) backs the rollback, so a failing mutation unwinds
-  /// in O(state the patch touched). Throws contract_error (leaving the
-  /// session on the last good graph, bit-identically) when a mutation
-  /// does not apply — callers retry with a corrected patch.
+  /// Applies one patch atomically: the DynamicGraph's inverse-mutation
+  /// journal (not an O(n+m) snapshot) backs the rollback, so a failing
+  /// mutation unwinds in O(state the patch touched); the component labels
+  /// only hear the patch after every mutation applied, so they never need
+  /// an undo. Throws contract_error (leaving the session on the last good
+  /// graph, bit-identically) when a mutation does not apply — callers
+  /// retry with a corrected patch.
   PatchReport apply(const Patch& patch);
 
   /// Evaluates a request against the current graph. request.spec/graph

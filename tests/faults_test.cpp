@@ -233,7 +233,6 @@ TEST(FaultScheduler, TransientFaultIsRetriedToSuccess) {
   serve::SchedulerOptions options;
   options.threads = 1;
   options.max_attempts = 3;
-  options.backoff_ms = 0.0;
   serve::Scheduler scheduler(options);
   const ScopedFaultPlan plan("serve.worker:nth=1");
   const serve::JobResult result = scheduler.run_one(bound_job(1));
@@ -246,7 +245,6 @@ TEST(FaultScheduler, PoisonJobIsQuarantinedAfterMaxAttempts) {
   serve::SchedulerOptions options;
   options.threads = 1;
   options.max_attempts = 3;
-  options.backoff_ms = 0.0;
   serve::Scheduler scheduler(options);
   const ScopedFaultPlan plan("serve.worker:prob=1,seed=5");
   const serve::JobResult result = scheduler.run_one(bound_job(1));
@@ -261,7 +259,6 @@ TEST(FaultScheduler, NonTransientFaultFailsFirstTry) {
   serve::SchedulerOptions options;
   options.threads = 1;
   options.max_attempts = 3;
-  options.backoff_ms = 0.0;
   serve::Scheduler scheduler(options);
   const ScopedFaultPlan plan("serve.worker:nth=1,kind=fatal");
   const serve::JobResult result = scheduler.run_one(bound_job(1));
@@ -275,7 +272,6 @@ TEST(FaultScheduler, DeterministicFailuresAreNeverRetried) {
   serve::SchedulerOptions options;
   options.threads = 1;
   options.max_attempts = 3;
-  options.backoff_ms = 0.0;
   serve::Scheduler scheduler(options);
   serve::Job job = serve::job_from_json_line(
       R"({"spec": "fft:3", "memories": [4], "methods": ["nope"]})");
@@ -444,7 +440,6 @@ std::map<std::int64_t, std::string> run_corpus(
   options.store_dir = (root / "results").string();
   options.artifact_dir = (root / "artifacts").string();
   options.provenance_dir = (root / "prov").string();
-  options.backoff_ms = 0.0;
   serve::BatchSession session(options);
   std::istringstream in(kSweepCorpus);
   std::ostringstream out;

@@ -236,6 +236,39 @@ TEST(StreamSessionTest, FailedPatchJournalMatchesUntouchedTwin) {
         EXPECT_EQ(ra.rows[i].value, rb.rows[i].value);
     }
   }
+
+  // One hand-built burst that exercises every kind of label change a
+  // patch can make — a new vertex, a merge, a shrink, and a queued
+  // rebuild — before the invalid mutation.
+  const std::vector<Digraph> parts = {builders::path(4), builders::path(3),
+                                      builders::path(5)};
+  const Digraph paths = disjoint_union(parts);
+  StreamSession session("victim");
+  StreamSession twin("twin");
+  session.load(paths);
+  twin.load(paths);
+  Patch bad;
+  bad.mutations.push_back(Mutation::add_vertex());      // fresh singleton
+  bad.mutations.push_back(Mutation::add_edge(0, 4));    // merge 0..3, 4..6
+  bad.mutations.push_back(Mutation::remove_vertex(11)); // shrink 7..11
+  bad.mutations.push_back(Mutation::remove_edge(0, 1)); // queue a rebuild
+  bad.mutations.push_back(Mutation::add_edge(3, 99));   // invalid
+  EXPECT_THROW(session.apply(bad), contract_error);
+  EXPECT_EQ(session.fingerprint(), twin.fingerprint());
+  EXPECT_EQ(engine::graph_fingerprint(session.graph()),
+            engine::graph_fingerprint(twin.graph()));
+
+  // A patch inside path(3) only: a leftover merge, shrink or vertex from
+  // the failed patch would show in the component count or the split.
+  Patch good;
+  good.mutations.push_back(Mutation::add_edge(4, 6));
+  const PatchReport pa = session.apply(good);
+  const PatchReport pb = twin.apply(good);
+  EXPECT_EQ(pa.components, 3);
+  EXPECT_EQ(pa.components, pb.components);
+  EXPECT_EQ(pa.fingerprint, pb.fingerprint);
+  EXPECT_EQ(pa.dirty_components, pb.dirty_components);
+  EXPECT_EQ(pa.clean_components, pb.clean_components);
 }
 
 TEST(StreamSessionTest, QueriesBetweenPatchesShareArtifacts) {
@@ -317,6 +350,11 @@ TEST(StreamSessionTest, FailedPatchRollsBackAtomically) {
     FAIL() << "expected contract_error";
   } catch (const contract_error& e) {
     EXPECT_NE(std::string(e.what()).find("mutation 2/2"), std::string::npos);
+    // The graph rejects the mutation before the component labels hear
+    // of the patch.
+    EXPECT_NE(std::string(e.what()).find("vertex 999 does not exist"),
+              std::string::npos)
+        << e.what();
   }
   // Nothing from the failed patch sticks — not even its first mutation.
   EXPECT_EQ(session.fingerprint(), before);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graphio/support/contracts.hpp"
-#include "graphio/support/env.hpp"
 #include "graphio/support/parallel.hpp"
 #include "graphio/support/prng.hpp"
 #include "graphio/support/table.hpp"
@@ -150,19 +149,6 @@ TEST(FormatDouble, TrimsTrailingZeros) {
   EXPECT_EQ(format_double(std::nan("")), "-");
 }
 
-TEST(Env, MissingVariableIsNullopt) {
-  EXPECT_FALSE(env_string("GRAPHIO_DEFINITELY_NOT_SET").has_value());
-  EXPECT_FALSE(env_int("GRAPHIO_DEFINITELY_NOT_SET").has_value());
-}
-
-TEST(Env, ReadsIntegers) {
-  ::setenv("GRAPHIO_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("GRAPHIO_TEST_INT").value(), 42);
-  ::setenv("GRAPHIO_TEST_INT", "nonsense", 1);
-  EXPECT_THROW(env_int("GRAPHIO_TEST_INT"), contract_error);
-  ::unsetenv("GRAPHIO_TEST_INT");
-}
-
 // parallel_for / parallel_for_dynamic must produce the same result as a
 // serial loop in every build flavor: OpenMP, the no-OpenMP build (serial
 // parallel_for, std::thread parallel_for_dynamic), and the degraded serial
@@ -241,17 +227,6 @@ TEST(Parallel, NestedRegionsStaySafe) {
   for (std::int64_t o = 0; o < outer; ++o)
     EXPECT_EQ(sums[static_cast<std::size_t>(o)],
               inner * (inner - 1) / 2);
-}
-
-TEST(Env, BenchScaleParses) {
-  ::setenv("GRAPHIO_BENCH_SCALE", "quick", 1);
-  EXPECT_EQ(bench_scale_from_env(), BenchScale::kQuick);
-  ::setenv("GRAPHIO_BENCH_SCALE", "paper", 1);
-  EXPECT_EQ(bench_scale_from_env(), BenchScale::kPaper);
-  ::setenv("GRAPHIO_BENCH_SCALE", "bogus", 1);
-  EXPECT_THROW(bench_scale_from_env(), contract_error);
-  ::unsetenv("GRAPHIO_BENCH_SCALE");
-  EXPECT_EQ(bench_scale_from_env(), BenchScale::kDefault);
 }
 
 }  // namespace
